@@ -24,7 +24,7 @@ print(f"scene: {scene.name}, {len(scene.grasps)} ring layouts, "
 print()
 
 profiles = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
-                           scene.dt, scene.ik_seed, max_workers=4)
+                           scene.dt, scene.ik_seed)
 report = rank_grasps(profiles, "max")
 
 # com relative to the grip point, in object axes

@@ -125,6 +125,13 @@ def effective_mass(lam_tot: KineticEnergyMatrix, v, quality: str = QUALITY_CLEAN
     ``quality`` lets callers propagate a degraded-configuration flag onto
     the resulting sample.
     """
+    v = unit_direction(v)
+    lam_u_inv, _, _ = partition_inverse(lam_tot)
+    return EffectiveMass(1.0 / float(v @ lam_u_inv @ v), v, quality)
+
+
+def unit_direction(v) -> np.ndarray:
+    """Unit copy of a 3-vector; warns when it rescales, rejects zero."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DimensionMismatch("direction must be a 3-vector")
@@ -132,7 +139,5 @@ def effective_mass(lam_tot: KineticEnergyMatrix, v, quality: str = QUALITY_CLEAN
     if n == 0.0:
         raise ValueError("direction must be nonzero")
     if abs(n - 1.0) > UNIT_NORM_TOL:
-        warnings.warn("direction not unit norm; normalizing", stacklevel=2)
-    v = v / n
-    lam_u_inv, _, _ = partition_inverse(lam_tot)
-    return EffectiveMass(1.0 / float(v @ lam_u_inv @ v), v, quality)
+        warnings.warn("direction not unit norm; normalizing", stacklevel=3)
+    return v / n

@@ -4,8 +4,8 @@ Pipeline for one object and one grasp, all pure congruences:
 
   com_energy_matrix   blockdiag(m I3, I_com) at the CoM, CoM axes
   transform_to_grasp  re-expressed at the grasp origin, grasp axes
-  to_operational      congruence by E(x): twist pairing -> coordinate-rate
-                      pairing (position rates + Euler-angle rates)
+  to_operational      congruence by E(x) to position + Euler-angle rates;
+                      ranking skips it (effective mass is invariant)
 
 Builders for the two demo objects (a cuboid and a cross-shaped rig of five
 cylinders with one sliding ring each) live here as well.

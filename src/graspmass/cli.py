@@ -3,7 +3,7 @@
 Subcommands: rank, profile, simulate-impact, demo {book,tensor}. All
 outputs are deterministic: floats are written with 9 significant digits,
 no timestamps, and re-running on the same scene reproduces numeric CSV
-content byte for byte. GRASP_PLANNER_THREADS caps per-grasp parallelism.
+content byte for byte.
 
 Exit codes: 0 success, 2 inverse-kinematics failure (message names the
 failing sample), 1 anything else. With --json, errors also land on
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import (GraspmassError, IkDidNotConverge, ParseError,
                      ValidationError)
-from .impact import ImpactScenario, predict_ordering, simulate_impact
+from .impact import ImpactScenario, simulate_impact
 from .ranking import evaluate_grasps, parse_aggregator, rank_grasps
 from .scene import Scene, parse_scene
 from .trajectory import sample
@@ -47,18 +46,6 @@ def _write_csv(path: Path, header, rows) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _workers(n_grasps: int) -> int:
-    cap = os.environ.get("GRASP_PLANNER_THREADS")
-    workers = min(n_grasps, os.cpu_count() or 1)
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValidationError("GRASP_PLANNER_THREADS",
-                                  f"not an integer: {cap!r}")
-    return workers
-
-
 def _resolve_grasp(scene: Scene, key: str):
     """Grasp id, falling back to a 0-based index for bare integers."""
     for grasp, body in zip(scene.grasps, scene.bodies):
@@ -77,8 +64,7 @@ def _resolve_grasp(scene: Scene, key: str):
 def _profiles(scene: Scene, dt: float):
     traj = scene.fit()
     return traj, evaluate_grasps(scene.chain, scene.bodies, scene.grasps,
-                                 traj, dt, scene.ik_seed,
-                                 max_workers=_workers(len(scene.grasps)))
+                                 traj, dt, scene.ik_seed)
 
 
 def _collision_speed(scene: Scene, traj, dt: float) -> float:
@@ -171,20 +157,19 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
                    ["t_s", "force_n"],
                    ([_fmt(t), _fmt(f)]
                     for t, f in zip(trace.times, trace.forces)))
-    ordering = predict_ordering(profiles, k, speed, scene.stiffness,
-                                scene.damping)
-    mass_order = tuple(gid for _, gid in sorted(
-        (float(p.masses[k - 1]), p.grasp_id) for p in profiles))
-    by_peak = ordering.grasp_ids
+    # same key as impact.predict_ordering: peak force, then grasp id
+    by_peak = sorted(peaks, key=lambda gid: (peaks[gid], gid))
+    mass_order = [gid for _, gid in sorted(
+        (float(p.masses[k - 1]), p.grasp_id) for p in profiles)]
     artifact = _artifact_head(scene)
     artifact.update({
         "collision_sample": k,
         "approach_speed_mps": float(_fmt(speed)),
         "stiffness_n_per_m": float(_fmt(scene.stiffness)),
         "damping_ns_per_m": float(_fmt(scene.damping)),
-        "ordering_by_peak": list(by_peak),
-        "ordering_by_effective_mass": list(mass_order),
-        "orderings_agree": list(by_peak) == list(mass_order),
+        "ordering_by_peak": by_peak,
+        "ordering_by_effective_mass": mass_order,
+        "orderings_agree": by_peak == mass_order,
         "peaks_n": {gid: float(_fmt(peaks[gid])) for gid in by_peak},
         "highlights": {
             "min": {"grasp_id": by_peak[0],

@@ -1,27 +1,26 @@
 """Effective-mass profiles along a trajectory and grasp ranking.
 
-Per sample the pipeline is: warm-started IK, task-space inertia of the
-chain, object energy matrix carried to the grasp frame and rotated into
-base axes, both matrices expressed for operational-coordinate rates,
-summed, and collapsed to a directional effective mass. Grasps are ranked
-ascending by an aggregate of their profiles (safest first).
+The arm's energy matrix depends on the trajectory alone, so one sweep
+does the warm-started IK, task-space inertia and motion direction per
+sample. Each grasp then adds its object matrix, rotated into base axes,
+at every sample and gets all its effective masses from one batched
+solve. Grasps are ranked ascending by profile aggregate (safest first).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import QUALITY_NEAR_SINGULAR, augment, effective_mass
+from .augmented import QUALITY_NEAR_SINGULAR, unit_direction
 from .bodies import (GraspCandidate, RigidBodyInertia, com_energy_matrix,
-                     to_operational, transform_to_grasp)
+                     transform_to_grasp)
 from .chain import ChainModel, inverse_kinematics, operational_space_inertia
-from .constants import ZERO_SPEED_TOL
+from .constants import PD_MIN_EIG, ZERO_SPEED_TOL
 from .errors import (DegenerateTrajectory, EmptyInput, IkDidNotConverge,
-                     LengthMismatch)
-from .spatial import OperationalCoords, Pose
+                     LengthMismatch, NotPositiveDefinite)
+from .spatial import Pose
 from .trajectory import QuinticTrajectory, direction_at, sample
 
 
@@ -122,34 +121,67 @@ class RankingReport:
 def evaluate_grasp(chain: ChainModel, body: RigidBodyInertia,
                    grasp: GraspCandidate, traj: QuinticTrajectory, dt: float,
                    q_seed, *, direction=None) -> EffectiveMassProfile:
-    """Effective-mass profile of one grasp along the sampled trajectory.
+    """Effective-mass profile of one grasp: ``evaluate_grasps`` on one."""
+    return evaluate_grasps(chain, body, [grasp], traj, dt, q_seed,
+                           direction=direction)[0]
 
-    IK is warm-started sample to sample (the seed solves the grasp pose at
-    t=0 first). ``direction`` fixes a collision direction; by default the
-    instantaneous motion direction at each sample is used. On IK failure
-    the profile is abandoned and the error carries the failing sample
-    index (0 = grasp-pose solve).
+
+def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
+                    direction=None) -> list[EffectiveMassProfile]:
+    """Effective-mass profiles of grasps along the sampled trajectory.
+
+    ``bodies`` is one RigidBodyInertia shared by all grasps, or a sequence
+    aligned with ``grasps``; results keep the input order. IK is warm-
+    started sample to sample, once for all grasps; on failure the error
+    carries the sample index (0 = grasp pose at t=0). ``direction`` fixes
+    the collision direction, else the motion direction at each sample.
     """
+    grasps = list(grasps)
+    if isinstance(bodies, RigidBodyInertia):
+        bodies = [bodies] * len(grasps)
+    else:
+        bodies = list(bodies)
+    if len(bodies) != len(grasps):
+        raise LengthMismatch("one body per grasp required")
+    if direction is not None:
+        direction = unit_direction(direction)
+    samples, lam_rob, dirs, qualities = _sweep(chain, traj, dt, q_seed,
+                                               direction)
+    times = np.array([s.t for s in samples])
+    # blockdiag(R, R) per sample: grasp axes -> base axes
+    rot = np.zeros((len(samples), 6, 6))
+    rot[:, :3, :3] = rot[:, 3:, 3:] = [s.pose.rotation for s in samples]
+    rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
+    profiles = []
+    for body, grasp in zip(bodies, grasps):
+        lam_gp = transform_to_grasp(com_energy_matrix(body), grasp).matrix
+        lam_tot = lam_rob + np.einsum("nij,jk,nlk->nil", rot, lam_gp, rot)
+        if np.linalg.eigvalsh(lam_tot)[:, 0].min() <= PD_MIN_EIG:
+            raise NotPositiveDefinite(f"grasp {grasp.id}: augmented matrix "
+                                      "not positive definite; cannot invert")
+        # [Lambda^-1]_uu v is the top half of Lambda^-1 [v, 0]
+        x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
+        masses = 1.0 / np.einsum("ni,ni->n", dirs, x)
+        profiles.append(EffectiveMassProfile(grasp.id, times, masses,
+                                             qualities))
+    return profiles
+
+
+def _sweep(chain, traj, dt, q_seed, direction):
+    """Grasp-independent pass: the samples, the arm's task-space inertia
+    (N, 6, 6) in base axes, unit directions (N, 3) and quality flags."""
     samples = sample(traj, dt)
-    lam_gp = transform_to_grasp(com_energy_matrix(body), grasp)
     start = Pose(traj.position(0.0), traj.start_rotation)
     q_cur = _solve_ik(chain, start, q_seed, 0)
-    masses = np.empty(len(samples))
-    qualities = []
-    for i, samp in enumerate(samples):
+    lam_rob, dirs, qualities = [], [], []
+    for samp in samples:
         q_cur = _solve_ik(chain, samp.pose, q_cur, samp.sample_index)
         osi = operational_space_inertia(chain, q_cur)
-        coords = OperationalCoords.from_pose(samp.pose)
-        lam_obj = to_operational(lam_gp.expressed_in(samp.pose.rotation), coords)
-        lam_rob = to_operational(osi.matrix, coords)
-        lam_tot = augment(lam_rob, lam_obj)
-        v = direction if direction is not None else _motion_direction(
-            samp, samples, traj)
-        em = effective_mass(lam_tot, v, quality=osi.quality)
-        masses[i] = em.value
-        qualities.append(em.quality)
-    return EffectiveMassProfile(grasp.id, np.array([s.t for s in samples]),
-                                masses, tuple(qualities))
+        lam_rob.append(osi.matrix.matrix)
+        dirs.append(direction if direction is not None else
+                    _motion_direction(samp, samples, traj))
+        qualities.append(osi.quality)
+    return samples, np.array(lam_rob), np.array(dirs), tuple(qualities)
 
 
 def _motion_direction(samp, samples, traj):
@@ -172,32 +204,6 @@ def _solve_ik(chain, pose, seed, index):
         raise IkDidNotConverge(f"sample {index}: {exc}", best_q=exc.best_q,
                                pos_err=exc.pos_err, rot_err=exc.rot_err,
                                sample_index=index) from exc
-
-
-def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *, direction=None,
-                    max_workers=None) -> list[EffectiveMassProfile]:
-    """Evaluate several grasps, concurrently when max_workers allows it.
-
-    ``bodies`` is one RigidBodyInertia shared by all grasps, or a sequence
-    aligned with ``grasps`` (ring overrides give each grasp its own mass
-    distribution). Grasps are independent (IK warm-start chains are per
-    grasp), so per-grasp dispatch is safe; results keep the input order.
-    """
-    grasps = list(grasps)
-    if isinstance(bodies, RigidBodyInertia):
-        bodies = [bodies] * len(grasps)
-    else:
-        bodies = list(bodies)
-    if len(bodies) != len(grasps):
-        raise LengthMismatch("one body per grasp required")
-    if max_workers is not None and max_workers > 1 and len(grasps) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(evaluate_grasp, chain, b, g, traj, dt,
-                                   q_seed, direction=direction)
-                       for b, g in zip(bodies, grasps)]
-            return [f.result() for f in futures]
-    return [evaluate_grasp(chain, b, g, traj, dt, q_seed, direction=direction)
-            for b, g in zip(bodies, grasps)]
 
 
 def rank_grasps(profiles, aggregator="max") -> RankingReport:

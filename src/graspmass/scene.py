@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +208,7 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     if damping < 0.0:
         raise ValidationError("collision.damping_ns_per_m", "must be >= 0")
     if "sample" in coll:
-        sample_idx = int(coll["sample"])
+        sample_idx = coll["sample"]
     elif "time_s" in coll:
         time_s = float(coll["time_s"])
         if not 0.0 < time_s <= t_f:
@@ -215,8 +216,11 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
         sample_idx = max(1, round(time_s / (t_f / n)))
     else:
         raise ValidationError("collision", "needs 'sample' or 'time_s'")
-    if not 1 <= sample_idx <= n:
-        raise ValidationError("collision.sample", f"must lie in 1..{n}")
+    # bool is an int subclass, and 10.7 must not truncate to 10
+    if (isinstance(sample_idx, bool) or not isinstance(sample_idx, numbers.Real)
+            or not float(sample_idx).is_integer() or not 1 <= sample_idx <= n):
+        raise ValidationError("collision.sample", "expected an integer in "
+                              f"1..{n}, got {sample_idx!r}")
     seed = _vector(d, "ik_seed_rad", "", chain.dof)
     ik_seed = _wrap("ik_seed_rad", JointState, seed)
     if digest is None:
@@ -224,7 +228,7 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
             json.dumps(d, sort_keys=True).encode()).hexdigest()
     return Scene(name=name, chain=chain, object=base_object, grasps=grasps,
                  bodies=bodies, start=start, end=end, t_f=t_f, dt=dt,
-                 collision_sample=sample_idx, stiffness=stiffness,
+                 collision_sample=int(sample_idx), stiffness=stiffness,
                  damping=damping, ik_seed=ik_seed, spec=d, digest=digest)
 
 

@@ -164,17 +164,18 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     assert (a / "ranking.json").read_bytes() == (b / "ranking.json").read_bytes()
 
 
-def test_worker_env_does_not_change_results(tmp_path, capsys, monkeypatch):
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    a.mkdir()
-    b.mkdir()
-    code, _, _ = run(capsys, "rank", book_path(), "--out-dir", str(a))
-    assert code == 0
-    monkeypatch.setenv("GRASP_PLANNER_THREADS", "2")
-    code, _, _ = run(capsys, "rank", book_path(), "--out-dir", str(b))
-    assert code == 0
-    assert (a / "mass_map.csv").read_bytes() == (b / "mass_map.csv").read_bytes()
+def test_fractional_collision_sample_is_a_clean_error(tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["collision"]["sample"] = 10.7
+    bad = tmp_path / "frac.scene.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "simulate-impact", str(bad), "--json",
+                       "--out-dir", str(tmp_path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert "collision.sample" in error["message"]
+    assert not list(tmp_path.glob("impact_*.csv"))
 
 
 def test_bad_aggregator_is_a_clean_error(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,23 +10,28 @@ from graspmass import (
     GraspCandidate,
     Pose,
     RigidBodyInertia,
+    augment,
     build_cuboid,
+    com_energy_matrix,
     direction_at,
     effective_mass,
     evaluate_grasp,
     evaluate_grasps,
     fit_quintic,
+    inverse_kinematics,
     mass_map,
     operational_space_inertia,
     parse_aggregator,
     rank_grasps,
     sample,
     to_operational,
+    transform_to_grasp,
 )
-from graspmass.errors import EmptyInput, IkDidNotConverge, LengthMismatch
+from graspmass.errors import (DimensionMismatch, EmptyInput, IkDidNotConverge,
+                              LengthMismatch, NotPositiveDefinite)
 from graspmass.spatial import OperationalCoords, ypr_from_rotation
 
-from conftest import book_scene
+from conftest import book_scene, tensor_scene
 
 
 def profile(grasp_id, masses, flagged=()):
@@ -83,12 +91,12 @@ def test_object_mass_scaling_is_monotone():
         prev = cur
 
 
-def test_evaluate_grasps_is_deterministic_and_threadsafe():
+def test_evaluate_grasps_is_deterministic():
     scene = book_scene()
     traj = scene.fit()
     runs = [evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
-                            scene.dt, scene.ik_seed, max_workers=w)
-            for w in (None, 1, 4)]
+                            scene.dt, scene.ik_seed)
+            for _ in range(3)]
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
             assert a.grasp_id == b.grasp_id
@@ -187,3 +195,106 @@ def test_fixed_direction_override():
     default = evaluate_grasp(scene.chain, scene.bodies[0], scene.grasps[0],
                              traj, scene.dt, scene.ik_seed)
     assert not np.allclose(prof.masses, default.masses)
+
+
+def test_batched_masses_match_per_sample_reference():
+    # the scalar path, one sample and one grasp at a time, is the reference
+    scene = book_scene()
+    traj = scene.fit()
+    samples = sample(traj, scene.dt)
+    profiles = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
+                               scene.dt, scene.ik_seed)
+    q = inverse_kinematics(scene.chain,
+                           Pose(traj.position(0.0), traj.start_rotation),
+                           scene.ik_seed)
+    lam_rob = []
+    for samp in samples:
+        q = inverse_kinematics(scene.chain, samp.pose, q)
+        lam_rob.append(operational_space_inertia(scene.chain, q).matrix)
+    for prof, body, grasp in zip(profiles, scene.bodies, scene.grasps):
+        lam_gp = transform_to_grasp(com_energy_matrix(body), grasp)
+        for samp, lam, got in zip(samples, lam_rob, prof.masses):
+            lam_tot = augment(lam, lam_gp.expressed_in(samp.pose.rotation))
+            want = effective_mass(lam_tot, direction_at(samp, samples)).value
+            assert abs(got - want) <= 1e-12 * want
+
+
+def pitched_path(scene, pitch):
+    start = Pose.from_ypr([0.8, 0.0, 0.3], [0.0, pitch, 0.0])
+    end = Pose.from_ypr([0.8, 0.1, 0.3], [0.0, pitch, 0.0])
+    return fit_quintic(start, end, scene.t_f)
+
+
+def test_pitch_at_gimbal_lock_evaluates():
+    # ZYX Euler angles are singular at pitch pi/2; the effective mass is not
+    scene = book_scene()
+    at, near = (evaluate_grasps(scene.chain, scene.bodies, scene.grasps,
+                                pitched_path(scene, pitch), scene.dt,
+                                scene.ik_seed)
+                for pitch in (np.pi / 2, np.pi / 2 - 1e-3))
+    for a, b in zip(at, near):
+        assert np.all(np.isfinite(a.masses))
+        assert np.allclose(a.masses, b.masses, rtol=1e-3, atol=0.0)
+
+
+def test_profiles_do_not_depend_on_grasp_order():
+    scene = book_scene()
+    traj = scene.fit()
+    pairs = list(zip(scene.grasps, scene.bodies))
+    random.Random(7).shuffle(pairs)
+    grasps, bodies = zip(*pairs)
+    ref = {p.grasp_id: p for p in evaluate_grasps(
+        scene.chain, scene.bodies, scene.grasps, traj, scene.dt,
+        scene.ik_seed)}
+    shuffled = evaluate_grasps(scene.chain, bodies, grasps, traj, scene.dt,
+                               scene.ik_seed)
+    assert [p.grasp_id for p in shuffled] == [g.id for g in grasps]
+    for p in shuffled:
+        assert np.array_equal(p.masses, ref[p.grasp_id].masses)
+        assert p.qualities == ref[p.grasp_id].qualities
+
+
+def test_single_grasp_equals_its_row_of_the_batch():
+    scene = tensor_scene()
+    traj = scene.fit()
+    batch = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
+                            scene.dt, scene.ik_seed)
+    k = 13
+    one = evaluate_grasp(scene.chain, scene.bodies[k], scene.grasps[k], traj,
+                         scene.dt, scene.ik_seed)
+    assert one.grasp_id == batch[k].grasp_id
+    assert np.allclose(one.masses, batch[k].masses, rtol=1e-12, atol=0.0)
+
+
+def test_fixed_direction_is_checked_and_normalized_once():
+    scene = book_scene()
+    traj = scene.fit()
+    args = (scene.chain, scene.bodies, scene.grasps, traj, scene.dt,
+            scene.ik_seed)
+    unit = evaluate_grasps(*args, direction=[0.0, 0.0, 1.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scaled = evaluate_grasps(*args, direction=[0.0, 0.0, 3.0])
+    assert [str(w.message) for w in caught] == [
+        "direction not unit norm; normalizing"]
+    for a, b in zip(unit, scaled):
+        assert np.allclose(a.masses, b.masses, rtol=1e-12, atol=0.0)
+    with pytest.raises(ValueError):
+        evaluate_grasps(*args, direction=np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        evaluate_grasps(*args, direction=[1.0, 0.0])
+
+
+def test_non_positive_definite_total_is_rejected(monkeypatch):
+    # a massless arm plus a near-massless object leaves nothing to invert
+    import graspmass.ranking as ranking
+    from graspmass.augmented import KineticEnergyMatrix
+    from graspmass.chain import OperationalSpaceInertia
+    monkeypatch.setattr(ranking, "operational_space_inertia",
+                        lambda chain, q: OperationalSpaceInertia(
+                            KineticEnergyMatrix(np.zeros((6, 6))), False))
+    scene = book_scene()
+    speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
+    with pytest.raises(NotPositiveDefinite):
+        evaluate_grasp(scene.chain, speck, GraspCandidate("g", Pose.identity()),
+                       scene.fit(), scene.dt, scene.ik_seed)

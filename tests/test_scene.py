@@ -116,6 +116,21 @@ def test_collision_sample_bounds():
         scene_from_dict(doc)
 
 
+@pytest.mark.parametrize("value", [10.7, "abc", True, None, float("nan")])
+def test_collision_sample_must_be_an_integer(value):
+    doc = book_dict()
+    doc["collision"]["sample"] = value
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert exc.value.field == "collision.sample"
+
+
+def test_collision_sample_accepts_integral_float():
+    doc = book_dict()
+    doc["collision"]["sample"] = 10.0
+    assert scene_from_dict(doc).collision_sample == 10
+
+
 def test_collision_time_resolves_to_sample():
     doc = book_dict()
     del doc["collision"]["sample"]
