@@ -8,10 +8,19 @@ Conventions:
   - the joint-space mass matrix comes from composite rigid-body assembly
     with all spatial quantities referenced at the base origin, which keeps
     every 6-vector in one frame (linear first, matching the Jacobian)
+
+Every public call makes one frame pass on raw arrays (``_frame_pass``) and
+derives what it returns from it: FK, the Jacobian, the CRBA mass matrix
+(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6), or both of
+the last two for the task-space inertia; each IK iteration makes one.
+Validation sits at the boundary: joint values must be finite, and each
+pass checks the end-effector pose once; joint frames are not validated
+one by one.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,9 +34,10 @@ from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         UNIT_NORM_TOL)
 from .errors import (DimensionMismatch, IkDidNotConverge,
                      NearSingularConfiguration)
-from .spatial import (Pose, pose_compose, rotation_axis_angle, rotation_log,
-                      skew)
-from .spatial import _frozen
+from .spatial import Pose, rotation_log, skew
+from .spatial import _check_rotation, _frozen
+
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +72,13 @@ class JointSpec:
         if abs(np.linalg.norm(axis) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("axis must be a unit vector")
         object.__setattr__(self, "axis", axis)
+        # Rodrigues terms of the axis, reused by every frame pass
+        k = skew(axis)
+        k.setflags(write=False)
+        k2 = k @ k
+        k2.setflags(write=False)
+        object.__setattr__(self, "_axis_skew", k)
+        object.__setattr__(self, "_axis_skew2", k2)
         lo, hi = float(self.limits[0]), float(self.limits[1])
         if not lo < hi:
             raise ValueError("limits must satisfy min < max")
@@ -104,36 +121,50 @@ def _qvec(model: ChainModel, q) -> np.ndarray:
     v = np.asarray(q.q if isinstance(q, JointState) else q, dtype=float)
     if v.shape != (model.dof,):
         raise DimensionMismatch(f"expected {model.dof} joint values, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("joint values must be finite")
     return v
 
 
-def _joint_frames(model: ChainModel, qv: np.ndarray) -> list[Pose]:
-    """Pose of each joint frame (post joint rotation), base frame."""
-    frames = []
-    cur = model.base_pose
-    for (spec, _), qi in zip(model.joints, qv):
-        cur = pose_compose(cur, spec.parent_transform)
-        cur = pose_compose(cur, Pose(np.zeros(3),
-                                     rotation_axis_angle(spec.axis, qi)))
-        frames.append(cur)
-    return frames
+class _Frames(NamedTuple):
+    """One pass over the chain, everything in base axes."""
+
+    rotations: np.ndarray   # (n, 3, 3) joint frames, post joint rotation
+    origins: np.ndarray     # (n, 3)
+    axes: np.ndarray        # (n, 3) joint axes
+    ee_rotation: np.ndarray
+    ee_position: np.ndarray
 
 
-def forward_kinematics(model: ChainModel, q) -> Pose:
-    qv = _qvec(model, q)
-    return pose_compose(_joint_frames(model, qv)[-1], model.tool_transform)
+def _frame_pass(model: ChainModel, qv: np.ndarray) -> _Frames:
+    """Joint frames and the end-effector pose for validated joint values."""
+    n = model.dof
+    rotations = np.empty((n, 3, 3))
+    origins = np.empty((n, 3))
+    axes = np.empty((n, 3))
+    rot, pos = model.base_pose.rotation, model.base_pose.position
+    for i, ((spec, _), qi) in enumerate(zip(model.joints, qv)):
+        parent = spec.parent_transform
+        pos = rot @ parent.position + pos
+        # Rodrigues about the joint axis
+        rot = rot @ parent.rotation @ (_EYE3 + math.sin(qi) * spec._axis_skew
+                                       + (1.0 - math.cos(qi)) * spec._axis_skew2)
+        rotations[i] = rot
+        origins[i] = pos
+        axes[i] = rot @ spec.axis
+    tool = model.tool_transform
+    ee_position = rot @ tool.position + pos
+    ee_rotation = rot @ tool.rotation
+    if not np.isfinite(ee_position).all():
+        raise ValueError("end-effector position must be finite")
+    _check_rotation(ee_rotation, "end-effector rotation")
+    return _Frames(rotations, origins, axes, ee_rotation, ee_position)
 
 
-def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
-    """6 x n map from joint rates to the end-effector twist, linear rows first."""
-    qv = _qvec(model, q)
-    frames = _joint_frames(model, qv)
-    p_ee = pose_compose(frames[-1], model.tool_transform).position
-    jac = np.zeros((6, model.dof))
-    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
-        z = frame.rotation @ spec.axis
-        jac[:3, i] = np.cross(z, p_ee - frame.position)
-        jac[3:, i] = z
+def _jacobian(frames: _Frames) -> np.ndarray:
+    jac = np.empty((6, len(frames.axes)))
+    jac[:3] = np.cross(frames.axes, frames.ee_position - frames.origins).T
+    jac[3:] = frames.axes.T
     return jac
 
 
@@ -142,30 +173,25 @@ def _spatial_inertia_at_origin(mass: float, com_w: np.ndarray,
     """6x6 spatial inertia referenced at the base origin, linear rows first."""
     s = skew(com_w)
     out = np.zeros((6, 6))
-    out[:3, :3] = mass * np.eye(3)
+    out[:3, :3] = mass * _EYE3
     out[:3, 3:] = -mass * s
     out[3:, :3] = mass * s
     out[3:, 3:] = inertia_w - mass * (s @ s)
     return out
 
 
-def mass_matrix(model: ChainModel, q) -> np.ndarray:
-    """Joint-space mass matrix by the composite rigid-body recursion."""
-    qv = _qvec(model, q)
-    frames = _joint_frames(model, qv)
+def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
     n = model.dof
     # motion subspace of each joint, referenced at the base origin
-    subspaces = np.zeros((n, 6))
-    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
-        z = frame.rotation @ spec.axis
-        subspaces[i, :3] = np.cross(frame.position, z)
-        subspaces[i, 3:] = z
+    subspaces = np.empty((n, 6))
+    subspaces[:, :3] = np.cross(frames.origins, frames.axes)
+    subspaces[:, 3:] = frames.axes
     composite = np.zeros((6, 6))
     m = np.zeros((n, n))
     for i in range(n - 1, -1, -1):
         link = model.joints[i][1]
-        rot = frames[i].rotation
-        com_w = frames[i].position + rot @ link.com
+        rot = frames.rotations[i]
+        com_w = frames.origins[i] + rot @ link.com
         composite = composite + _spatial_inertia_at_origin(
             link.mass, com_w, rot @ link.inertia @ rot.T)
         fi = composite @ subspaces[i]
@@ -173,6 +199,21 @@ def mass_matrix(model: ChainModel, q) -> np.ndarray:
         for j in range(i - 1, -1, -1):
             m[i, j] = m[j, i] = subspaces[j] @ fi
     return (m + m.T) / 2.0
+
+
+def forward_kinematics(model: ChainModel, q) -> Pose:
+    frames = _frame_pass(model, _qvec(model, q))
+    return Pose(frames.ee_position, frames.ee_rotation)
+
+
+def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
+    """6 x n map from joint rates to the end-effector twist, linear rows first."""
+    return _jacobian(_frame_pass(model, _qvec(model, q)))
+
+
+def mass_matrix(model: ChainModel, q) -> np.ndarray:
+    """Joint-space mass matrix by the composite rigid-body recursion."""
+    return _crba(model, _frame_pass(model, _qvec(model, q)))
 
 
 class OperationalSpaceInertia(NamedTuple):
@@ -193,9 +234,9 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
     instead of failing, so trajectory profiles stay complete.
     """
-    qv = _qvec(model, q)
-    jac = geometric_jacobian(model, qv)
-    mm = mass_matrix(model, qv)
+    frames = _frame_pass(model, _qvec(model, q))
+    jac = _jacobian(frames)
+    mm = _crba(model, frames)
     a = jac @ np.linalg.solve(mm, jac.T)
     a = (a + a.T) / 2.0
     sv = np.linalg.svd(jac, compute_uv=False)
@@ -223,9 +264,9 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
     best_q, best_err = q, np.inf
     best_pos, best_rot = np.inf, np.inf
     for it in range(IK_MAX_ITERS + 1):
-        pose = forward_kinematics(model, q)
-        e_pos = target.position - pose.position
-        e_rot = rotation_log(target.rotation @ pose.rotation.T)
+        frames = _frame_pass(model, q)
+        e_pos = target.position - frames.ee_position
+        e_rot = rotation_log(target.rotation @ frames.ee_rotation.T)
         pos_err = float(np.linalg.norm(e_pos))
         rot_err = float(np.linalg.norm(e_rot))
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
@@ -235,7 +276,7 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
             best_pos, best_rot = pos_err, rot_err
         if it == IK_MAX_ITERS:
             break
-        jac = geometric_jacobian(model, q)
+        jac = _jacobian(frames)
         err = np.concatenate([e_pos, e_rot])
         dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * np.eye(6), err)
         step = np.abs(dq).max()

@@ -1,8 +1,10 @@
 """Command-line workbench: rank grasps, dump profiles, simulate impacts.
 
-Subcommands: rank, profile, simulate-impact, demo {book,tensor}. All
-outputs are deterministic: floats are written with 9 significant digits,
-no timestamps, and re-running on the same scene reproduces numeric CSV
+Subcommands: rank, profile, simulate-impact, demo {book,tensor}. demo
+evaluates the profiles once and writes the artifacts of the other three
+from them (the profile of the recommended grasp only). All outputs are
+deterministic: floats are written with 9 significant digits, no
+timestamps, and re-running on the same scene reproduces numeric CSV
 content byte for byte.
 
 Exit codes: 0 success, 2 inverse-kinematics failure (message names the
@@ -93,7 +95,11 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj, profiles = _profiles(scene, dt)
+    _, profiles = _profiles(scene, dt)
+    return _write_rank(scene, agg, profiles, out)
+
+
+def _write_rank(scene: Scene, agg, profiles, out: Path) -> dict:
     report = rank_grasps(profiles, agg)
     artifact = _artifact_head(scene)
     artifact.update({
@@ -123,12 +129,16 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     traj = scene.fit()
     profile = evaluate_grasps(scene.chain, body, [grasp], traj, dt,
                               scene.ik_seed)[0]
-    csv_name = f"profile_{_safe(grasp.id)}.csv"
+    return _write_profile(scene, profile, out)
+
+
+def _write_profile(scene: Scene, profile, out: Path) -> dict:
+    csv_name = f"profile_{_safe(profile.grasp_id)}.csv"
     _write_csv(out / csv_name, ["t_s", "effective_mass_kg"],
                ([_fmt(t), _fmt(m)]
                 for t, m in zip(profile.times, profile.masses)))
     artifact = _artifact_head(scene)
-    artifact.update({"grasp_id": grasp.id, "csv": csv_name,
+    artifact.update({"grasp_id": profile.grasp_id, "csv": csv_name,
                      "n_samples": len(profile),
                      "max_kg": float(_fmt(profile.masses.max())),
                      "mean_kg": float(_fmt(profile.masses.mean()))})
@@ -145,6 +155,10 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj, profiles = _profiles(scene, dt)
+    return _write_impact(scene, traj, dt, profiles, out)
+
+
+def _write_impact(scene: Scene, traj, dt: float, profiles, out: Path) -> dict:
     speed = _collision_speed(scene, traj, dt)
     k = scene.collision_sample
     peaks = {}
@@ -256,10 +270,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> dict:
     if args.command == "demo":
+        # one evaluation feeds the ranking, the impacts and the profile
         scene = parse_scene(demo_scene_path(args.which))
-        rank_art = cmd_rank(scene, args.aggregator, args.dt, args.out_dir)
-        impact_art = cmd_simulate_impact(scene, args.dt, args.out_dir)
-        cmd_profile(scene, rank_art["recommended"], args.dt, args.out_dir)
+        agg = parse_aggregator(args.aggregator)
+        dt = scene.dt if args.dt is None else args.dt
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        traj, profiles = _profiles(scene, dt)
+        rank_art = _write_rank(scene, agg, profiles, out)
+        impact_art = _write_impact(scene, traj, dt, profiles, out)
+        _write_profile(scene, next(p for p in profiles if
+                                   p.grasp_id == rank_art["recommended"]), out)
         if not args.json:
             _print_rank(rank_art)
             _print_impact(impact_art)

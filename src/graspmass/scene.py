@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -67,6 +68,23 @@ def _get(d, key, path, kind=None):
     return value
 
 
+def _number(d, key, path, default=None):
+    """A real, finite, non-bool number; ``default`` when the key is absent."""
+    if default is not None and key not in d:
+        return default
+    value = _get(d, key, path)
+    # bool is an int subclass; strings, null and lists are not numbers
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValidationError(f"{path}.{key}" if path else key,
+                          f"expected a finite number, got {value!r}")
+
+
 def _vector(d, key, path, length):
     try:
         v = np.asarray(_get(d, key, path), dtype=float)
@@ -112,7 +130,7 @@ def _parse_chain(d, path="chain") -> ChainModel:
         spec = _wrap(jp, JointSpec, origin, axis, (limits[0], limits[1]))
         link_d = _get(entry, "link", jp)
         link = _wrap(f"{jp}.link", LinkInertia,
-                     _get(link_d, "mass_kg", f"{jp}.link"),
+                     _number(link_d, "mass_kg", f"{jp}.link"),
                      _vector(link_d, "com_m", f"{jp}.link", 3),
                      np.asarray(_get(link_d, "inertia_kgm2", f"{jp}.link"),
                                 dtype=float))
@@ -123,14 +141,15 @@ def _parse_chain(d, path="chain") -> ChainModel:
 def _build_object(d, path="object") -> RigidBodyInertia:
     kind = _get(d, "type", path, str)
     if kind == "cuboid":
-        return _wrap(path, build_cuboid, _get(d, "mass_kg", path),
+        return _wrap(path, build_cuboid, _number(d, "mass_kg", path),
                      _vector(d, "dims_m", path, 3))
     if kind == "tensor":
         cfg = _tensor_config(d, path)
         return _wrap(path, build_tensor_object, cfg)
     if kind == "inertia":
         com_pose = _pose(d, "com_pose", path)
-        return _wrap(path, RigidBodyInertia, _get(d, "mass_kg", path), com_pose,
+        return _wrap(path, RigidBodyInertia, _number(d, "mass_kg", path),
+                     com_pose,
                      np.asarray(_get(d, "inertia_kgm2", path), dtype=float))
     raise ValidationError(f"{path}.type", f"unknown object type {kind!r}")
 
@@ -140,14 +159,14 @@ def _tensor_config(d, path, ring_positions=None) -> TensorObjectConfig:
         ring_positions = _vector(d, "ring_positions_m", path, 5)
     kwargs = {}
     if "cylinder_radius_m" in d:
-        kwargs["cylinder_radius"] = float(d["cylinder_radius_m"])
+        kwargs["cylinder_radius"] = _number(d, "cylinder_radius_m", path)
     if "ring_radius_m" in d:
-        kwargs["ring_radius"] = float(d["ring_radius_m"])
+        kwargs["ring_radius"] = _number(d, "ring_radius_m", path)
     return _wrap(path, lambda: TensorObjectConfig(
-        handle_length=float(_get(d, "handle_length_m", path)),
-        cylinder_length=float(_get(d, "cylinder_length_m", path)),
-        cylinder_mass=float(_get(d, "cylinder_mass_kg", path)),
-        ring_mass=float(_get(d, "ring_mass_kg", path)),
+        handle_length=_number(d, "handle_length_m", path),
+        cylinder_length=_number(d, "cylinder_length_m", path),
+        cylinder_mass=_number(d, "cylinder_mass_kg", path),
+        ring_mass=_number(d, "ring_mass_kg", path),
         ring_positions=ring_positions, **kwargs))
 
 
@@ -193,32 +212,31 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     traj = _get(d, "trajectory", "", dict)
     start = _pose(traj, "start", "trajectory")
     end = _pose(traj, "end", "trajectory")
-    t_f = float(_get(traj, "t_f_s", "trajectory"))
-    dt = float(_get(traj, "dt_s", "trajectory"))
+    t_f = _number(traj, "t_f_s", "trajectory")
+    dt = _number(traj, "dt_s", "trajectory")
     if not t_f > 0.0:
         raise ValidationError("trajectory.t_f_s", "must be positive")
     if not 0.0 < dt <= t_f:
         raise ValidationError("trajectory.dt_s", "must lie in (0, t_f]")
     n = max(1, round(t_f / dt))
     coll = _get(d, "collision", "", dict)
-    stiffness = float(coll.get("stiffness_n_per_m", 1e4))
-    damping = float(coll.get("damping_ns_per_m", 0.0))
+    stiffness = _number(coll, "stiffness_n_per_m", "collision", 1e4)
+    damping = _number(coll, "damping_ns_per_m", "collision", 0.0)
     if not stiffness > 0.0:
         raise ValidationError("collision.stiffness_n_per_m", "must be positive")
     if damping < 0.0:
         raise ValidationError("collision.damping_ns_per_m", "must be >= 0")
     if "sample" in coll:
-        sample_idx = coll["sample"]
+        sample_idx = _number(coll, "sample", "collision")
     elif "time_s" in coll:
-        time_s = float(coll["time_s"])
+        time_s = _number(coll, "time_s", "collision")
         if not 0.0 < time_s <= t_f:
             raise ValidationError("collision.time_s", "must lie in (0, t_f]")
         sample_idx = max(1, round(time_s / (t_f / n)))
     else:
         raise ValidationError("collision", "needs 'sample' or 'time_s'")
-    # bool is an int subclass, and 10.7 must not truncate to 10
-    if (isinstance(sample_idx, bool) or not isinstance(sample_idx, numbers.Real)
-            or not float(sample_idx).is_integer() or not 1 <= sample_idx <= n):
+    # 10.7 must not truncate to 10
+    if not float(sample_idx).is_integer() or not 1 <= sample_idx <= n:
         raise ValidationError("collision.sample", "expected an integer in "
                               f"1..{n}, got {sample_idx!r}")
     seed = _vector(d, "ik_seed_rad", "", chain.dof)

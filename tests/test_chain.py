@@ -18,12 +18,14 @@ from graspmass.errors import (
     IkDidNotConverge,
     NearSingularConfiguration,
 )
+from graspmass.spatial import skew
 
 from conftest import (
     book_scene,
     fd_jacobian,
     link_energy,
     naive_ee_pose,
+    naive_frames,
     random_chain,
 )
 
@@ -34,6 +36,88 @@ def planar_pendulum(mass=1.3, length=0.7):
     link = LinkInertia(mass, np.array([length, 0.0, 0.0]), 1e-9 * np.eye(3))
     return ChainModel(((joint, link),), Pose.identity(),
                       Pose(np.array([length, 0.0, 0.0]), np.eye(3)))
+
+
+def pose_jacobian(model, q):
+    """Column by column from Pose-composed frames."""
+    frames = naive_frames(model, q)
+    p_ee = naive_ee_pose(model, q).position
+    jac = np.zeros((6, model.dof))
+    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
+        z = frame.rotation @ spec.axis
+        jac[:3, i] = np.cross(z, p_ee - frame.position)
+        jac[3:, i] = z
+    return jac
+
+
+def pose_crba(model, q):
+    """Composite rigid-body recursion on Pose-composed frames, spatial
+    quantities referenced at the base origin, linear rows first."""
+    frames = naive_frames(model, q)
+    n = model.dof
+    subspaces = np.zeros((n, 6))
+    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
+        z = frame.rotation @ spec.axis
+        subspaces[i, :3] = np.cross(frame.position, z)
+        subspaces[i, 3:] = z
+    composite = np.zeros((6, 6))
+    m = np.zeros((n, n))
+    for i in range(n - 1, -1, -1):
+        link = model.joints[i][1]
+        rot = frames[i].rotation
+        com_w = frames[i].position + rot @ link.com
+        s = skew(com_w)
+        inertia = np.zeros((6, 6))
+        inertia[:3, :3] = link.mass * np.eye(3)
+        inertia[:3, 3:] = -link.mass * s
+        inertia[3:, :3] = link.mass * s
+        inertia[3:, 3:] = rot @ link.inertia @ rot.T - link.mass * (s @ s)
+        composite = composite + inertia
+        fi = composite @ subspaces[i]
+        m[i, i] = subspaces[i] @ fi
+        for j in range(i - 1, -1, -1):
+            m[i, j] = m[j, i] = subspaces[j] @ fi
+    return (m + m.T) / 2.0
+
+
+def test_frame_pass_equals_pose_composition_exactly():
+    # the frame pass does the arithmetic of composing Poses, in its order
+    rng = np.random.default_rng(18)
+    for dof in range(3, 8):
+        model = random_chain(rng, dof)
+        for _ in range(4):
+            q = rng.uniform(-np.pi, np.pi, size=dof)
+            ee = forward_kinematics(model, JointState(q))
+            want = naive_ee_pose(model, q)
+            assert isinstance(ee, Pose)
+            assert np.array_equal(ee.position, want.position)
+            assert np.array_equal(ee.rotation, want.rotation)
+            assert np.array_equal(geometric_jacobian(model, q),
+                                  pose_jacobian(model, q))
+            assert np.array_equal(mass_matrix(model, q), pose_crba(model, q))
+
+
+KINEMATICS = [
+    forward_kinematics,
+    geometric_jacobian,
+    mass_matrix,
+    operational_space_inertia,
+    lambda model, q: inverse_kinematics(
+        model, forward_kinematics(model, np.zeros(model.dof)), q),
+]
+
+
+@pytest.mark.parametrize("fn", KINEMATICS,
+                         ids=["fk", "jacobian", "mass_matrix", "osi", "ik"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_joint_values_raise(fn, bad):
+    model = random_chain(np.random.default_rng(19), 5)
+    q = np.full(5, 0.3)
+    q[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        fn(model, q)
+    with pytest.raises(ValueError, match="finite"):
+        fn(model, JointState(q))
 
 
 def test_pendulum_mass_matrix():

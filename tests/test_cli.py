@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from graspmass import cli
 from graspmass.cli import demo_scene_path, main
 
 
@@ -153,6 +154,32 @@ def test_demo_book_end_to_end(tmp_path, capsys):
     assert "recommended" in out
 
 
+def test_demo_evaluates_once_and_matches_the_commands(tmp_path, capsys,
+                                                      monkeypatch):
+    evaluate = cli.evaluate_grasps
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate_grasps", counted)
+    demo, alone = tmp_path / "demo", tmp_path / "alone"
+    code, _, _ = run(capsys, "demo", "book", "--out-dir", str(demo))
+    assert code == 0
+    assert len(calls) == 1
+    path = book_path()
+    code, out, _ = run(capsys, "rank", path, "--json", "--out-dir", str(alone))
+    recommended = json.loads(out)["recommended"]
+    assert run(capsys, "simulate-impact", path, "--out-dir", str(alone))[0] == 0
+    assert run(capsys, "profile", path, recommended,
+               "--out-dir", str(alone))[0] == 0
+    names = sorted(p.name for p in demo.iterdir())
+    assert names == sorted(p.name for p in alone.iterdir())
+    for name in names:
+        assert (demo / name).read_bytes() == (alone / name).read_bytes()
+
+
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -183,3 +210,19 @@ def test_bad_aggregator_is_a_clean_error(tmp_path, capsys):
                        "--aggregator", "median", "--out-dir", str(tmp_path))
     assert code == 1
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_null_scene_number_is_a_clean_json_error(tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["trajectory"]["t_f_s"] = None
+    bad = tmp_path / "null.scene.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "rank", str(bad), "--json",
+                         "--out-dir", str(tmp_path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("trajectory.t_f_s: ")
+    assert "Traceback" not in err
+    assert err.startswith("error: trajectory.t_f_s: ")
+    assert not (tmp_path / "ranking.json").exists()

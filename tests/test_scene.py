@@ -116,7 +116,8 @@ def test_collision_sample_bounds():
         scene_from_dict(doc)
 
 
-@pytest.mark.parametrize("value", [10.7, "abc", True, None, float("nan")])
+@pytest.mark.parametrize("value", [10.7, "abc", True, None, float("nan"),
+                                   10**400])
 def test_collision_sample_must_be_an_integer(value):
     doc = book_dict()
     doc["collision"]["sample"] = value
@@ -129,6 +130,47 @@ def test_collision_sample_accepts_integral_float():
     doc = book_dict()
     doc["collision"]["sample"] = 10.0
     assert scene_from_dict(doc).collision_sample == 10
+
+
+NUMBER_FIELDS = [
+    ("book", ("trajectory", "t_f_s")),
+    ("book", ("trajectory", "dt_s")),
+    ("book", ("collision", "stiffness_n_per_m")),
+    ("book", ("collision", "damping_ns_per_m")),
+    ("book", ("collision", "time_s")),
+    ("book", ("object", "mass_kg")),
+    ("book", ("chain", "joints", 2, "link", "mass_kg")),
+    ("tensor", ("object", "handle_length_m")),
+    ("tensor", ("object", "cylinder_length_m")),
+    ("tensor", ("object", "cylinder_mass_kg")),
+    ("tensor", ("object", "ring_mass_kg")),
+    ("tensor", ("object", "cylinder_radius_m")),
+    ("tensor", ("object", "ring_radius_m")),
+]
+NOT_NUMBERS = [None, [1], "abc", True, float("nan"), float("inf"), 10**400]
+
+
+def field_path(keys):
+    return ".".join(f"[{k}]" if isinstance(k, int) else k
+                    for k in keys).replace(".[", "[")
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS,
+                         ids=["null", "list", "str", "bool", "nan", "inf",
+                              "huge_int"])
+@pytest.mark.parametrize("scene, keys", NUMBER_FIELDS,
+                         ids=[field_path(k) for _, k in NUMBER_FIELDS])
+def test_number_fields_reject_non_numbers_with_their_path(scene, keys, value):
+    doc = book_dict() if scene == "book" else tensor_dict()
+    if keys == ("collision", "time_s"):
+        del doc["collision"]["sample"]
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert exc.value.field == field_path(keys)
 
 
 def test_collision_time_resolves_to_sample():
