@@ -168,18 +168,6 @@ def _jacobian(frames: _Frames) -> np.ndarray:
     return jac
 
 
-def _spatial_inertia_at_origin(mass: float, com_w: np.ndarray,
-                               inertia_w: np.ndarray) -> np.ndarray:
-    """6x6 spatial inertia referenced at the base origin, linear rows first."""
-    s = skew(com_w)
-    out = np.zeros((6, 6))
-    out[:3, :3] = mass * _EYE3
-    out[:3, 3:] = -mass * s
-    out[3:, :3] = mass * s
-    out[3:, 3:] = inertia_w - mass * (s @ s)
-    return out
-
-
 def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
     n = model.dof
     # motion subspace of each joint, referenced at the base origin
@@ -187,13 +175,20 @@ def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
     subspaces[:, :3] = np.cross(frames.origins, frames.axes)
     subspaces[:, 3:] = frames.axes
     composite = np.zeros((6, 6))
+    # one buffer for each link's spatial inertia at the base origin, linear
+    # rows first; filling it and adding it whole costs fewer numpy calls
+    # than adding four blocks into strided views of the composite
+    inertia = np.empty((6, 6))
     m = np.zeros((n, n))
     for i in range(n - 1, -1, -1):
         link = model.joints[i][1]
         rot = frames.rotations[i]
-        com_w = frames.origins[i] + rot @ link.com
-        composite = composite + _spatial_inertia_at_origin(
-            link.mass, com_w, rot @ link.inertia @ rot.T)
+        s = skew(frames.origins[i] + rot @ link.com)
+        inertia[:3, :3] = link.mass * _EYE3
+        inertia[:3, 3:] = -link.mass * s
+        inertia[3:, :3] = link.mass * s
+        inertia[3:, 3:] = rot @ link.inertia @ rot.T - link.mass * (s @ s)
+        composite += inertia
         fi = composite @ subspaces[i]
         m[i, i] = subspaces[i] @ fi
         for j in range(i - 1, -1, -1):

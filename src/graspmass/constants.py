@@ -30,8 +30,5 @@ PD_MIN_EIG = 1e-12
 UNIT_NORM_TOL = 1e-6       # |v| may deviate this much before a warning
 ZERO_SPEED_TOL = 1e-8      # below this a sample counts as at rest
 
-# Impact integration: step must not exceed this fraction of sqrt(M/k).
-IMPACT_STEP_GUARD = 1e-4
-
 # Fixed-format CSV output.
 CSV_SIG_DIGITS = 9

@@ -50,10 +50,6 @@ class RingOutOfRange(GraspmassError):
     """A tensor-object ring sits outside its cylinder."""
 
 
-class UnstableStep(GraspmassError):
-    """Impact integration step exceeds the stability guard."""
-
-
 class EmptyInput(GraspmassError):
     """An operation requiring at least one element got none."""
 

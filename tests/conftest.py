@@ -4,6 +4,8 @@ Everything here is deliberately written from scratch against textbook
 formulas so the tests cross-check the library instead of re-running it.
 """
 
+import math
+
 import numpy as np
 
 from graspmass import (
@@ -138,6 +140,31 @@ def link_energy(model, q, qdot):
         energy += 0.5 * link.mass * (v_com @ v_com)
         energy += 0.5 * (omega @ inertia_w @ omega)
     return energy
+
+
+def integrate_contact(scenario):
+    """Contact trace by semi-implicit Euler steps; test-local oracle.
+
+    Steps 1e-4 * sqrt(M/k) from x = 0, x' = v until x returns to zero or
+    the duration runs out, and returns the raw (t, F) series.
+    """
+    m, k, c = (scenario.effective_mass, scenario.contact_stiffness,
+               scenario.contact_damping)
+    dt = 1e-4 * math.sqrt(m / k)
+    n_max = int(math.ceil(scenario.duration / dt))
+    times = [0.0]
+    forces = [max(0.0, c * scenario.approach_speed)]
+    x, v = 0.0, scenario.approach_speed
+    for i in range(1, n_max + 1):
+        v += dt * (-k * x - c * v) / m
+        x += dt * v
+        if x <= 0.0:
+            times.append(i * dt)
+            forces.append(0.0)
+            break
+        times.append(i * dt)
+        forces.append(max(0.0, k * x + c * v))
+    return np.array(times), np.array(forces)
 
 
 def book_scene():

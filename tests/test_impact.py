@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from graspmass import (
     predict_ordering,
     simulate_impact,
 )
-from graspmass.errors import EmptyInput, UnstableStep
+from graspmass.errors import EmptyInput
+
+from conftest import integrate_contact
 
 
 def test_unit_case_peak_and_timing():
@@ -78,9 +82,68 @@ def test_trace_invariants():
     assert len(trace.times) <= 2100
 
 
-def test_custom_step_guard():
-    with pytest.raises(UnstableStep):
-        simulate_impact(ImpactScenario(1.0, 1.0, 1e4, step=0.01))
+@pytest.mark.parametrize("zeta", [0.0, 0.05, 0.2, 0.5, 0.9, 1.0, 2.0])
+def test_closed_form_matches_integrator(zeta):
+    # zeta = 0.5 is c^2 = k M, where the peak moves to touchdown;
+    # 1 is critical damping, 2 overdamped
+    m, v, k = 1.3, 0.7, 1e4
+    s = ImpactScenario(m, v, k, 2.0 * zeta * math.sqrt(k * m))
+    trace = simulate_impact(s)
+    t_ref, f_ref = integrate_contact(s)
+    step = 1e-4 * math.sqrt(m / k)
+    assert np.isclose(trace.peak_force, f_ref.max(), rtol=1e-4, atol=0.0)
+    assert abs(trace.peak_time - t_ref[f_ref.argmax()]) <= 2.0 * step
+    assert abs(trace.times[-1] - t_ref[-1]) <= 2.0 * step
+    assert (trace.forces[-1] == 0.0) == (f_ref[-1] == 0.0)
+    assert np.abs(trace.forces - np.interp(trace.times, t_ref, f_ref)).max() \
+        <= 1e-3 * trace.peak_force
+
+
+def test_exact_critical_damping():
+    # sigma^2 == k/M exactly, so d = 0: x(t) = v t e^(-sigma t)
+    v, sigma = 0.6, 100.0
+    trace = simulate_impact(ImpactScenario(1.0, v, 1e4, 2.0 * sigma))
+    t = trace.times
+    expected = v * np.exp(-sigma * t) * (1e4 * t + 2.0 * sigma * (1.0 - sigma * t))
+    assert np.allclose(trace.forces, np.maximum(expected, 0.0),
+                       rtol=1e-12, atol=1e-12 * trace.peak_force)
+    assert trace.peak_time == 0.0
+    assert trace.peak_force == 2.0 * sigma * v
+
+
+@pytest.mark.parametrize("m", np.geomspace(0.1, 50.0, 7))
+@pytest.mark.parametrize("v, k", [(1.0, 1e4), (0.35, 2.5e3), (2.0, 1e6)])
+def test_undamped_peak_is_exact(m, v, k):
+    peak = simulate_impact(ImpactScenario(m, v, k)).peak_force
+    assert abs(peak / (v * math.sqrt(k * m)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("damping", [0.0, 45.0])
+def test_short_window_clips_the_peak(damping):
+    # the force is still rising when a window of half the rise time ends
+    s = ImpactScenario(1.2, 0.8, 1e4, damping,
+                       duration=0.25 * math.pi * math.sqrt(1.2 / 1e4))
+    trace = simulate_impact(s)
+    assert trace.times[-1] == s.duration
+    assert trace.peak_time == s.duration
+    assert trace.peak_force == trace.forces[-1] == trace.forces.max()
+    t_ref, f_ref = integrate_contact(s)
+    assert np.isclose(trace.peak_force, f_ref.max(), rtol=1e-4, atol=0.0)
+    if damping == 0.0:
+        expected = 0.8 * math.sqrt(1e4 * 1.2) * math.sin(math.pi / 4.0)
+        assert np.isclose(trace.peak_force, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["effective_mass", "approach_speed",
+                                   "contact_stiffness", "contact_damping",
+                                   "duration"])
+def test_scenario_rejects_non_finite_inputs(field, value):
+    kwargs = dict(effective_mass=1.0, approach_speed=1.0,
+                  contact_stiffness=1e4, contact_damping=20.0, duration=0.05)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        ImpactScenario(**kwargs)
 
 
 def test_force_trace_rejects_inconsistent_peak():
