@@ -16,7 +16,7 @@ from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
 from .chain import (ChainModel, JointSpec, JointState, LinkInertia,
                     forward_kinematics, geometric_jacobian,
                     inverse_kinematics, mass_matrix,
-                    operational_space_inertia)
+                    operational_space_inertia, operational_space_inertias)
 from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
                      predict_ordering, simulate_impact)
 from .ranking import (Aggregator, EffectiveMassProfile, RankingReport,
@@ -43,7 +43,8 @@ __all__ = [
     "build_tensor_object", "build_cuboid",
     "LinkInertia", "JointSpec", "ChainModel", "JointState",
     "forward_kinematics", "geometric_jacobian", "mass_matrix",
-    "operational_space_inertia", "inverse_kinematics",
+    "operational_space_inertia", "operational_space_inertias",
+    "inverse_kinematics",
     "QuinticTrajectory", "TrajectorySample", "fit_quintic", "sample",
     "direction_at",
     "EffectiveMassProfile", "RankingReport", "Aggregator",

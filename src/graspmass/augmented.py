@@ -26,6 +26,21 @@ QUALITY_CLEAN = "clean"
 QUALITY_NEAR_SINGULAR = "near_singular"
 
 
+def checked_energy_matrices(m: np.ndarray) -> np.ndarray:
+    """Symmetrized copy of a 6x6 matrix or an (..., 6, 6) stack.
+
+    Raises unless every matrix is symmetric within SYMMETRY_TOL and its
+    smallest eigenvalue is at least -PD_MIN_EIG.
+    """
+    m_t = np.swapaxes(m, -1, -2)
+    if np.abs(m - m_t).max() > SYMMETRY_TOL:
+        raise ValueError("kinetic-energy matrix must be symmetric")
+    m = (m + m_t) / 2.0
+    if np.linalg.eigvalsh(m)[..., 0].min() < -PD_MIN_EIG:
+        raise NotPositiveDefinite("kinetic-energy matrix has negative eigenvalue")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class KineticEnergyMatrix:
     """Symmetric positive-semidefinite 6x6 energy matrix.
@@ -42,11 +57,7 @@ class KineticEnergyMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.shape != (6, 6):
             raise DimensionMismatch(f"expected 6x6, got {m.shape}")
-        if np.abs(m - m.T).max() > SYMMETRY_TOL:
-            raise ValueError("kinetic-energy matrix must be symmetric")
-        m = (m + m.T) / 2.0
-        if np.linalg.eigvalsh(m)[0] < -PD_MIN_EIG:
-            raise NotPositiveDefinite("kinetic-energy matrix has negative eigenvalue")
+        m = checked_energy_matrices(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -9,25 +9,28 @@ Conventions:
     with all spatial quantities referenced at the base origin, which keeps
     every 6-vector in one frame (linear first, matching the Jacobian)
 
-Every public call makes one frame pass on raw arrays (``_frame_pass``) and
-derives what it returns from it: FK, the Jacobian, the CRBA mass matrix
-(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6), or both of
-the last two for the task-space inertia; each IK iteration makes one.
-Validation sits at the boundary: joint values must be finite, and each
-pass checks the end-effector pose once; joint frames are not validated
-one by one.
+The core works on stacks of configurations, shape (S, n): one frame pass
+on raw arrays (``_frame_pass``) gives the joint frames and end-effector
+poses of all S samples, and the Jacobians and CRBA mass matrices
+(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) are derived
+from it. ``operational_space_inertias`` returns the task-space inertia of
+a whole stack; the single-configuration calls (FK, Jacobian, mass matrix,
+task-space inertia, each IK iteration) run the same core on a batch of
+one. Validation sits at the boundary, once per call: joint values must be
+finite, and each pass checks every end-effector pose; joint frames are
+not validated one by one.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .augmented import QUALITY_CLEAN, QUALITY_NEAR_SINGULAR, KineticEnergyMatrix
+from .augmented import (QUALITY_CLEAN, QUALITY_NEAR_SINGULAR,
+                        KineticEnergyMatrix, checked_energy_matrices)
 from .bodies import check_inertia_tensor
 from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         IK_STEP_CLAMP, JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
@@ -72,17 +75,32 @@ class JointSpec:
         if abs(np.linalg.norm(axis) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("axis must be a unit vector")
         object.__setattr__(self, "axis", axis)
-        # Rodrigues terms of the axis, reused by every frame pass
-        k = skew(axis)
-        k.setflags(write=False)
-        k2 = k @ k
-        k2.setflags(write=False)
-        object.__setattr__(self, "_axis_skew", k)
-        object.__setattr__(self, "_axis_skew2", k2)
         lo, hi = float(self.limits[0]), float(self.limits[1])
         if not lo < hi:
             raise ValueError("limits must satisfy min < max")
         object.__setattr__(self, "limits", (lo, hi))
+
+
+class _ChainArrays(NamedTuple):
+    """Per-joint constants stacked along a leading joint axis (n, ...)."""
+
+    parent_positions: np.ndarray
+    parent_rotations: np.ndarray
+    axes: np.ndarray
+    axis_skews: np.ndarray      # Rodrigues terms K and K @ K of each axis
+    axis_skews2: np.ndarray
+
+    @classmethod
+    def of(cls, joints) -> "_ChainArrays":
+        skews = skew([j.axis for j, _ in joints])
+        arrays = cls(
+            np.array([j.parent_transform.position for j, _ in joints]),
+            np.array([j.parent_transform.rotation for j, _ in joints]),
+            np.array([j.axis for j, _ in joints]),
+            skews, skews @ skews)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +114,7 @@ class ChainModel:
         if not joints:
             raise ValueError("chain needs at least one joint")
         object.__setattr__(self, "joints", joints)
+        object.__setattr__(self, "_arrays", _ChainArrays.of(joints))
 
     @property
     def dof(self) -> int:
@@ -117,41 +136,62 @@ class JointState:
         object.__setattr__(self, "q", q)
 
 
-def _qvec(model: ChainModel, q) -> np.ndarray:
-    v = np.asarray(q.q if isinstance(q, JointState) else q, dtype=float)
-    if v.shape != (model.dof,):
-        raise DimensionMismatch(f"expected {model.dof} joint values, got {v.shape}")
+def _qstack(model: ChainModel, qs) -> np.ndarray:
+    """Joint values of S configurations as a validated (S, n) stack."""
+    v = np.asarray(qs, dtype=float)
+    if v.ndim != 2 or v.shape[1] != model.dof or not len(v):
+        raise DimensionMismatch(
+            f"expected (S, {model.dof}) joint values, got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("joint values must be finite")
     return v
 
 
+def _qvec(model: ChainModel, q) -> np.ndarray:
+    """One configuration as a validated batch of one, shape (1, n)."""
+    v = np.asarray(q.q if isinstance(q, JointState) else q, dtype=float)
+    if v.shape != (model.dof,):
+        raise DimensionMismatch(f"expected {model.dof} joint values, got {v.shape}")
+    return _qstack(model, v[None])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross over the last axis of (..., 3) stacks: the same products
+    and differences, without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
 class _Frames(NamedTuple):
-    """One pass over the chain, everything in base axes."""
+    """One pass over the chain for S configurations, all in base axes."""
 
-    rotations: np.ndarray   # (n, 3, 3) joint frames, post joint rotation
-    origins: np.ndarray     # (n, 3)
-    axes: np.ndarray        # (n, 3) joint axes
-    ee_rotation: np.ndarray
-    ee_position: np.ndarray
+    rotations: np.ndarray    # (S, n, 3, 3) joint frames, post joint rotation
+    origins: np.ndarray      # (S, n, 3)
+    axes: np.ndarray         # (S, n, 3) joint axes
+    ee_rotation: np.ndarray  # (S, 3, 3)
+    ee_position: np.ndarray  # (S, 3)
 
 
-def _frame_pass(model: ChainModel, qv: np.ndarray) -> _Frames:
-    """Joint frames and the end-effector pose for validated joint values."""
-    n = model.dof
-    rotations = np.empty((n, 3, 3))
-    origins = np.empty((n, 3))
-    axes = np.empty((n, 3))
+def _frame_pass(model: ChainModel, qs: np.ndarray) -> _Frames:
+    """Joint frames and end-effector poses for a validated (S, n) stack."""
+    arrays = model._arrays
+    # Rodrigues about each joint axis, all joints and samples at once
+    spins = (_EYE3 + np.sin(qs)[..., None, None] * arrays.axis_skews
+             + (1.0 - np.cos(qs))[..., None, None] * arrays.axis_skews2)
+    rotations = np.empty(spins.shape)
+    origins = np.empty(qs.shape + (3,))
     rot, pos = model.base_pose.rotation, model.base_pose.position
-    for i, ((spec, _), qi) in enumerate(zip(model.joints, qv)):
-        parent = spec.parent_transform
-        pos = rot @ parent.position + pos
-        # Rodrigues about the joint axis
-        rot = rot @ parent.rotation @ (_EYE3 + math.sin(qi) * spec._axis_skew
-                                       + (1.0 - math.cos(qi)) * spec._axis_skew2)
-        rotations[i] = rot
-        origins[i] = pos
-        axes[i] = rot @ spec.axis
+    for i in range(model.dof):
+        pos = rot @ arrays.parent_positions[i] + pos
+        rot = rot @ arrays.parent_rotations[i] @ spins[:, i]
+        rotations[:, i] = rot
+        origins[:, i] = pos
+    axes = (rotations @ arrays.axes[..., None])[..., 0]
     tool = model.tool_transform
     ee_position = rot @ tool.position + pos
     ee_rotation = rot @ tool.rotation
@@ -162,53 +202,60 @@ def _frame_pass(model: ChainModel, qv: np.ndarray) -> _Frames:
 
 
 def _jacobian(frames: _Frames) -> np.ndarray:
-    jac = np.empty((6, len(frames.axes)))
-    jac[:3] = np.cross(frames.axes, frames.ee_position - frames.origins).T
-    jac[3:] = frames.axes.T
+    """(S, 6, n) geometric Jacobians, linear rows first."""
+    s_count, n = frames.axes.shape[:2]
+    jac = np.empty((s_count, 6, n))
+    jac[:, :3] = _cross(frames.axes, frames.ee_position[:, None]
+                        - frames.origins).swapaxes(1, 2)
+    jac[:, 3:] = frames.axes.swapaxes(1, 2)
     return jac
 
 
 def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
-    n = model.dof
+    """(S, n, n) joint-space mass matrices by the composite rigid-body
+    recursion, spatial quantities referenced at the base origin."""
+    s_count, n = frames.axes.shape[:2]
     # motion subspace of each joint, referenced at the base origin
-    subspaces = np.empty((n, 6))
-    subspaces[:, :3] = np.cross(frames.origins, frames.axes)
-    subspaces[:, 3:] = frames.axes
-    composite = np.zeros((6, 6))
+    subspaces = np.empty((s_count, n, 6))
+    subspaces[..., :3] = _cross(frames.origins, frames.axes)
+    subspaces[..., 3:] = frames.axes
+    composite = np.zeros((s_count, 6, 6))
     # one buffer for each link's spatial inertia at the base origin, linear
-    # rows first; filling it and adding it whole costs fewer numpy calls
-    # than adding four blocks into strided views of the composite
-    inertia = np.empty((6, 6))
-    m = np.zeros((n, n))
+    # rows first; one link at a time keeps the stacks at (S, 6, 6)
+    inertia = np.empty((s_count, 6, 6))
+    m = np.empty((s_count, n, n))
     for i in range(n - 1, -1, -1):
         link = model.joints[i][1]
-        rot = frames.rotations[i]
-        s = skew(frames.origins[i] + rot @ link.com)
-        inertia[:3, :3] = link.mass * _EYE3
-        inertia[:3, 3:] = -link.mass * s
-        inertia[3:, :3] = link.mass * s
-        inertia[3:, 3:] = rot @ link.inertia @ rot.T - link.mass * (s @ s)
+        rot = frames.rotations[:, i]
+        s = skew(frames.origins[:, i] + rot @ link.com)
+        inertia[:, :3, :3] = link.mass * _EYE3
+        inertia[:, :3, 3:] = -link.mass * s
+        inertia[:, 3:, :3] = link.mass * s
+        inertia[:, 3:, 3:] = (rot @ link.inertia @ rot.swapaxes(1, 2)
+                              - link.mass * (s @ s))
         composite += inertia
-        fi = composite @ subspaces[i]
-        m[i, i] = subspaces[i] @ fi
-        for j in range(i - 1, -1, -1):
-            m[i, j] = m[j, i] = subspaces[j] @ fi
-    return (m + m.T) / 2.0
+        fi = composite @ subspaces[:, i, :, None]
+        # S_j . f_i for j <= i as batched matmul, which sums each dot in
+        # the order the single-vector product does (einsum does not)
+        row = (subspaces[:, :i + 1, None, :] @ fi[:, None])[:, :, 0, 0]
+        m[:, i, :i + 1] = row
+        m[:, :i + 1, i] = row
+    return m
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
     frames = _frame_pass(model, _qvec(model, q))
-    return Pose(frames.ee_position, frames.ee_rotation)
+    return Pose(frames.ee_position[0], frames.ee_rotation[0])
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
     """6 x n map from joint rates to the end-effector twist, linear rows first."""
-    return _jacobian(_frame_pass(model, _qvec(model, q)))
+    return _jacobian(_frame_pass(model, _qvec(model, q)))[0]
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Joint-space mass matrix by the composite rigid-body recursion."""
-    return _crba(model, _frame_pass(model, _qvec(model, q)))
+    return _crba(model, _frame_pass(model, _qvec(model, q)))[0]
 
 
 class OperationalSpaceInertia(NamedTuple):
@@ -222,6 +269,39 @@ class OperationalSpaceInertia(NamedTuple):
         return QUALITY_NEAR_SINGULAR if self.near_singular else QUALITY_CLEAN
 
 
+class OperationalSpaceInertias(NamedTuple):
+    """Task-space inertias of S configurations: (S, 6, 6) checked energy
+    matrices and (S,) near-singular flags."""
+
+    matrices: np.ndarray
+    near_singular: np.ndarray
+
+    @property
+    def qualities(self) -> tuple[str, ...]:
+        return tuple(QUALITY_NEAR_SINGULAR if near else QUALITY_CLEAN
+                     for near in self.near_singular)
+
+
+def _task_space_inertia(model: ChainModel, qs: np.ndarray):
+    """Unchecked (S, 6, 6) task-space inertias and (S,) near-singular flags."""
+    frames = _frame_pass(model, qs)
+    jac = _jacobian(frames)
+    a = jac @ np.linalg.solve(_crba(model, frames), jac.swapaxes(1, 2))
+    a = (a + a.swapaxes(1, 2)) / 2.0
+    # a chain with fewer than 6 joints never spans the task space
+    sv_min = (np.linalg.svd(jac, compute_uv=False)[:, -1] if model.dof >= 6
+              else np.zeros(len(qs)))
+    near = sv_min < JACOBIAN_SINGULARITY_GUARD
+    for sv in sv_min[near]:
+        # stacklevel 3: the caller of the public function
+        warnings.warn(f"Jacobian near singular (min sv {sv:.3e}); "
+                      "returning damped task-space inertia",
+                      NearSingularConfiguration, stacklevel=3)
+    a[near] += OSI_DAMPING**2 * np.eye(6)
+    lam = np.linalg.inv(a)
+    return (lam + lam.swapaxes(1, 2)) / 2.0, near
+
+
 def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     """Λ = (J M⁻¹ Jᵀ)⁻¹ at the end-effector.
 
@@ -229,22 +309,20 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
     instead of failing, so trajectory profiles stay complete.
     """
-    frames = _frame_pass(model, _qvec(model, q))
-    jac = _jacobian(frames)
-    mm = _crba(model, frames)
-    a = jac @ np.linalg.solve(mm, jac.T)
-    a = (a + a.T) / 2.0
-    sv = np.linalg.svd(jac, compute_uv=False)
-    # a chain with fewer than 6 joints never spans the task space
-    sv_min = float(sv[-1]) if sv.size >= 6 else 0.0
-    near = bool(sv_min < JACOBIAN_SINGULARITY_GUARD)
-    if near:
-        warnings.warn(f"Jacobian near singular (min sv {sv_min:.3e}); "
-                      "returning damped task-space inertia",
-                      NearSingularConfiguration, stacklevel=2)
-        a = a + OSI_DAMPING**2 * np.eye(6)
-    lam = np.linalg.inv(a)
-    return OperationalSpaceInertia(KineticEnergyMatrix((lam + lam.T) / 2.0), near)
+    lam, near = _task_space_inertia(model, _qvec(model, q))
+    return OperationalSpaceInertia(KineticEnergyMatrix(lam[0]), bool(near[0]))
+
+
+def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertias:
+    """``operational_space_inertia`` of each row of an (S, n) stack, in one
+    batched pass; every near-singular sample is damped and warned about
+    once. Raises like ``KineticEnergyMatrix`` if any result is not
+    symmetric or not positive semidefinite."""
+    lam, near = _task_space_inertia(model, _qstack(model, qs))
+    lam = checked_energy_matrices(lam)
+    lam.setflags(write=False)
+    near.setflags(write=False)
+    return OperationalSpaceInertias(lam, near)
 
 
 def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
@@ -255,13 +333,13 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
     iteration budget, raises with the best configuration seen.
     """
     limits = model.limits_array()
-    q = np.clip(_qvec(model, seed), limits[:, 0], limits[:, 1])
+    q = np.clip(_qvec(model, seed)[0], limits[:, 0], limits[:, 1])
     best_q, best_err = q, np.inf
     best_pos, best_rot = np.inf, np.inf
     for it in range(IK_MAX_ITERS + 1):
-        frames = _frame_pass(model, q)
-        e_pos = target.position - frames.ee_position
-        e_rot = rotation_log(target.rotation @ frames.ee_rotation.T)
+        frames = _frame_pass(model, q[None])
+        e_pos = target.position - frames.ee_position[0]
+        e_rot = rotation_log(target.rotation @ frames.ee_rotation[0].T)
         pos_err = float(np.linalg.norm(e_pos))
         rot_err = float(np.linalg.norm(e_rot))
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
@@ -271,7 +349,7 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
             best_pos, best_rot = pos_err, rot_err
         if it == IK_MAX_ITERS:
             break
-        jac = _jacobian(frames)
+        jac = _jacobian(frames)[0]
         err = np.concatenate([e_pos, e_rot])
         dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * np.eye(6), err)
         step = np.abs(dq).max()

@@ -41,11 +41,17 @@ def _safe(name: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _pairs(xs: np.ndarray, ys: np.ndarray):
+    """CSV lines of two float columns; '%.9g' % x is _fmt(x) for floats."""
+    return ("%.9g,%.9g" % row for row in zip(xs.tolist(), ys.tolist()))
+
+
+def _write_csv(path: Path, header, lines) -> None:
+    """The header fields, then one formatted line per row."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _resolve_grasp(scene: Scene, key: str):
@@ -116,7 +122,8 @@ def _write_rank(scene: Scene, agg, profiles, out: Path) -> dict:
     times = profiles[0].times
     _write_csv(out / "mass_map.csv",
                ["grasp_id"] + [_fmt(t) for t in times],
-               ([p.grasp_id] + [_fmt(v) for v in p.masses] for p in profiles))
+               (",".join([p.grasp_id] + [_fmt(v) for v in p.masses])
+                for p in profiles))
     return artifact
 
 
@@ -135,8 +142,7 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
 def _write_profile(scene: Scene, profile, out: Path) -> dict:
     csv_name = f"profile_{_safe(profile.grasp_id)}.csv"
     _write_csv(out / csv_name, ["t_s", "effective_mass_kg"],
-               ([_fmt(t), _fmt(m)]
-                for t, m in zip(profile.times, profile.masses)))
+               _pairs(profile.times, profile.masses))
     artifact = _artifact_head(scene)
     artifact.update({"grasp_id": profile.grasp_id, "csv": csv_name,
                      "n_samples": len(profile),
@@ -168,9 +174,7 @@ def _write_impact(scene: Scene, traj, dt: float, profiles, out: Path) -> dict:
             contact_stiffness=scene.stiffness, contact_damping=scene.damping))
         peaks[p.grasp_id] = trace.peak_force
         _write_csv(out / f"impact_{_safe(p.grasp_id)}.csv",
-                   ["t_s", "force_n"],
-                   ([_fmt(t), _fmt(f)]
-                    for t, f in zip(trace.times, trace.forces)))
+                   ["t_s", "force_n"], _pairs(trace.times, trace.forces))
     # same key as impact.predict_ordering: peak force, then grasp id
     by_peak = sorted(peaks, key=lambda gid: (peaks[gid], gid))
     mass_order = [gid for _, gid in sorted(

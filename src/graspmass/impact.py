@@ -68,6 +68,11 @@ class ForceTrace:
         f = np.asarray(self.forces, dtype=float)
         if t.shape != f.shape or t.ndim != 1 or len(t) == 0:
             raise ValueError("times and forces must be equal-length vectors")
+        for name, values in (("times", t), ("forces", f),
+                             ("peak_force", self.peak_force),
+                             ("peak_time", self.peak_time)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if abs(f.max() - self.peak_force) > 1e-12 * max(1.0, self.peak_force):
             raise ValueError("peak_force must be the series maximum")
         t.setflags(write=False)

@@ -1,10 +1,12 @@
 """Effective-mass profiles along a trajectory and grasp ranking.
 
 The arm's energy matrix depends on the trajectory alone, so one sweep
-does the warm-started IK, task-space inertia and motion direction per
-sample. Each grasp then adds its object matrix, rotated into base axes,
-at every sample and gets all its effective masses from one batched
-solve. Grasps are ranked ascending by profile aggregate (safest first).
+per trajectory computes it: warm-started IK sample by sample (each
+solve seeds the next), then the task-space inertia of all samples in
+one batched pass, and the motion direction per sample. Each grasp then
+adds its object matrix, rotated into base axes, at every sample and
+gets all its effective masses from one batched solve. Grasps are ranked
+ascending by profile aggregate (safest first).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from .augmented import QUALITY_NEAR_SINGULAR, unit_direction
 from .bodies import (GraspCandidate, RigidBodyInertia, com_energy_matrix,
                      transform_to_grasp)
-from .chain import ChainModel, inverse_kinematics, operational_space_inertia
+from .chain import ChainModel, inverse_kinematics, operational_space_inertias
 from .constants import PD_MIN_EIG, ZERO_SPEED_TOL
 from .errors import (DegenerateTrajectory, EmptyInput, IkDidNotConverge,
                      LengthMismatch, NotPositiveDefinite)
@@ -169,19 +171,22 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
 
 def _sweep(chain, traj, dt, q_seed, direction):
     """Grasp-independent pass: the samples, the arm's task-space inertia
-    (N, 6, 6) in base axes, unit directions (N, 3) and quality flags."""
+    (N, 6, 6) in base axes, unit directions (N, 3) and quality flags.
+
+    IK runs sample by sample, each warm-started from the previous
+    solution; the task-space inertia of all N solutions is then one
+    batched pass."""
     samples = sample(traj, dt)
     start = Pose(traj.position(0.0), traj.start_rotation)
     q_cur = _solve_ik(chain, start, q_seed, 0)
-    lam_rob, dirs, qualities = [], [], []
+    qs = []
     for samp in samples:
         q_cur = _solve_ik(chain, samp.pose, q_cur, samp.sample_index)
-        osi = operational_space_inertia(chain, q_cur)
-        lam_rob.append(osi.matrix.matrix)
-        dirs.append(direction if direction is not None else
-                    _motion_direction(samp, samples, traj))
-        qualities.append(osi.quality)
-    return samples, np.array(lam_rob), np.array(dirs), tuple(qualities)
+        qs.append(q_cur.q)
+    osi = operational_space_inertias(chain, np.array(qs))
+    dirs = [direction if direction is not None else
+            _motion_direction(samp, samples, traj) for samp in samples]
+    return samples, osi.matrices, np.array(dirs), osi.qualities
 
 
 def _motion_direction(samp, samples, traj):

@@ -29,18 +29,26 @@ def _frozen(a, shape, name) -> np.ndarray:
 
 
 def _check_rotation(r: np.ndarray, name="rotation") -> None:
-    if np.abs(r @ r.T - np.eye(3)).max() > ORTHONORMAL_TOL:
+    """Checks a 3x3 rotation, or each of an (..., 3, 3) stack."""
+    if np.abs(r @ np.swapaxes(r, -1, -2) - np.eye(3)).max() > ORTHONORMAL_TOL:
         raise ValueError(f"{name} is not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > ORTHONORMAL_TOL:
+    if np.abs(np.linalg.det(r) - 1.0).max() > ORTHONORMAL_TOL:
         raise ValueError(f"{name} must have determinant +1")
 
 
 def skew(r) -> np.ndarray:
-    """Cross-product matrix: skew(r) @ v == np.cross(r, v)."""
-    x, y, z = np.asarray(r, dtype=float)
-    return np.array([[0.0, -z, y],
-                     [z, 0.0, -x],
-                     [-y, x, 0.0]])
+    """Cross-product matrix: skew(r) @ v == np.cross(r, v).
+
+    A (..., 3) stack of vectors gives a (..., 3, 3) stack of matrices.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.shape[-1:] != (3,):
+        raise DimensionMismatch(f"expected (..., 3) vectors, got {r.shape}")
+    out = np.zeros(r.shape + (3,))
+    out[..., 0, 1], out[..., 0, 2] = -r[..., 2], r[..., 1]
+    out[..., 1, 0], out[..., 1, 2] = r[..., 2], -r[..., 0]
+    out[..., 2, 0], out[..., 2, 1] = -r[..., 1], r[..., 0]
+    return out
 
 
 def rotation_x(a) -> np.ndarray:

@@ -18,8 +18,10 @@ from graspmass import (
     parse_scene,
     rotation_axis_angle,
     rotation_log,
+    skew,
 )
 from graspmass.cli import demo_scene_path
+from graspmass.constants import JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING
 
 
 def random_rotation(rng):
@@ -97,6 +99,62 @@ def naive_ee_pose(model, q):
     last = naive_frames(model, q)[-1]
     return Pose(last.position + last.rotation @ model.tool_transform.position,
                 last.rotation @ model.tool_transform.rotation)
+
+
+def pose_jacobian(model, q):
+    """Column by column from Pose-composed frames."""
+    frames = naive_frames(model, q)
+    p_ee = naive_ee_pose(model, q).position
+    jac = np.zeros((6, model.dof))
+    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
+        z = frame.rotation @ spec.axis
+        jac[:3, i] = np.cross(z, p_ee - frame.position)
+        jac[3:, i] = z
+    return jac
+
+
+def pose_crba(model, q):
+    """Composite rigid-body recursion on Pose-composed frames, spatial
+    quantities referenced at the base origin, linear rows first."""
+    frames = naive_frames(model, q)
+    n = model.dof
+    subspaces = np.zeros((n, 6))
+    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
+        z = frame.rotation @ spec.axis
+        subspaces[i, :3] = np.cross(frame.position, z)
+        subspaces[i, 3:] = z
+    composite = np.zeros((6, 6))
+    m = np.zeros((n, n))
+    for i in range(n - 1, -1, -1):
+        link = model.joints[i][1]
+        rot = frames[i].rotation
+        com_w = frames[i].position + rot @ link.com
+        s = skew(com_w)
+        inertia = np.zeros((6, 6))
+        inertia[:3, :3] = link.mass * np.eye(3)
+        inertia[:3, 3:] = -link.mass * s
+        inertia[3:, :3] = link.mass * s
+        inertia[3:, 3:] = rot @ link.inertia @ rot.T - link.mass * (s @ s)
+        composite = composite + inertia
+        fi = composite @ subspaces[i]
+        m[i, i] = subspaces[i] @ fi
+        for j in range(i - 1, -1, -1):
+            m[i, j] = m[j, i] = subspaces[j] @ fi
+    return (m + m.T) / 2.0
+
+
+def pose_osi(model, q):
+    """Task-space inertia of one configuration, sample by sample from
+    Pose-composed frames: (matrix, near-singular flag)."""
+    jac = pose_jacobian(model, q)
+    a = jac @ np.linalg.solve(pose_crba(model, q), jac.T)
+    a = (a + a.T) / 2.0
+    sv = np.linalg.svd(jac, compute_uv=False)
+    near = sv.size < 6 or sv[-1] < JACOBIAN_SINGULARITY_GUARD
+    if near:
+        a = a + OSI_DAMPING**2 * np.eye(6)
+    lam = np.linalg.inv(a)
+    return (lam + lam.T) / 2.0, near
 
 
 def fd_jacobian(model, q, h=1e-6):

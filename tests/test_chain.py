@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,20 +14,23 @@ from graspmass import (
     inverse_kinematics,
     mass_matrix,
     operational_space_inertia,
+    operational_space_inertias,
 )
+from graspmass.constants import OSI_DAMPING
 from graspmass.errors import (
     DimensionMismatch,
     IkDidNotConverge,
     NearSingularConfiguration,
 )
-from graspmass.spatial import skew
 
 from conftest import (
     book_scene,
     fd_jacobian,
     link_energy,
     naive_ee_pose,
-    naive_frames,
+    pose_crba,
+    pose_jacobian,
+    pose_osi,
     random_chain,
 )
 
@@ -36,48 +41,6 @@ def planar_pendulum(mass=1.3, length=0.7):
     link = LinkInertia(mass, np.array([length, 0.0, 0.0]), 1e-9 * np.eye(3))
     return ChainModel(((joint, link),), Pose.identity(),
                       Pose(np.array([length, 0.0, 0.0]), np.eye(3)))
-
-
-def pose_jacobian(model, q):
-    """Column by column from Pose-composed frames."""
-    frames = naive_frames(model, q)
-    p_ee = naive_ee_pose(model, q).position
-    jac = np.zeros((6, model.dof))
-    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
-        z = frame.rotation @ spec.axis
-        jac[:3, i] = np.cross(z, p_ee - frame.position)
-        jac[3:, i] = z
-    return jac
-
-
-def pose_crba(model, q):
-    """Composite rigid-body recursion on Pose-composed frames, spatial
-    quantities referenced at the base origin, linear rows first."""
-    frames = naive_frames(model, q)
-    n = model.dof
-    subspaces = np.zeros((n, 6))
-    for i, (frame, (spec, _)) in enumerate(zip(frames, model.joints)):
-        z = frame.rotation @ spec.axis
-        subspaces[i, :3] = np.cross(frame.position, z)
-        subspaces[i, 3:] = z
-    composite = np.zeros((6, 6))
-    m = np.zeros((n, n))
-    for i in range(n - 1, -1, -1):
-        link = model.joints[i][1]
-        rot = frames[i].rotation
-        com_w = frames[i].position + rot @ link.com
-        s = skew(com_w)
-        inertia = np.zeros((6, 6))
-        inertia[:3, :3] = link.mass * np.eye(3)
-        inertia[:3, 3:] = -link.mass * s
-        inertia[3:, :3] = link.mass * s
-        inertia[3:, 3:] = rot @ link.inertia @ rot.T - link.mass * (s @ s)
-        composite = composite + inertia
-        fi = composite @ subspaces[i]
-        m[i, i] = subspaces[i] @ fi
-        for j in range(i - 1, -1, -1):
-            m[i, j] = m[j, i] = subspaces[j] @ fi
-    return (m + m.T) / 2.0
 
 
 def test_frame_pass_equals_pose_composition_exactly():
@@ -95,6 +58,93 @@ def test_frame_pass_equals_pose_composition_exactly():
             assert np.array_equal(geometric_jacobian(model, q),
                                   pose_jacobian(model, q))
             assert np.array_equal(mass_matrix(model, q), pose_crba(model, q))
+
+
+def wrist_chain(rng):
+    """Three random joints, then a spherical wrist (z, y, z about one
+    point): at q[4] = 0 the axes of joints 4 and 6 coincide, so the
+    Jacobian loses rank exactly there."""
+    model = random_chain(rng, 3)
+    links = [link for _, link in random_chain(rng, 3).joints]
+    offsets = ([0.0, 0.0, 0.3], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    axes = ([0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+    wrist = tuple((JointSpec(Pose(np.array(offset), np.eye(3)),
+                             np.array(axis)), link)
+                  for offset, axis, link in zip(offsets, axes, links))
+    return ChainModel(model.joints + wrist, Pose.identity(),
+                      model.tool_transform)
+
+
+def batched_osi(model, qs):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = operational_space_inertias(model, qs)
+    flagged = [w for w in caught
+               if issubclass(w.category, NearSingularConfiguration)]
+    return got, flagged
+
+
+def test_batched_osi_equals_per_sample_reference_exactly():
+    # 3-5 joints never span the task space: every sample counts as
+    # near singular (min sv 0) and is damped
+    rng = np.random.default_rng(20)
+    for dof in range(3, 8):
+        model = random_chain(rng, dof)
+        qs = rng.uniform(-np.pi, np.pi, size=(6, dof))
+        got, flagged = batched_osi(model, qs)
+        want = [pose_osi(model, q) for q in qs]
+        assert got.matrices.shape == (6, 6, 6)
+        assert np.array_equal(got.matrices, [lam for lam, _ in want])
+        assert got.near_singular.tolist() == [near for _, near in want]
+        assert got.near_singular.all() == (dof < 6)
+        assert len(flagged) == int(got.near_singular.sum())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NearSingularConfiguration)
+            for q, lam in zip(qs, got.matrices):
+                assert np.array_equal(operational_space_inertia(model, q)
+                                      .matrix.matrix, lam)
+
+
+def test_batched_osi_damps_and_warns_once_per_singular_sample():
+    rng = np.random.default_rng(21)
+    model = wrist_chain(rng)
+    qs = rng.uniform(-1.0, 1.0, size=(5, 6))
+    qs[:, 4] = rng.uniform(0.3, 1.0, size=5)
+    qs[2, 4] = 0.0
+    got, flagged = batched_osi(model, qs)
+    assert got.near_singular.tolist() == [False, False, True, False, False]
+    assert got.qualities == ("clean", "clean", "near_singular", "clean",
+                             "clean")
+    assert len(flagged) == 1
+    assert "near singular" in str(flagged[0].message)
+    assert flagged[0].filename == __file__   # points at the caller
+    assert np.array_equal(got.matrices, [pose_osi(model, q)[0] for q in qs])
+    # the flagged sample is (J M^-1 J^T + OSI_DAMPING^2 I)^-1: J M^-1 J^T
+    # is singular, so its largest eigenvalue is the damping's 1/lambda^2
+    jac = pose_jacobian(model, qs[2])
+    a = jac @ np.linalg.solve(pose_crba(model, qs[2]), jac.T)
+    assert np.linalg.eigvalsh((a + a.T) / 2.0)[0] < 1e-12
+    assert np.isfinite(got.matrices[2]).all()
+    assert np.isclose(np.linalg.eigvalsh(got.matrices[2])[-1],
+                      1.0 / OSI_DAMPING**2, rtol=1e-6)
+    assert not got.matrices.flags.writeable
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batched_osi_rejects_a_non_finite_row(row, bad):
+    model = random_chain(np.random.default_rng(22), 5)
+    qs = np.full((7, 5), 0.3)
+    qs[row, 1] = bad
+    with pytest.raises(ValueError, match="joint values must be finite"):
+        operational_space_inertias(model, qs)
+
+
+@pytest.mark.parametrize("shape", [(5,), (0, 5), (3, 4), (2, 3, 5)])
+def test_batched_osi_rejects_a_misshaped_stack(shape):
+    model = random_chain(np.random.default_rng(23), 5)
+    with pytest.raises(DimensionMismatch):
+        operational_space_inertias(model, np.zeros(shape))
 
 
 KINEMATICS = [

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from graspmass import cli
+from graspmass import cli, parse_scene
 from graspmass.cli import demo_scene_path, main
 
 
@@ -189,6 +190,27 @@ def test_repeat_runs_are_byte_identical(tmp_path, capsys):
         assert code == 0
     assert (a / "mass_map.csv").read_bytes() == (b / "mass_map.csv").read_bytes()
     assert (a / "ranking.json").read_bytes() == (b / "ranking.json").read_bytes()
+
+
+# mass_map.csv sha256 of the bundled scenes, as pinned by the benchmark;
+# book at dt = 0.01 s is its book-fine grid (book-fine's collision
+# settings do not enter the map). Any drift in the 9-digit output fails.
+PINNED_MASS_MAP_SHA256 = [
+    ("book", None,
+     "e701597505aa9c9efa6deb1e5a77c371871630967b8cd3c9a30ca4ee403a4373"),
+    ("tensor", None,
+     "41c1dab4e0cb3a50dbb78cefb8d1967b520bd474b95939010c882eb923c0cdc5"),
+    ("book", 0.01,
+     "beb19bb0b056b204888fc5a75e4d1bbcf286b1f374f860eea0f6c267cbfd18f9"),
+]
+
+
+@pytest.mark.parametrize("name, dt, digest", PINNED_MASS_MAP_SHA256,
+                         ids=["book", "tensor", "book-fine"])
+def test_mass_map_matches_pinned_digest(name, dt, digest, tmp_path):
+    cli.cmd_rank(parse_scene(demo_scene_path(name)), dt=dt, out_dir=tmp_path)
+    data = (tmp_path / "mass_map.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_fractional_collision_sample_is_a_clean_error(tmp_path, capsys):

@@ -288,11 +288,11 @@ def test_fixed_direction_is_checked_and_normalized_once():
 def test_non_positive_definite_total_is_rejected(monkeypatch):
     # a massless arm plus a near-massless object leaves nothing to invert
     import graspmass.ranking as ranking
-    from graspmass.augmented import KineticEnergyMatrix
-    from graspmass.chain import OperationalSpaceInertia
-    monkeypatch.setattr(ranking, "operational_space_inertia",
-                        lambda chain, q: OperationalSpaceInertia(
-                            KineticEnergyMatrix(np.zeros((6, 6))), False))
+    from graspmass.chain import OperationalSpaceInertias
+    monkeypatch.setattr(ranking, "operational_space_inertias",
+                        lambda chain, qs: OperationalSpaceInertias(
+                            np.zeros((len(qs), 6, 6)),
+                            np.zeros(len(qs), dtype=bool)))
     scene = book_scene()
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
     with pytest.raises(NotPositiveDefinite):

@@ -152,6 +152,28 @@ def test_force_trace_rejects_inconsistent_peak():
                    peak_force=5.0, peak_time=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["times", "forces", "peak_force",
+                                   "peak_time"])
+def test_force_trace_rejects_non_finite_values(field, value):
+    # a NaN used to pass: abs(f.max() - peak) > tol is false for NaN
+    kwargs = dict(times=np.array([0.0, 1.0]), forces=np.array([1.0, 2.0]),
+                  peak_force=2.0, peak_time=1.0)
+    if field in ("times", "forces"):
+        kwargs[field] = np.array([0.0, value])
+    else:
+        kwargs[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ForceTrace(**kwargs)
+
+
+def test_overflowing_damping_rate_raises():
+    # sigma = c / 2M overflows; the trace used to carry a NaN peak
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="forces must be finite"):
+            simulate_impact(ImpactScenario(1e-300, 1.0, 1e4, 1e10))
+
+
 def profile(grasp_id, masses):
     masses = np.asarray(masses, dtype=float)
     times = np.arange(1, len(masses) + 1) * 0.1
