@@ -19,6 +19,13 @@ task-space inertia, each IK iteration) run the same core on a batch of
 one. Validation sits at the boundary, once per call: joint values must be
 finite, and each pass checks every end-effector pose; joint frames are
 not validated one by one.
+
+``inverse_kinematics`` wraps ``_ik``, which works on arrays and returns
+the converged configuration with its frame pass. A warm-started sweep
+hands that pass to the next solve, which then skips the pass at its
+seed, and stacks the passes of all samples for the task-space inertia
+(``_stacked_inertias``): a stack of passes holds the same bits as one
+pass over the stacked configurations.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .spatial import Pose, rotation_log, skew
 from .spatial import _check_rotation, _frozen
 
 _EYE3 = np.eye(3)
+_EYE6 = np.eye(6)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +97,18 @@ class _ChainArrays(NamedTuple):
     axes: np.ndarray
     axis_skews: np.ndarray      # Rodrigues terms K and K @ K of each axis
     axis_skews2: np.ndarray
+    lower: np.ndarray           # joint limits
+    upper: np.ndarray
 
     @classmethod
     def of(cls, joints) -> "_ChainArrays":
         skews = skew([j.axis for j, _ in joints])
+        limits = np.array([j.limits for j, _ in joints])
         arrays = cls(
             np.array([j.parent_transform.position for j, _ in joints]),
             np.array([j.parent_transform.rotation for j, _ in joints]),
             np.array([j.axis for j, _ in joints]),
-            skews, skews @ skews)
+            skews, skews @ skews, limits[:, 0].copy(), limits[:, 1].copy())
         for a in arrays:
             a.setflags(write=False)
         return arrays
@@ -121,7 +132,7 @@ class ChainModel:
         return len(self.joints)
 
     def limits_array(self) -> np.ndarray:
-        return np.array([j.limits for j, _ in self.joints])
+        return np.column_stack((self._arrays.lower, self._arrays.upper))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,24 +293,32 @@ class OperationalSpaceInertias(NamedTuple):
                      for near in self.near_singular)
 
 
-def _task_space_inertia(model: ChainModel, qs: np.ndarray):
-    """Unchecked (S, 6, 6) task-space inertias and (S,) near-singular flags."""
-    frames = _frame_pass(model, qs)
+def _task_space_inertia(model: ChainModel, frames: _Frames):
+    """Unchecked (S, 6, 6) task-space inertias and (S,) near-singular flags
+    of a frame pass."""
     jac = _jacobian(frames)
     a = jac @ np.linalg.solve(_crba(model, frames), jac.swapaxes(1, 2))
     a = (a + a.swapaxes(1, 2)) / 2.0
     # a chain with fewer than 6 joints never spans the task space
     sv_min = (np.linalg.svd(jac, compute_uv=False)[:, -1] if model.dof >= 6
-              else np.zeros(len(qs)))
+              else np.zeros(len(jac)))
     near = sv_min < JACOBIAN_SINGULARITY_GUARD
     for sv in sv_min[near]:
-        # stacklevel 3: the caller of the public function
+        # stacklevel 3: the caller of the function that called this one
         warnings.warn(f"Jacobian near singular (min sv {sv:.3e}); "
                       "returning damped task-space inertia",
                       NearSingularConfiguration, stacklevel=3)
-    a[near] += OSI_DAMPING**2 * np.eye(6)
+    a[near] += OSI_DAMPING**2 * _EYE6
     lam = np.linalg.inv(a)
     return (lam + lam.swapaxes(1, 2)) / 2.0, near
+
+
+def _checked_inertias(lam: np.ndarray, near: np.ndarray):
+    """Checked, read-only ``OperationalSpaceInertias`` of a stack."""
+    lam = checked_energy_matrices(lam)
+    lam.setflags(write=False)
+    near.setflags(write=False)
+    return OperationalSpaceInertias(lam, near)
 
 
 def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
@@ -309,7 +328,7 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
     instead of failing, so trajectory profiles stay complete.
     """
-    lam, near = _task_space_inertia(model, _qvec(model, q))
+    lam, near = _task_space_inertia(model, _frame_pass(model, _qvec(model, q)))
     return OperationalSpaceInertia(KineticEnergyMatrix(lam[0]), bool(near[0]))
 
 
@@ -318,11 +337,16 @@ def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertia
     batched pass; every near-singular sample is damped and warned about
     once. Raises like ``KineticEnergyMatrix`` if any result is not
     symmetric or not positive semidefinite."""
-    lam, near = _task_space_inertia(model, _qstack(model, qs))
-    lam = checked_energy_matrices(lam)
-    lam.setflags(write=False)
-    near.setflags(write=False)
-    return OperationalSpaceInertias(lam, near)
+    frames = _frame_pass(model, _qstack(model, qs))
+    return _checked_inertias(*_task_space_inertia(model, frames))
+
+
+def _stacked_inertias(model: ChainModel,
+                      frames: _Frames) -> OperationalSpaceInertias:
+    """``operational_space_inertias`` from passes already made (the
+    converged ones of an IK sweep), stacked row by row. A stack of passes
+    holds the same bits as one pass over the stacked configurations."""
+    return _checked_inertias(*_task_space_inertia(model, frames))
 
 
 def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
@@ -332,18 +356,35 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
     if the target equals FK(seed) the seed comes back unchanged. After the
     iteration budget, raises with the best configuration seen.
     """
-    limits = model.limits_array()
-    q = np.clip(_qvec(model, seed)[0], limits[:, 0], limits[:, 1])
+    q, _ = _ik(model, target.position, target.rotation,
+               _qvec(model, seed)[0])
+    return JointState(q)
+
+
+def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
+        q: np.ndarray, frames: _Frames | None = None):
+    """``inverse_kinematics`` on arrays: the converged q and its frame
+    pass (a batch of one).
+
+    ``frames``, the pass at the seed (the previous solve's result in a
+    warm-started sweep), saves the first pass; it is used only if the
+    joint limits leave the seed as it is.
+    """
+    arrays = model._arrays
+    seed, q = q, np.clip(q, arrays.lower, arrays.upper)
+    if frames is not None and not np.array_equal(q, seed):
+        frames = None
     best_q, best_err = q, np.inf
     best_pos, best_rot = np.inf, np.inf
     for it in range(IK_MAX_ITERS + 1):
-        frames = _frame_pass(model, q[None])
-        e_pos = target.position - frames.ee_position[0]
-        e_rot = rotation_log(target.rotation @ frames.ee_rotation[0].T)
+        if frames is None:
+            frames = _frame_pass(model, q[None])
+        e_pos = target_pos - frames.ee_position[0]
+        e_rot = rotation_log(target_rot @ frames.ee_rotation[0].T)
         pos_err = float(np.linalg.norm(e_pos))
         rot_err = float(np.linalg.norm(e_rot))
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
-            return JointState(q)
+            return q, frames
         if pos_err + rot_err < best_err:
             best_q, best_err = q, pos_err + rot_err
             best_pos, best_rot = pos_err, rot_err
@@ -351,11 +392,12 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
             break
         jac = _jacobian(frames)[0]
         err = np.concatenate([e_pos, e_rot])
-        dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * np.eye(6), err)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * _EYE6, err)
         step = np.abs(dq).max()
         if step > IK_STEP_CLAMP:
             dq *= IK_STEP_CLAMP / step
-        q = np.clip(q + dq, limits[:, 0], limits[:, 1])
+        q = np.clip(q + dq, arrays.lower, arrays.upper)
+        frames = None
     raise IkDidNotConverge(
         f"no convergence after {IK_MAX_ITERS} iterations "
         f"(position {best_pos:.3e} m, rotation {best_rot:.3e} rad)",

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .constants import MIN_APPROACH_SPEED
 from .errors import (GraspmassError, IkDidNotConverge, ParseError,
                      ValidationError)
 from .impact import ImpactScenario, simulate_impact
 from .ranking import evaluate_grasps, parse_aggregator, rank_grasps
 from .scene import Scene, parse_scene
-from .trajectory import sample
+from .trajectory import _grid
 
 SCHEMA_VERSION = 1
 
@@ -76,13 +77,13 @@ def _profiles(scene: Scene, dt: float):
 
 
 def _collision_speed(scene: Scene, traj, dt: float) -> float:
-    samples = sample(traj, dt)
+    _, _, velocities = _grid(traj, dt)
     k = scene.collision_sample
-    if k > len(samples):
+    if k > len(velocities):
         raise ValidationError("collision.sample",
                               f"sample {k} out of range for dt={dt}")
-    speed = float(np.linalg.norm(samples[k - 1].velocity.linear))
-    if speed <= 1e-12:
+    speed = float(np.linalg.norm(velocities[k - 1]))
+    if speed <= MIN_APPROACH_SPEED:
         raise ValidationError("collision.sample",
                               "approach speed is zero at this sample")
     return speed

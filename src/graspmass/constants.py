@@ -30,5 +30,8 @@ PD_MIN_EIG = 1e-12
 UNIT_NORM_TOL = 1e-6       # |v| may deviate this much before a warning
 ZERO_SPEED_TOL = 1e-8      # below this a sample counts as at rest
 
+# Contact model: an approach speed at or below this cannot drive an impact.
+MIN_APPROACH_SPEED = 1e-12  # m/s
+
 # Fixed-format CSV output.
 CSV_SIG_DIGITS = 9

@@ -1,12 +1,14 @@
 """Effective-mass profiles along a trajectory and grasp ranking.
 
 The arm's energy matrix depends on the trajectory alone, so one sweep
-per trajectory computes it: warm-started IK sample by sample (each
-solve seeds the next), then the task-space inertia of all samples in
-one batched pass, and the motion direction per sample. Each grasp then
-adds its object matrix, rotated into base axes, at every sample and
-gets all its effective masses from one batched solve. Grasps are ranked
-ascending by profile aggregate (safest first).
+per trajectory computes it from the sampling grid, read as arrays:
+warm-started IK sample by sample (each solve seeds the next and hands
+it its converged frame pass), then the task-space inertia of all
+samples in one batched step on those passes, and the motion direction
+per sample. Each grasp then adds its object matrix, rotated into base
+axes, at every sample and gets all its effective masses from one
+batched solve. Grasps are ranked ascending by profile aggregate (safest
+first).
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import numpy as np
 from .augmented import QUALITY_NEAR_SINGULAR, unit_direction
 from .bodies import (GraspCandidate, RigidBodyInertia, com_energy_matrix,
                      transform_to_grasp)
-from .chain import ChainModel, inverse_kinematics, operational_space_inertias
+from .chain import ChainModel, _Frames, _ik, _qvec, _stacked_inertias
 from .constants import PD_MIN_EIG, ZERO_SPEED_TOL
 from .errors import (DegenerateTrajectory, EmptyInput, IkDidNotConverge,
                      LengthMismatch, NotPositiveDefinite)
 from .spatial import Pose
-from .trajectory import QuinticTrajectory, direction_at, sample
+from .trajectory import QuinticTrajectory, _directions, _grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,12 +149,11 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
         raise LengthMismatch("one body per grasp required")
     if direction is not None:
         direction = unit_direction(direction)
-    samples, lam_rob, dirs, qualities = _sweep(chain, traj, dt, q_seed,
-                                               direction)
-    times = np.array([s.t for s in samples])
-    # blockdiag(R, R) per sample: grasp axes -> base axes
-    rot = np.zeros((len(samples), 6, 6))
-    rot[:, :3, :3] = rot[:, 3:, 3:] = [s.pose.rotation for s in samples]
+    times, lam_rob, dirs, qualities = _sweep(chain, traj, dt, q_seed,
+                                             direction)
+    # blockdiag(R, R) with the held rotation: grasp axes -> base axes
+    rot = np.zeros((len(times), 6, 6))
+    rot[:, :3, :3] = rot[:, 3:, 3:] = traj.start_rotation
     rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
     profiles = []
     for body, grasp in zip(bodies, grasps):
@@ -170,41 +171,55 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
 
 
 def _sweep(chain, traj, dt, q_seed, direction):
-    """Grasp-independent pass: the samples, the arm's task-space inertia
-    (N, 6, 6) in base axes, unit directions (N, 3) and quality flags.
+    """Grasp-independent pass: the sample times (N,), the arm's task-space
+    inertia (N, 6, 6) in base axes, unit directions (N, 3) and quality
+    flags.
 
-    IK runs sample by sample, each warm-started from the previous
-    solution; the task-space inertia of all N solutions is then one
-    batched pass."""
-    samples = sample(traj, dt)
-    start = Pose(traj.position(0.0), traj.start_rotation)
-    q_cur = _solve_ik(chain, start, q_seed, 0)
-    qs = []
-    for samp in samples:
-        q_cur = _solve_ik(chain, samp.pose, q_cur, samp.sample_index)
-        qs.append(q_cur.q)
-    osi = operational_space_inertias(chain, np.array(qs))
-    dirs = [direction if direction is not None else
-            _motion_direction(samp, samples, traj) for samp in samples]
-    return samples, osi.matrices, np.array(dirs), osi.qualities
+    IK runs sample by sample, each solve warm-started from the previous
+    solution and handed its converged frame pass, so it skips the pass at
+    its seed; the start pose (sample 0) seeds sample 1 the same way. The
+    task-space inertia of all N solutions is then one batched step on
+    their passes, stacked row by row, with no further pass over the
+    chain."""
+    times, positions, velocities = _grid(traj, dt)
+    rotation = traj.start_rotation
+    start = Pose(traj.position(0.0), rotation)
+    q, frames = _solve_ik(chain, start.position, rotation,
+                          _qvec(chain, q_seed)[0], None, 0)
+    # each converged pass is copied into one preallocated stack, which
+    # keeps the sweep's peak memory below that of a list of passes
+    stack = None
+    for row, position in enumerate(positions):
+        q, frames = _solve_ik(chain, position, rotation, q, frames, row + 1)
+        if stack is None:
+            stack = _Frames(*(np.empty((len(positions),) + a.shape[1:])
+                              for a in frames))
+        for rows, a in zip(stack, frames):
+            rows[row] = a[0]
+    osi = _stacked_inertias(chain, stack)
+    if direction is not None:
+        dirs = np.tile(direction, (len(times), 1))
+    else:
+        dirs = _motion_directions(traj, velocities)
+    return times, osi.matrices, dirs, osi.qualities
 
 
-def _motion_direction(samp, samples, traj):
+def _motion_directions(traj, velocities):
     # coarse grids can leave every sample at rest (dt = t_f lands on the
     # endpoint); the rest-to-rest path is a straight chord, so use it
     try:
-        return direction_at(samp, samples)
+        return _directions(velocities)
     except DegenerateTrajectory:
         chord = traj.position(traj.t_f) - traj.position(0.0)
         norm = np.linalg.norm(chord)
         if norm <= ZERO_SPEED_TOL:
             raise
-        return chord / norm
+        return np.tile(chord / norm, (len(velocities), 1))
 
 
-def _solve_ik(chain, pose, seed, index):
+def _solve_ik(chain, position, rotation, q, frames, index):
     try:
-        return inverse_kinematics(chain, pose, seed)
+        return _ik(chain, position, rotation, q, frames)
     except IkDidNotConverge as exc:
         raise IkDidNotConverge(f"sample {index}: {exc}", best_q=exc.best_q,
                                pos_err=exc.pos_err, rot_err=exc.rot_err,

@@ -4,6 +4,12 @@ One independent quintic per Cartesian axis, boundary conditions
 x(0) = start, x(t_f) = end, zero velocity and acceleration at both ends.
 Orientation is held at the start pose's rotation for every sample; the
 end rotation is stored for future interpolation but unused.
+
+``sample`` returns one validated ``TrajectorySample`` per grid point. The
+pipeline reads the same grid as arrays (``_grid``: times, positions and
+velocities, each row evaluated as ``position(t)``/``velocity(t)`` would,
+finiteness checked once per stack) and takes the motion directions from
+the velocity stack (``_directions``), by the rule of ``direction_at``.
 """
 
 from __future__ import annotations
@@ -68,6 +74,23 @@ def fit_quintic(start: Pose, end: Pose, t_f: float) -> QuinticTrajectory:
     return QuinticTrajectory(coeffs, start.rotation, end.rotation, float(t_f))
 
 
+def _grid(traj: QuinticTrajectory, dt: float):
+    """The sampling grid of ``sample`` as arrays: times (N,), positions
+    (N, 3) and linear velocities (N, 3)."""
+    if not 0.0 < dt <= traj.t_f:
+        raise InvalidStep(f"dt must lie in (0, t_f], got {dt}")
+    n = max(1, round(traj.t_f / dt))
+    times = [traj.t_f * i / n for i in range(1, n + 1)]
+    # per-t products, as position(t) and velocity(t) sum them
+    pos_c = traj.coeffs.T
+    vel_c = (traj.coeffs[1:] * _POWERS[1:, None]).T
+    positions = np.array([pos_c @ (t ** _POWERS) for t in times])
+    velocities = np.array([vel_c @ (t ** _POWERS[:5]) for t in times])
+    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
+        raise ValueError("trajectory samples must be finite")
+    return np.array(times), positions, velocities
+
+
 def sample(traj: QuinticTrajectory, dt: float) -> list[TrajectorySample]:
     """N = round(t_f/dt) samples at t = t_f/N, 2 t_f/N, ..., t_f.
 
@@ -75,16 +98,11 @@ def sample(traj: QuinticTrajectory, dt: float) -> list[TrajectorySample]:
     recorded separately by callers). When dt does not divide t_f the grid
     is snapped so the last sample lands exactly on t_f.
     """
-    if not 0.0 < dt <= traj.t_f:
-        raise InvalidStep(f"dt must lie in (0, t_f], got {dt}")
-    n = max(1, round(traj.t_f / dt))
-    out = []
-    for i in range(1, n + 1):
-        t = traj.t_f * i / n
-        pose = Pose(traj.position(t), traj.start_rotation)
-        vel = Twist(traj.velocity(t), np.zeros(3))
-        out.append(TrajectorySample(t, pose, vel, i))
-    return out
+    times, positions, velocities = _grid(traj, dt)
+    return [TrajectorySample(t, Pose(p, traj.start_rotation),
+                             Twist(v, np.zeros(3)), i)
+            for i, (t, p, v) in enumerate(
+                zip(times.tolist(), positions, velocities), 1)]
 
 
 def direction_at(samp: TrajectorySample,
@@ -112,3 +130,20 @@ def direction_at(samp: TrajectorySample,
         raise DegenerateTrajectory("all samples are at rest")
     v = best.velocity.linear
     return v / np.linalg.norm(v)
+
+
+def _directions(velocities: np.ndarray) -> np.ndarray:
+    """``direction_at`` of every row of a grid's (N, 3) velocity stack:
+    each moving row over its speed; each row at rest takes the direction
+    of the nearest moving row, the earlier one on a tie."""
+    speeds = np.array([float(np.linalg.norm(v)) for v in velocities])
+    moving = np.flatnonzero(speeds >= ZERO_SPEED_TOL)
+    if not len(moving):
+        raise DegenerateTrajectory("all samples are at rest")
+    rows = np.arange(len(speeds))
+    at = np.searchsorted(moving, rows)   # first moving row at or after
+    after = moving[np.minimum(at, len(moving) - 1)]
+    before = moving[np.maximum(at - 1, 0)]
+    nearest = np.where(np.abs(rows - before) <= np.abs(after - rows),
+                       before, after)
+    return np.array([velocities[k] / speeds[k] for k in nearest.tolist()])

@@ -21,6 +21,7 @@ from graspmass import (
     inverse_kinematics,
     mass_map,
     operational_space_inertia,
+    operational_space_inertias,
     parse_aggregator,
     rank_grasps,
     sample,
@@ -289,12 +290,105 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
     # a massless arm plus a near-massless object leaves nothing to invert
     import graspmass.ranking as ranking
     from graspmass.chain import OperationalSpaceInertias
-    monkeypatch.setattr(ranking, "operational_space_inertias",
-                        lambda chain, qs: OperationalSpaceInertias(
-                            np.zeros((len(qs), 6, 6)),
-                            np.zeros(len(qs), dtype=bool)))
+    monkeypatch.setattr(ranking, "_stacked_inertias",
+                        lambda chain, frames: OperationalSpaceInertias(
+                            np.zeros((len(frames.axes), 6, 6)),
+                            np.zeros(len(frames.axes), dtype=bool)))
     scene = book_scene()
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
     with pytest.raises(NotPositiveDefinite):
         evaluate_grasp(scene.chain, speck, GraspCandidate("g", Pose.identity()),
                        scene.fit(), scene.dt, scene.ik_seed)
+
+
+def public_ik_chain(chain, traj, dt, seed):
+    """Joint solutions along the grid from public IK calls, each seeded
+    with the previous result, the start pose first."""
+    q = inverse_kinematics(chain, Pose(traj.position(0.0),
+                                       traj.start_rotation), seed)
+    qs = []
+    for samp in sample(traj, dt):
+        q = inverse_kinematics(chain, samp.pose, q)
+        qs.append(q.q)
+    return np.array(qs)
+
+
+def out_of_limits_seed(scene):
+    seed = scene.ik_seed.q.copy()
+    seed[0] = scene.chain.limits_array()[0, 1] + 0.5
+    return seed
+
+
+SWEEP_PATHS = ["book", "book-dt-0.01", "tensor", "pitch-pi/2",
+               "seed-out-of-limits"]
+
+
+@pytest.mark.parametrize("path", SWEEP_PATHS)
+def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
+    # the sweep hands each solve the previous frame pass; the joint
+    # solutions and the arm's inertias must keep the bits of plain calls
+    import graspmass.ranking as ranking
+    from graspmass.chain import _ik
+    scene = tensor_scene() if path == "tensor" else book_scene()
+    traj = (pitched_path(scene, np.pi / 2) if path == "pitch-pi/2"
+            else scene.fit())
+    dt = 0.01 if path == "book-dt-0.01" else scene.dt
+    seed = (out_of_limits_seed(scene) if path == "seed-out-of-limits"
+            else scene.ik_seed)
+    solved = []
+
+    def recording_ik(*args):
+        q, frames = _ik(*args)
+        solved.append(q)
+        return q, frames
+
+    monkeypatch.setattr(ranking, "_ik", recording_ik)
+    times, lam_rob, _, _ = ranking._sweep(scene.chain, traj, dt, seed, None)
+    want = public_ik_chain(scene.chain, traj, dt, seed)
+    assert len(solved) == len(times) + 1
+    assert np.array_equal(solved[1:], want)
+    assert np.array_equal(
+        lam_rob, operational_space_inertias(scene.chain, want).matrices)
+
+
+def test_stale_frames_are_not_reused_for_a_clipped_seed():
+    from graspmass.chain import _frame_pass, _ik
+    scene = book_scene()
+    chain = scene.chain
+    seed = out_of_limits_seed(scene)
+    target = sample(scene.fit(), scene.dt)[5].pose
+    stale = _frame_pass(chain, seed[None])   # the pass at the unclipped seed
+    q, frames = _ik(chain, target.position, target.rotation, seed, stale)
+    assert np.array_equal(q, inverse_kinematics(chain, target, seed).q)
+    fresh = _frame_pass(chain, q[None])
+    assert all(np.array_equal(a, b) for a, b in zip(frames, fresh))
+
+
+def test_start_pose_ik_failure_reports_sample_zero():
+    scene = book_scene()
+    far = Pose(np.array([4.0, 0.0, 0.03]), scene.start.rotation)
+    end = Pose(np.array([4.1, 0.0, 0.03]), scene.start.rotation)
+    with pytest.raises(IkDidNotConverge) as exc:
+        evaluate_grasps(scene.chain, scene.bodies, scene.grasps,
+                        fit_quintic(far, end, 2.0), scene.dt, scene.ik_seed)
+    assert exc.value.sample_index == 0
+    assert str(exc.value).startswith("sample 0: ")
+
+
+def test_book_at_fine_grid_makes_at_most_191_frame_passes(monkeypatch):
+    # 201 warm-started solves make 390 passes when each starts with a
+    # pass at its seed and the batched inertia makes its own; carrying
+    # each converged pass forward and stacking them makes 189
+    import graspmass.chain as chain_module
+    passes = []
+    frame_pass = chain_module._frame_pass
+
+    def counting(model, qs):
+        passes.append(qs)
+        return frame_pass(model, qs)
+
+    monkeypatch.setattr(chain_module, "_frame_pass", counting)
+    scene = book_scene()
+    evaluate_grasps(scene.chain, scene.bodies, scene.grasps, scene.fit(),
+                    0.01, scene.ik_seed)
+    assert len(passes) <= 191

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from graspmass import Pose, direction_at, fit_quintic, sample
+from graspmass import (Pose, TrajectorySample, Twist, direction_at,
+                       fit_quintic, sample)
+from graspmass.constants import ZERO_SPEED_TOL
+from graspmass.ranking import _motion_directions
+from graspmass.trajectory import _directions, _grid
 from graspmass.errors import (
     DegenerateTrajectory,
     InvalidStep,
@@ -130,3 +134,82 @@ def test_direction_degenerate_for_null_move():
     samples = sample(traj, 0.25)
     with pytest.raises(DegenerateTrajectory):
         direction_at(samples[1], samples)
+
+
+def random_fit(rng):
+    from conftest import random_rotation
+    start = Pose(rng.uniform(-1.0, 1.0, 3), random_rotation(rng))
+    end = Pose(rng.uniform(-1.0, 1.0, 3), random_rotation(rng))
+    return fit_quintic(start, end, float(rng.uniform(0.5, 4.0)))
+
+
+@pytest.mark.parametrize("steps", ["divides", "does_not_divide", "t_f"])
+def test_grid_arrays_equal_the_samples(steps):
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        traj = random_fit(rng)
+        dt = {"divides": traj.t_f / rng.integers(1, 60),
+              "does_not_divide": traj.t_f / (rng.integers(1, 60) + 0.37),
+              "t_f": traj.t_f}[steps]
+        times, positions, velocities = _grid(traj, dt)
+        samples = sample(traj, dt)
+        assert np.array_equal(times, [s.t for s in samples])
+        assert np.array_equal(positions, [s.pose.position for s in samples])
+        assert np.array_equal(velocities,
+                              [s.velocity.linear for s in samples])
+        # each row keeps the bits of the per-t evaluation
+        assert np.array_equal(positions, [traj.position(t) for t in times])
+        assert np.array_equal(velocities, [traj.velocity(t) for t in times])
+
+
+def test_grid_rejects_non_finite_samples():
+    # checked once per stack, as Pose and Twist checked each sample
+    huge = fit_quintic(Pose(np.zeros(3), np.eye(3)),
+                       Pose(np.full(3, 1e300), np.eye(3)), 1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        _grid(huge, 1e-4)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.3, 0.001])
+def test_array_directions_equal_direction_at(dt):
+    # at dt 1 ms a 10 um move leaves 11 samples at rest, at both ends
+    tiny = fit_quintic(Pose(np.zeros(3), np.eye(3)),
+                       Pose(np.array([1e-5, 0.0, 0.0]), np.eye(3)), 1.0)
+    for traj in (book_fit(), unit_fit(), tiny):
+        samples = sample(traj, dt)
+        dirs = _directions(_grid(traj, dt)[2])
+        # the rest endpoint at t_f is among the rows
+        assert np.linalg.norm(samples[-1].velocity.linear) < ZERO_SPEED_TOL
+        for samp, d in zip(samples, dirs):
+            assert np.array_equal(d, direction_at(samp, samples))
+
+
+def test_array_directions_pick_the_nearest_moving_row():
+    # rows at rest before, between (with ties) and after the moving rows
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        vel = rng.normal(size=(15, 3))
+        vel[rng.random(15) < 0.6] = 0.0
+        if not vel.any():
+            vel[int(rng.integers(15))] = rng.normal(size=3)
+        samples = [TrajectorySample(0.1 * i, Pose.identity(),
+                                    Twist(v, np.zeros(3)), i)
+                   for i, v in enumerate(vel, 1)]
+        dirs = _directions(vel)
+        for samp, d in zip(samples, dirs):
+            assert np.array_equal(d, direction_at(samp, samples))
+
+
+def test_all_at_rest_grid_falls_back_to_the_chord():
+    # dt = t_f leaves one sample, at the rest endpoint
+    traj = book_fit()
+    _, _, velocities = _grid(traj, traj.t_f)
+    with pytest.raises(DegenerateTrajectory):
+        _directions(velocities)
+    chord = traj.position(traj.t_f) - traj.position(0.0)
+    assert np.array_equal(_motion_directions(traj, velocities),
+                          [chord / np.linalg.norm(chord)])
+    pose = Pose(np.array([0.5, 0.5, 0.5]), np.eye(3))
+    null = fit_quintic(pose, pose, 1.0)
+    with pytest.raises(DegenerateTrajectory):
+        _motion_directions(null, _grid(null, 1.0)[2])
