@@ -1,8 +1,10 @@
 """Command-line workbench: rank grasps, dump profiles, simulate impacts.
 
 Subcommands: rank, profile, simulate-impact, demo {book,tensor}. demo
-evaluates the profiles once and writes the artifacts of the other three
-from them (the profile of the recommended grasp only). All outputs are
+runs rank, simulate-impact and profile (of the recommended grasp) on one
+scene. The arm's sweep is kept by the ``Scene`` per sampling step, so
+commands on one scene compute it once and each adds only its own
+per-grasp work and output. All outputs are
 deterministic: floats are written with 9 significant digits, no
 timestamps, and re-running on the same scene reproduces numeric CSV
 content byte for byte.
@@ -26,10 +28,9 @@ from . import __version__
 from .constants import MIN_APPROACH_SPEED
 from .errors import (GraspmassError, IkDidNotConverge, ParseError,
                      ValidationError)
-from .impact import ImpactScenario, simulate_impact
-from .ranking import evaluate_grasps, parse_aggregator, rank_grasps
+from .impact import predict_ordering
+from .ranking import _score, parse_aggregator, rank_grasps
 from .scene import Scene, parse_scene
-from .trajectory import _grid
 
 SCHEMA_VERSION = 1
 
@@ -42,17 +43,17 @@ def _safe(name: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
 
-def _pairs(xs: np.ndarray, ys: np.ndarray):
-    """CSV lines of two float columns; '%.9g' % x is _fmt(x) for floats."""
-    return ("%.9g,%.9g" % row for row in zip(xs.tolist(), ys.tolist()))
+def _pairs(xs: np.ndarray, ys: np.ndarray) -> str:
+    """CSV rows of two float columns, formatted in one pass; '%.9g' % x
+    is _fmt(x) for floats."""
+    flat = np.column_stack([xs, ys]).ravel().tolist()
+    return ("%.9g,%.9g\n" * len(xs)) % tuple(flat)
 
 
-def _write_csv(path: Path, header, lines) -> None:
-    """The header fields, then one formatted line per row."""
+def _write_csv(path: Path, header, rows: str) -> None:
+    """The header fields, then the formatted rows, in one write."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(",".join(header) + "\n" + rows)
 
 
 def _resolve_grasp(scene: Scene, key: str):
@@ -70,14 +71,7 @@ def _resolve_grasp(scene: Scene, key: str):
                           f"(ids: {', '.join(g.id for g in scene.grasps)})")
 
 
-def _profiles(scene: Scene, dt: float):
-    traj = scene.fit()
-    return traj, evaluate_grasps(scene.chain, scene.bodies, scene.grasps,
-                                 traj, dt, scene.ik_seed)
-
-
-def _collision_speed(scene: Scene, traj, dt: float) -> float:
-    _, _, velocities = _grid(traj, dt)
+def _collision_speed(scene: Scene, velocities, dt: float) -> float:
     k = scene.collision_sample
     if k > len(velocities):
         raise ValidationError("collision.sample",
@@ -102,11 +96,7 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _, profiles = _profiles(scene, dt)
-    return _write_rank(scene, agg, profiles, out)
-
-
-def _write_rank(scene: Scene, agg, profiles, out: Path) -> dict:
+    profiles = _score(scene._sweep(dt), scene.bodies, scene.grasps)
     report = rank_grasps(profiles, agg)
     artifact = _artifact_head(scene)
     artifact.update({
@@ -123,8 +113,8 @@ def _write_rank(scene: Scene, agg, profiles, out: Path) -> dict:
     times = profiles[0].times
     _write_csv(out / "mass_map.csv",
                ["grasp_id"] + [_fmt(t) for t in times],
-               (",".join([p.grasp_id] + [_fmt(v) for v in p.masses])
-                for p in profiles))
+               "".join(",".join([p.grasp_id] + [_fmt(v) for v in p.masses])
+                       + "\n" for p in profiles))
     return artifact
 
 
@@ -134,13 +124,7 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     grasp, body = _resolve_grasp(scene, grasp_key)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj = scene.fit()
-    profile = evaluate_grasps(scene.chain, body, [grasp], traj, dt,
-                              scene.ik_seed)[0]
-    return _write_profile(scene, profile, out)
-
-
-def _write_profile(scene: Scene, profile, out: Path) -> dict:
+    profile = _score(scene._sweep(dt), [body], [grasp])[0]
     csv_name = f"profile_{_safe(profile.grasp_id)}.csv"
     _write_csv(out / csv_name, ["t_s", "effective_mass_kg"],
                _pairs(profile.times, profile.masses))
@@ -161,23 +145,17 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj, profiles = _profiles(scene, dt)
-    return _write_impact(scene, traj, dt, profiles, out)
-
-
-def _write_impact(scene: Scene, traj, dt: float, profiles, out: Path) -> dict:
-    speed = _collision_speed(scene, traj, dt)
+    sweep = scene._sweep(dt)
+    profiles = _score(sweep, scene.bodies, scene.grasps)
+    speed = _collision_speed(scene, sweep.velocities, dt)
     k = scene.collision_sample
-    peaks = {}
-    for p in profiles:
-        trace = simulate_impact(ImpactScenario(
-            effective_mass=float(p.masses[k - 1]), approach_speed=speed,
-            contact_stiffness=scene.stiffness, contact_damping=scene.damping))
-        peaks[p.grasp_id] = trace.peak_force
-        _write_csv(out / f"impact_{_safe(p.grasp_id)}.csv",
-                   ["t_s", "force_n"], _pairs(trace.times, trace.forces))
-    # same key as impact.predict_ordering: peak force, then grasp id
-    by_peak = sorted(peaks, key=lambda gid: (peaks[gid], gid))
+    ordering = predict_ordering(profiles, k, speed, scene.stiffness,
+                                scene.damping)
+    for gid, trace in zip(ordering.grasp_ids, ordering.traces):
+        _write_csv(out / f"impact_{_safe(gid)}.csv", ["t_s", "force_n"],
+                   _pairs(trace.times, trace.forces))
+    by_peak = list(ordering.grasp_ids)
+    peaks = dict(zip(by_peak, ordering.peak_forces))
     mass_order = [gid for _, gid in sorted(
         (float(p.masses[k - 1]), p.grasp_id) for p in profiles)]
     artifact = _artifact_head(scene)
@@ -275,17 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> dict:
     if args.command == "demo":
-        # one evaluation feeds the ranking, the impacts and the profile
+        # the three commands share the scene's sweep
         scene = parse_scene(demo_scene_path(args.which))
-        agg = parse_aggregator(args.aggregator)
-        dt = scene.dt if args.dt is None else args.dt
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        traj, profiles = _profiles(scene, dt)
-        rank_art = _write_rank(scene, agg, profiles, out)
-        impact_art = _write_impact(scene, traj, dt, profiles, out)
-        _write_profile(scene, next(p for p in profiles if
-                                   p.grasp_id == rank_art["recommended"]), out)
+        rank_art = cmd_rank(scene, args.aggregator, args.dt, args.out_dir)
+        impact_art = cmd_simulate_impact(scene, args.dt, args.out_dir)
+        cmd_profile(scene, rank_art["recommended"], args.dt, args.out_dir)
         if not args.json:
             _print_rank(rank_art)
             _print_impact(impact_art)

@@ -115,12 +115,14 @@ def simulate_impact(s: ImpactScenario) -> ForceTrace:
 
 @dataclass(frozen=True, eq=False)
 class ImpactOrdering:
-    """Grasps ascending by simulated peak force at the collision sample."""
+    """Grasps ascending by simulated peak force at the collision sample,
+    each with its force trace."""
 
     grasp_ids: tuple[str, ...]
     peak_forces: tuple[float, ...]
     collision_sample: int
     speed: float
+    traces: tuple[ForceTrace, ...]
 
 
 def predict_ordering(profiles, collision_sample: int, speed: float,
@@ -142,9 +144,10 @@ def predict_ordering(profiles, collision_sample: int, speed: float,
             effective_mass=float(p.masses[collision_sample - 1]),
             approach_speed=speed, contact_stiffness=stiffness,
             contact_damping=damping))
-        scored.append((trace.peak_force, p.grasp_id))
-    scored.sort()
+        scored.append((trace.peak_force, p.grasp_id, trace))
+    scored.sort(key=lambda item: item[:2])
     return ImpactOrdering(
-        grasp_ids=tuple(gid for _, gid in scored),
-        peak_forces=tuple(peak for peak, _ in scored),
-        collision_sample=collision_sample, speed=speed)
+        grasp_ids=tuple(gid for _, gid, _ in scored),
+        peak_forces=tuple(peak for peak, _, _ in scored),
+        collision_sample=collision_sample, speed=speed,
+        traces=tuple(trace for _, _, trace in scored))

@@ -5,15 +5,18 @@ per trajectory computes it from the sampling grid, read as arrays:
 warm-started IK sample by sample (each solve seeds the next and hands
 it its converged frame pass), then the task-space inertia of all
 samples in one batched step on those passes, and the motion direction
-per sample. Each grasp then adds its object matrix, rotated into base
-axes, at every sample and gets all its effective masses from one
-batched solve. Grasps are ranked ascending by profile aggregate (safest
-first).
+per sample (``_sweep``). Each grasp then adds its object matrix,
+rotated into base axes, at every sample and gets all its effective
+masses from one batched solve (``_score``). ``evaluate_grasps`` is the
+two in turn; a ``Scene`` keeps the sweep per ``dt``, so commands on one
+scene pay only for the scoring. Grasps are ranked ascending by profile
+aggregate (safest first).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,11 +152,32 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
         raise LengthMismatch("one body per grasp required")
     if direction is not None:
         direction = unit_direction(direction)
-    times, lam_rob, dirs, qualities = _sweep(chain, traj, dt, q_seed,
-                                             direction)
+    return _score(_sweep(chain, traj, dt, q_seed, direction), bodies, grasps)
+
+
+class _Sweep(NamedTuple):
+    """The grasp-independent part of an evaluation, arrays read-only: the
+    trajectory, its sampling grid (``_grid``), the arm's task-space
+    inertia (N, 6, 6) in base axes, unit directions (N, 3) and quality
+    flags."""
+
+    traj: QuinticTrajectory
+    times: np.ndarray
+    positions: np.ndarray
+    velocities: np.ndarray
+    lam_rob: np.ndarray
+    dirs: np.ndarray
+    qualities: tuple[str, ...]
+
+
+def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
+    """Per-grasp part: each grasp's object matrix, rotated into base axes,
+    added to the arm's at every sample, and all its effective masses from
+    one batched solve. ``bodies`` is aligned with ``grasps``."""
+    times, lam_rob, dirs = sweep.times, sweep.lam_rob, sweep.dirs
     # blockdiag(R, R) with the held rotation: grasp axes -> base axes
     rot = np.zeros((len(times), 6, 6))
-    rot[:, :3, :3] = rot[:, 3:, 3:] = traj.start_rotation
+    rot[:, :3, :3] = rot[:, 3:, 3:] = sweep.traj.start_rotation
     rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
     profiles = []
     for body, grasp in zip(bodies, grasps):
@@ -166,21 +190,19 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
         x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
         masses = 1.0 / np.einsum("ni,ni->n", dirs, x)
         profiles.append(EffectiveMassProfile(grasp.id, times, masses,
-                                             qualities))
+                                             sweep.qualities))
     return profiles
 
 
-def _sweep(chain, traj, dt, q_seed, direction):
-    """Grasp-independent pass: the sample times (N,), the arm's task-space
-    inertia (N, 6, 6) in base axes, unit directions (N, 3) and quality
-    flags.
+def _sweep(chain, traj, dt, q_seed, direction) -> _Sweep:
+    """Grasp-independent pass over the sampling grid of ``traj`` at ``dt``.
 
     IK runs sample by sample, each solve warm-started from the previous
     solution and handed its converged frame pass, so it skips the pass at
     its seed; the start pose (sample 0) seeds sample 1 the same way. The
     task-space inertia of all N solutions is then one batched step on
     their passes, stacked row by row, with no further pass over the
-    chain."""
+    chain. The stack itself is not kept."""
     times, positions, velocities = _grid(traj, dt)
     rotation = traj.start_rotation
     start = Pose(traj.position(0.0), rotation)
@@ -201,7 +223,10 @@ def _sweep(chain, traj, dt, q_seed, direction):
         dirs = np.tile(direction, (len(times), 1))
     else:
         dirs = _motion_directions(traj, velocities)
-    return times, osi.matrices, dirs, osi.qualities
+    for a in (times, positions, velocities, dirs):
+        a.setflags(write=False)
+    return _Sweep(traj, times, positions, velocities, osi.matrices, dirs,
+                  osi.qualities)
 
 
 def _motion_directions(traj, velocities):

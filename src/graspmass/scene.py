@@ -8,6 +8,10 @@ given in the object frame; the parser re-expresses them relative to the
 object's CoM frame. A grasp entry may override the tensor rig's ring
 positions, which rebuilds the object for that grasp (same physical grip,
 different mass distribution).
+
+A ``Scene`` keeps the arm's sweep (``ranking._sweep``, the part of an
+evaluation that no grasp changes) per sampling step, so every command
+run on one ``Scene`` computes it at most once per ``dt``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ranking
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object)
 from .chain import ChainModel, JointSpec, JointState, LinkInertia
@@ -49,9 +54,23 @@ class Scene:
     ik_seed: JointState
     spec: dict
     digest: str
+    # dt -> the arm's sweep; a copy made by dataclasses.replace starts empty
+    _sweeps: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def fit(self) -> QuinticTrajectory:
         return fit_quintic(self.start, self.end, self.t_f)
+
+    def _sweep(self, dt: float) -> ranking._Sweep:
+        """The arm's grasp-independent sweep along the fitted trajectory at
+        ``dt`` (``ranking._sweep`` in the motion direction), computed on
+        the first call per ``dt`` and shared by every later one. A failed
+        sweep is not kept."""
+        sweep = self._sweeps.get(dt)
+        if sweep is None:
+            sweep = self._sweeps[dt] = ranking._sweep(
+                self.chain, self.fit(), dt, self.ik_seed, None)
+        return sweep
 
     @property
     def n_samples(self) -> int:

@@ -157,14 +157,15 @@ def test_demo_book_end_to_end(tmp_path, capsys):
 
 def test_demo_evaluates_once_and_matches_the_commands(tmp_path, capsys,
                                                       monkeypatch):
-    evaluate = cli.evaluate_grasps
+    import graspmass.ranking as ranking
+    sweep = ranking._sweep
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return evaluate(*args, **kwargs)
+        return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "evaluate_grasps", counted)
+    monkeypatch.setattr(ranking, "_sweep", counted)
     demo, alone = tmp_path / "demo", tmp_path / "alone"
     code, _, _ = run(capsys, "demo", "book", "--out-dir", str(demo))
     assert code == 0
@@ -179,6 +180,17 @@ def test_demo_evaluates_once_and_matches_the_commands(tmp_path, capsys,
     assert names == sorted(p.name for p in alone.iterdir())
     for name in names:
         assert (demo / name).read_bytes() == (alone / name).read_bytes()
+
+
+def test_pairs_formats_each_value_like_fmt():
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([
+        rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, 64),
+        [0.0, -0.0, 1.0, 1e16, 123456789.5, 5e-324]])
+    ys = 3.0 * xs[::-1]
+    want = "".join(f"{cli._fmt(x)},{cli._fmt(y)}\n" for x, y in zip(xs, ys))
+    assert cli._pairs(xs, ys) == want
+    assert cli._pairs(xs[:0], ys[:0]) == ""
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):

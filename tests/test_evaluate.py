@@ -343,12 +343,12 @@ def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
         return q, frames
 
     monkeypatch.setattr(ranking, "_ik", recording_ik)
-    times, lam_rob, _, _ = ranking._sweep(scene.chain, traj, dt, seed, None)
+    sweep = ranking._sweep(scene.chain, traj, dt, seed, None)
     want = public_ik_chain(scene.chain, traj, dt, seed)
-    assert len(solved) == len(times) + 1
+    assert len(solved) == len(sweep.times) + 1
     assert np.array_equal(solved[1:], want)
     assert np.array_equal(
-        lam_rob, operational_space_inertias(scene.chain, want).matrices)
+        sweep.lam_rob, operational_space_inertias(scene.chain, want).matrices)
 
 
 def test_stale_frames_are_not_reused_for_a_clipped_seed():

@@ -194,6 +194,20 @@ def test_predict_ordering_follows_effective_mass():
     assert np.isclose(peaks[2] / peaks[0], np.sqrt(2.5 / 0.9), rtol=1e-2)
 
 
+def test_predict_ordering_carries_each_grasps_trace():
+    profiles = [profile("heavy", [2.5, 1.0]), profile("light", [0.9, 1.0])]
+    ordering = predict_ordering(profiles, collision_sample=1, speed=0.5,
+                                stiffness=1e4, damping=20.0)
+    assert len(ordering.traces) == 2
+    for gid, peak, trace in zip(ordering.grasp_ids, ordering.peak_forces,
+                                ordering.traces):
+        mass = {"heavy": 2.5, "light": 0.9}[gid]
+        alone = simulate_impact(ImpactScenario(mass, 0.5, 1e4, 20.0))
+        assert trace.peak_force == peak
+        assert np.array_equal(trace.times, alone.times)
+        assert np.array_equal(trace.forces, alone.forces)
+
+
 def test_predict_ordering_ties_break_by_id():
     profiles = [profile("b", [1.0]), profile("a", [1.0])]
     ordering = predict_ordering(profiles, collision_sample=1, speed=0.5,
