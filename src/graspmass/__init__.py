@@ -12,7 +12,7 @@ from .augmented import (EffectiveMass, KineticEnergyMatrix, augment,
                         effective_mass, partition_inverse)
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object, com_energy_matrix,
-                     to_operational, transform_to_grasp)
+                     transform_to_grasp)
 from .chain import (ChainModel, JointSpec, JointState, LinkInertia,
                     forward_kinematics, geometric_jacobian,
                     inverse_kinematics, mass_matrix,
@@ -23,23 +23,21 @@ from .ranking import (Aggregator, EffectiveMassProfile, RankingReport,
                       evaluate_grasp, evaluate_grasps, mass_map,
                       parse_aggregator, rank_grasps)
 from .scene import Scene, parse_scene, scene_from_dict, write_scene
-from .spatial import (OperationalCoords, Pose, Twist, euler_rate_map,
-                      pose_compose, pose_inverse, rotation_axis_angle,
-                      rotation_log, rotation_ypr, skew, velocity_transform,
-                      ypr_from_rotation)
+from .spatial import (Pose, Twist, pose_compose, pose_inverse,
+                      rotation_axis_angle, rotation_log, rotation_ypr, skew,
+                      velocity_transform)
 from .trajectory import (QuinticTrajectory, TrajectorySample, direction_at,
                          fit_quintic, sample)
 from . import errors
 
 __all__ = [
     "__version__", "errors",
-    "Pose", "Twist", "OperationalCoords", "skew", "velocity_transform",
-    "euler_rate_map", "pose_compose", "pose_inverse", "rotation_ypr",
-    "ypr_from_rotation", "rotation_axis_angle", "rotation_log",
+    "Pose", "Twist", "skew", "velocity_transform", "pose_compose",
+    "pose_inverse", "rotation_ypr", "rotation_axis_angle", "rotation_log",
     "KineticEnergyMatrix", "EffectiveMass", "augment", "partition_inverse",
     "effective_mass",
     "RigidBodyInertia", "GraspCandidate", "TensorObjectConfig",
-    "com_energy_matrix", "transform_to_grasp", "to_operational",
+    "com_energy_matrix", "transform_to_grasp",
     "build_tensor_object", "build_cuboid",
     "LinkInertia", "JointSpec", "ChainModel", "JointState",
     "forward_kinematics", "geometric_jacobian", "mass_matrix",

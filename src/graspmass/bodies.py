@@ -4,8 +4,6 @@ Pipeline for one object and one grasp, all pure congruences:
 
   com_energy_matrix   blockdiag(m I3, I_com) at the CoM, CoM axes
   transform_to_grasp  re-expressed at the grasp origin, grasp axes
-  to_operational      congruence by E(x) to position + Euler-angle rates;
-                      ranking skips it (effective mass is invariant)
 
 Builders for the two demo objects (a cuboid and a cross-shaped rig of five
 cylinders with one sliding ring each) live here as well.
@@ -20,7 +18,7 @@ import numpy as np
 from .augmented import KineticEnergyMatrix
 from .constants import SYMMETRY_TOL
 from .errors import NotPositiveDefinite, RingOutOfRange
-from .spatial import OperationalCoords, Pose, euler_rate_map, skew
+from .spatial import Pose, skew
 from .spatial import _frozen  # shared array normalization
 
 TRIANGLE_TOL = 1e-9
@@ -145,18 +143,6 @@ def transform_to_grasp(lam_ocom: KineticEnergyMatrix,
     out[3:, :3] = m * s.T
     out[3:, 3:] = (ww + ww.T) / 2.0
     return KineticEnergyMatrix(out)
-
-
-def to_operational(lam_ogp: KineticEnergyMatrix,
-                   coords: OperationalCoords) -> KineticEnergyMatrix:
-    """Congruence by E(x): energy pairing for operational-coordinate rates.
-
-    Preserves kinetic energy under twist = E @ xdot by construction (the
-    literal E^T L E^-T variant does not stay symmetric; the congruence
-    does).
-    """
-    e = euler_rate_map(coords)
-    return KineticEnergyMatrix(e.T @ lam_ogp.matrix @ e)
 
 
 def _axisymmetric_inertia(axial: float, perp: float, axis: np.ndarray) -> np.ndarray:

@@ -74,11 +74,8 @@ class JointSpec:
     parent_transform: Pose
     axis: np.ndarray
     limits: tuple[float, float] = (-np.pi, np.pi)
-    joint_type: str = "revolute"
 
     def __post_init__(self):
-        if self.joint_type != "revolute":
-            raise ValueError(f"unsupported joint type {self.joint_type!r}")
         axis = _frozen(self.axis, (3,), "axis")
         if abs(np.linalg.norm(axis) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("axis must be a unit vector")
@@ -293,9 +290,12 @@ class OperationalSpaceInertias(NamedTuple):
                      for near in self.near_singular)
 
 
-def _task_space_inertia(model: ChainModel, frames: _Frames):
-    """Unchecked (S, 6, 6) task-space inertias and (S,) near-singular flags
-    of a frame pass."""
+def _stacked_inertias(model: ChainModel,
+                      frames: _Frames) -> OperationalSpaceInertias:
+    """Checked, read-only task-space inertias of a frame pass, one per
+    configuration. The passes may be ones already made (the converged
+    ones of an IK sweep), stacked row by row: a stack of passes holds the
+    same bits as one pass over the stacked configurations."""
     jac = _jacobian(frames)
     a = jac @ np.linalg.solve(_crba(model, frames), jac.swapaxes(1, 2))
     a = (a + a.swapaxes(1, 2)) / 2.0
@@ -310,12 +310,7 @@ def _task_space_inertia(model: ChainModel, frames: _Frames):
                       NearSingularConfiguration, stacklevel=3)
     a[near] += OSI_DAMPING**2 * _EYE6
     lam = np.linalg.inv(a)
-    return (lam + lam.swapaxes(1, 2)) / 2.0, near
-
-
-def _checked_inertias(lam: np.ndarray, near: np.ndarray):
-    """Checked, read-only ``OperationalSpaceInertias`` of a stack."""
-    lam = checked_energy_matrices(lam)
+    lam = checked_energy_matrices((lam + lam.swapaxes(1, 2)) / 2.0)
     lam.setflags(write=False)
     near.setflags(write=False)
     return OperationalSpaceInertias(lam, near)
@@ -328,8 +323,9 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
     instead of failing, so trajectory profiles stay complete.
     """
-    lam, near = _task_space_inertia(model, _frame_pass(model, _qvec(model, q)))
-    return OperationalSpaceInertia(KineticEnergyMatrix(lam[0]), bool(near[0]))
+    osi = _stacked_inertias(model, _frame_pass(model, _qvec(model, q)))
+    return OperationalSpaceInertia(KineticEnergyMatrix(osi.matrices[0]),
+                                   bool(osi.near_singular[0]))
 
 
 def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertias:
@@ -337,16 +333,7 @@ def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertia
     batched pass; every near-singular sample is damped and warned about
     once. Raises like ``KineticEnergyMatrix`` if any result is not
     symmetric or not positive semidefinite."""
-    frames = _frame_pass(model, _qstack(model, qs))
-    return _checked_inertias(*_task_space_inertia(model, frames))
-
-
-def _stacked_inertias(model: ChainModel,
-                      frames: _Frames) -> OperationalSpaceInertias:
-    """``operational_space_inertias`` from passes already made (the
-    converged ones of an IK sweep), stacked row by row. A stack of passes
-    holds the same bits as one pass over the stacked configurations."""
-    return _checked_inertias(*_task_space_inertia(model, frames))
+    return _stacked_inertias(model, _frame_pass(model, _qstack(model, qs)))
 
 
 def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__
 from .constants import MIN_APPROACH_SPEED
-from .errors import (GraspmassError, IkDidNotConverge, ParseError,
-                     ValidationError)
+from .errors import GraspmassError, IkDidNotConverge, ValidationError
 from .impact import predict_ordering
 from .ranking import _score, parse_aggregator, rank_grasps
 from .scene import Scene, parse_scene
@@ -288,9 +287,6 @@ def main(argv=None) -> int:
         _emit_error(args, "ik_did_not_converge", str(exc),
                     sample=exc.sample_index)
         return 2
-    except (ParseError, ValidationError) as exc:
-        _emit_error(args, type(exc).__name__, str(exc))
-        return 1
     except (GraspmassError, ValueError) as exc:
         _emit_error(args, type(exc).__name__, str(exc))
         return 1

@@ -8,9 +8,6 @@ consistent across modules and are easy to audit.
 ORTHONORMAL_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 
-# Representation-singularity guard: |cos(pitch)| below this is gimbal lock.
-EULER_SINGULARITY_GUARD = 1e-6
-
 # Smallest singular value of the Jacobian below which the operational-space
 # inertia switches to its damped form and is flagged degraded.
 JACOBIAN_SINGULARITY_GUARD = 1e-6
@@ -32,6 +29,3 @@ ZERO_SPEED_TOL = 1e-8      # below this a sample counts as at rest
 
 # Contact model: an approach speed at or below this cannot drive an impact.
 MIN_APPROACH_SPEED = 1e-12  # m/s
-
-# Fixed-format CSV output.
-CSV_SIG_DIGITS = 9

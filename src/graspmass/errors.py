@@ -9,10 +9,6 @@ class DimensionMismatch(GraspmassError):
     """An array argument has the wrong shape or length."""
 
 
-class SingularRepresentation(GraspmassError):
-    """Euler-angle representation at (or numerically at) gimbal lock."""
-
-
 class NotPositiveDefinite(GraspmassError):
     """A matrix required to be positive definite is not."""
 

@@ -98,7 +98,10 @@ def simulate_impact(s: ImpactScenario) -> ForceTrace:
     if cm2 < w2:                           # c^2 < k M
         t_peak = min(t_end, math.atan2(w_d * (w2 - cm2),
                                        sigma * (3.0 * w2 - cm2)) / w_d)
-    t = np.union1d(np.linspace(0.0, t_end, TRACE_POINTS + 1), t_peak)
+    t = np.linspace(0.0, t_end, TRACE_POINTS + 1)
+    at = int(np.searchsorted(t, t_peak))  # t_peak <= t_end, the last point
+    if t[at] != t_peak:
+        t = np.insert(t, at, t_peak)
     # e^(-sigma t) sinh(d t) / d and e^(-sigma t) cosh(d t), factored
     # through the slow mode e^((d - sigma) t) so neither can overflow
     slow = np.exp((d - sigma) * t)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EULER_SINGULARITY_GUARD, ORTHONORMAL_TOL
-from .errors import DimensionMismatch, SingularRepresentation
+from .constants import ORTHONORMAL_TOL
+from .errors import DimensionMismatch
 
 
 def _frozen(a, shape, name) -> np.ndarray:
@@ -69,23 +69,6 @@ def rotation_z(a) -> np.ndarray:
 def rotation_ypr(yaw, pitch, roll) -> np.ndarray:
     """ZYX rotation: Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     return rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll)
-
-
-def ypr_from_rotation(r) -> np.ndarray:
-    """Extract (yaw, pitch, roll) with pitch inside (-pi/2, pi/2).
-
-    Raises SingularRepresentation within the gimbal-lock guard, where yaw and
-    roll are no longer separable.
-    """
-    r = np.asarray(r, dtype=float)
-    sp = -r[2, 0]
-    sp = min(1.0, max(-1.0, sp))
-    pitch = math.asin(sp)
-    if abs(math.cos(pitch)) < EULER_SINGULARITY_GUARD:
-        raise SingularRepresentation("pitch at +/-pi/2: yaw/roll not separable")
-    yaw = math.atan2(r[1, 0], r[0, 0])
-    roll = math.atan2(r[2, 1], r[2, 2])
-    return np.array([yaw, pitch, roll])
 
 
 def rotation_axis_angle(axis, angle) -> np.ndarray:
@@ -162,26 +145,6 @@ class Twist:
         return np.concatenate([self.linear, self.angular])
 
 
-@dataclass(frozen=True, eq=False)
-class OperationalCoords:
-    """Minimal task-space coordinates: position plus ZYX Euler angles."""
-
-    position: np.ndarray
-    euler: np.ndarray  # (yaw, pitch, roll)
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _frozen(self.position, (3,), "position"))
-        object.__setattr__(self, "euler", _frozen(self.euler, (3,), "euler"))
-
-    @classmethod
-    def from_pose(cls, pose: Pose) -> "OperationalCoords":
-        return cls(pose.position, ypr_from_rotation(pose.rotation))
-
-    def rotation(self) -> np.ndarray:
-        yaw, pitch, roll = self.euler
-        return rotation_ypr(yaw, pitch, roll)
-
-
 def velocity_transform(r) -> np.ndarray:
     """Block matrix [[I, skew(r)], [0, I]] shifting a twist's reference point.
 
@@ -194,22 +157,3 @@ def velocity_transform(r) -> np.ndarray:
     t[:3, 3:] = skew(r)
     return t
 
-
-def euler_rate_map(coords: OperationalCoords) -> np.ndarray:
-    """E = blockdiag(I3, B): operational-coordinate rates to twist.
-
-    B maps ZYX Euler-angle rates (yaw', pitch', roll') to the angular
-    velocity expressed in the reference frame, so B @ euler_rates equals
-    vee(R' @ R.T) along any smooth curve. Singular at pitch +/- pi/2.
-    """
-    yaw, pitch, _ = coords.euler
-    cp = math.cos(pitch)
-    if abs(cp) < EULER_SINGULARITY_GUARD:
-        raise SingularRepresentation("euler_rate_map undefined at pitch +/-pi/2")
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    b = np.array([[0.0, -sy, cy * cp],
-                  [0.0, cy, sy * cp],
-                  [1.0, 0.0, -math.sin(pitch)]])
-    e = np.eye(6)
-    e[3:, 3:] = b
-    return e

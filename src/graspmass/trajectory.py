@@ -2,8 +2,7 @@
 
 One independent quintic per Cartesian axis, boundary conditions
 x(0) = start, x(t_f) = end, zero velocity and acceleration at both ends.
-Orientation is held at the start pose's rotation for every sample; the
-end rotation is stored for future interpolation but unused.
+Orientation is held at the start pose's rotation for every sample.
 
 ``sample`` returns one validated ``TrajectorySample`` per grid point. The
 pipeline reads the same grid as arrays (``_grid``: times, positions and
@@ -31,7 +30,6 @@ class QuinticTrajectory:
 
     coeffs: np.ndarray
     start_rotation: np.ndarray
-    end_rotation: np.ndarray
     t_f: float
 
     def position(self, t: float) -> np.ndarray:
@@ -71,7 +69,7 @@ def fit_quintic(start: Pose, end: Pose, t_f: float) -> QuinticTrajectory:
     b[3] = end.position
     coeffs = np.linalg.solve(a, b)
     coeffs.setflags(write=False)
-    return QuinticTrajectory(coeffs, start.rotation, end.rotation, float(t_f))
+    return QuinticTrajectory(coeffs, start.rotation, float(t_f))
 
 
 def _grid(traj: QuinticTrajectory, dt: float):

@@ -157,6 +157,24 @@ def pose_osi(model, q):
     return (lam + lam.T) / 2.0, near
 
 
+def euler_rate_map(ypr):
+    """E = blockdiag(I3, B): (linear velocity, ZYX Euler-angle rates) to
+    the twist; test-local oracle of the operational-coordinate map.
+
+    With R = Rz(yaw) Ry(pitch) Rx(roll), each rate spins about its own
+    axis as carried by the rotations before it:
+    omega = yaw' z + pitch' Rz(yaw) y + roll' Rz(yaw) Ry(pitch) x.
+    B is singular at pitch +/-pi/2.
+    """
+    yaw, pitch, _ = ypr
+    x, y, z = np.eye(3)
+    rz = rotation_axis_angle(z, yaw)
+    ry = rotation_axis_angle(y, pitch)
+    e = np.eye(6)
+    e[3:, 3:] = np.column_stack([z, rz @ y, rz @ ry @ x])
+    return e
+
+
 def fd_jacobian(model, q, h=1e-6):
     """Geometric Jacobian by central differences on the test-local FK."""
     q = np.asarray(q, dtype=float)

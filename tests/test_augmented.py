@@ -19,6 +19,7 @@ from graspmass.errors import NotPositiveDefinite
 
 from conftest import (
     cloud_inertia,
+    euler_rate_map,
     impulse_oracle_mass,
     random_body,
     random_chain,
@@ -186,6 +187,25 @@ def test_augmentation_never_reduces_effective_mass():
         alone = effective_mass(lam_rob, v).value
         combined = effective_mass(augment(lam_rob, lam_obj), v).value
         assert combined >= alone - 1e-12
+
+
+def test_effective_mass_is_invariant_to_euler_rate_coordinates():
+    # E = blockdiag(I, B), so the translational block of (E^T L E)^-1 is
+    # that of L^-1: the effective mass cannot depend on the Euler angles
+    rng = np.random.default_rng(39)
+    for _ in range(100):
+        lam = random_pd6(rng)
+        ypr = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(-1.2, 1.2),
+                        rng.uniform(-np.pi, np.pi)])
+        e = euler_rate_map(ypr)
+        lam_op = KineticEnergyMatrix(e.T @ lam.matrix @ e)
+        assert np.allclose(np.linalg.inv(lam_op.matrix)[:3, :3],
+                           np.linalg.inv(lam.matrix)[:3, :3],
+                           rtol=1e-9, atol=0.0)
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        assert np.isclose(effective_mass(lam_op, v).value,
+                          effective_mass(lam, v).value, rtol=1e-9)
 
 
 def test_effective_mass_direction_sign_invariant():

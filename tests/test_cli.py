@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +264,20 @@ def test_null_scene_number_is_a_clean_json_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: trajectory.t_f_s: ")
     assert not (tmp_path / "ranking.json").exists()
+
+
+def test_simulate_impact_does_not_import_numpy_ma(tmp_path):
+    # np.union1d imports numpy.ma on its first call in a process
+    code = ("import sys\n"
+            "from graspmass import parse_scene\n"
+            "from graspmass.cli import cmd_simulate_impact, demo_scene_path\n"
+            "cmd_simulate_impact(parse_scene(demo_scene_path('book')),\n"
+            "                    out_dir=sys.argv[1])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert (tmp_path / "impact_summary.json").exists()
+    assert done.stdout == "False\n"

@@ -134,6 +134,22 @@ def test_short_window_clips_the_peak(damping):
         assert np.isclose(trace.peak_force, expected, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("scenario, where", [
+    (ImpactScenario(1.0, 1.0, 1.0, 3.0), "start"),      # overdamped
+    (ImpactScenario(1.0, 1.0, 1.0), "grid"),            # pi/2 = t_end / 2
+    (ImpactScenario(1.0, 1.0, 1.0, duration=1.0), "end"),
+    (ImpactScenario(1.0, 1.0, 1.0, 0.5), "between"),
+])
+def test_time_grid_is_the_union_with_the_peak(scenario, where):
+    trace = simulate_impact(scenario)
+    t_end, t_peak = trace.times[-1], trace.peak_time
+    even = np.linspace(0.0, t_end, 2001)
+    assert {"start": t_peak == 0.0, "grid": t_peak == even[1000],
+            "end": t_peak == t_end,
+            "between": t_peak not in even.tolist()}[where]
+    assert np.array_equal(trace.times, np.union1d(even, t_peak))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["effective_mass", "approach_speed",
                                    "contact_stiffness", "contact_damping",

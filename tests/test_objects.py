@@ -3,7 +3,6 @@ import pytest
 
 from graspmass import (
     GraspCandidate,
-    OperationalCoords,
     Pose,
     RigidBodyInertia,
     TensorObjectConfig,
@@ -11,7 +10,6 @@ from graspmass import (
     build_tensor_object,
     com_energy_matrix,
     skew,
-    to_operational,
     transform_to_grasp,
 )
 from graspmass.bodies import check_inertia_tensor
@@ -109,26 +107,6 @@ def test_grasp_rotation_only_is_congruence():
     assert np.allclose(lam[3:, 3:], rot.T @ body.inertia @ rot, atol=1e-12)
     assert np.allclose(np.sort(np.linalg.eigvalsh(lam[3:, 3:])),
                        np.sort(np.linalg.eigvalsh(body.inertia)), atol=1e-10)
-
-
-def test_to_operational_preserves_energy_pairing():
-    # operational rates and the twist they map to carry equal energy;
-    # the translational block never changes (the rate map is blockdiag)
-    rng = np.random.default_rng(23)
-    from graspmass import euler_rate_map
-    for _ in range(25):
-        body = random_body(rng)
-        grasp = random_grasp(rng)
-        lam_gp = transform_to_grasp(com_energy_matrix(body), grasp)
-        coords = OperationalCoords(rng.normal(size=3),
-                                   rng.uniform(-1.2, 1.2, size=3))
-        lam_op = to_operational(lam_gp, coords)
-        assert np.allclose(lam_op.matrix[:3, :3], lam_gp.matrix[:3, :3],
-                           atol=1e-12)
-        rates = rng.normal(size=6)
-        twist = euler_rate_map(coords) @ rates
-        assert np.isclose(rates @ lam_op.matrix @ rates,
-                          twist @ lam_gp.matrix @ twist, rtol=1e-10)
 
 
 def test_tensor_centered_rings_symmetric():
