@@ -2,9 +2,10 @@
 
 Subcommands: rank, profile, simulate-impact, demo {book,tensor}. demo
 runs rank, simulate-impact and profile (of the recommended grasp) on one
-scene. The arm's sweep is kept by the ``Scene`` per sampling step, so
-commands on one scene compute it once and each adds only its own
-per-grasp work and output. All outputs are
+scene. The ``Scene`` keeps the arm's sweep and the scored profiles of
+all its grasps per sampling step, so the first command on a scene
+computes them, even ``profile`` of one grasp, and every later command
+reads them and adds only its own output. All outputs are
 deterministic: floats are written with 9 significant digits, no
 timestamps, and re-running on the same scene reproduces numeric CSV
 content byte for byte.
@@ -28,18 +29,14 @@ from . import __version__
 from .constants import MIN_APPROACH_SPEED
 from .errors import GraspmassError, IkDidNotConverge, ValidationError
 from .impact import predict_ordering
-from .ranking import _score, parse_aggregator, rank_grasps
-from .scene import Scene, parse_scene
+from .ranking import parse_aggregator, rank_grasps
+from .scene import Scene, file_stem, parse_scene
 
 SCHEMA_VERSION = 1
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
-
-
-def _safe(name: str) -> str:
-    return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
 
 def _pairs(xs: np.ndarray, ys: np.ndarray) -> str:
@@ -55,17 +52,18 @@ def _write_csv(path: Path, header, rows: str) -> None:
         fh.write(",".join(header) + "\n" + rows)
 
 
-def _resolve_grasp(scene: Scene, key: str):
-    """Grasp id, falling back to a 0-based index for bare integers."""
-    for grasp, body in zip(scene.grasps, scene.bodies):
+def _resolve_grasp(scene: Scene, key: str) -> int:
+    """Index of the grasp with id ``key``, falling back to a 0-based
+    index for bare integers."""
+    for idx, grasp in enumerate(scene.grasps):
         if grasp.id == key:
-            return grasp, body
+            return idx
     try:
         idx = int(key)
     except ValueError:
         idx = -1
     if 0 <= idx < len(scene.grasps):
-        return scene.grasps[idx], scene.bodies[idx]
+        return idx
     raise ValidationError("grasp", f"no grasp {key!r} in scene "
                           f"(ids: {', '.join(g.id for g in scene.grasps)})")
 
@@ -95,7 +93,7 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profiles = _score(scene._sweep(dt), scene.bodies, scene.grasps)
+    profiles = scene._scored(dt).profiles
     report = rank_grasps(profiles, agg)
     artifact = _artifact_head(scene)
     artifact.update({
@@ -120,11 +118,11 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
 def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     """Effective-mass profile of one grasp; writes profile_<id>.csv."""
     dt = scene.dt if dt is None else dt
-    grasp, body = _resolve_grasp(scene, grasp_key)
+    idx = _resolve_grasp(scene, grasp_key)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profile = _score(scene._sweep(dt), [body], [grasp])[0]
-    csv_name = f"profile_{_safe(profile.grasp_id)}.csv"
+    profile = scene._scored(dt).profiles[idx]
+    csv_name = f"profile_{file_stem(profile.grasp_id)}.csv"
     _write_csv(out / csv_name, ["t_s", "effective_mass_kg"],
                _pairs(profile.times, profile.masses))
     artifact = _artifact_head(scene)
@@ -144,14 +142,14 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sweep = scene._sweep(dt)
-    profiles = _score(sweep, scene.bodies, scene.grasps)
+    sweep = scene._scored(dt)
+    profiles = sweep.profiles
     speed = _collision_speed(scene, sweep.velocities, dt)
     k = scene.collision_sample
     ordering = predict_ordering(profiles, k, speed, scene.stiffness,
                                 scene.damping)
     for gid, trace in zip(ordering.grasp_ids, ordering.traces):
-        _write_csv(out / f"impact_{_safe(gid)}.csv", ["t_s", "force_n"],
+        _write_csv(out / f"impact_{file_stem(gid)}.csv", ["t_s", "force_n"],
                    _pairs(trace.times, trace.forces))
     by_peak = list(ordering.grasp_ids)
     peaks = dict(zip(by_peak, ordering.peak_forces))
@@ -252,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _run(args) -> dict:
     if args.command == "demo":
-        # the three commands share the scene's sweep
+        # the three commands share the scene's sweep and profiles
         scene = parse_scene(demo_scene_path(args.which))
         rank_art = cmd_rank(scene, args.aggregator, args.dt, args.out_dir)
         impact_art = cmd_simulate_impact(scene, args.dt, args.out_dir)

@@ -5,12 +5,14 @@ per trajectory computes it from the sampling grid, read as arrays:
 warm-started IK sample by sample (each solve seeds the next and hands
 it its converged frame pass), then the task-space inertia of all
 samples in one batched step on those passes, and the motion direction
-per sample (``_sweep``). Each grasp then adds its object matrix,
-rotated into base axes, at every sample and gets all its effective
-masses from one batched solve (``_score``). ``evaluate_grasps`` is the
-two in turn; a ``Scene`` keeps the sweep per ``dt``, so commands on one
-scene pay only for the scoring. Grasps are ranked ascending by profile
-aggregate (safest first).
+per sample (``_sweep``). Each grasp then rotates its object matrix
+into base axes once (the held orientation is the same at every sample),
+adds it to the arm's at every sample and gets all its effective masses
+from one batched solve (``_score``). ``evaluate_grasps`` is the two in
+turn; a ``Scene`` keeps the sweep and the scored profiles of all its
+grasps per ``dt``, so only the first command on a scene and ``dt`` pays
+for either. Grasps are ranked ascending by profile aggregate (safest
+first).
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ class _Sweep(NamedTuple):
     """The grasp-independent part of an evaluation, arrays read-only: the
     trajectory, its sampling grid (``_grid``), the arm's task-space
     inertia (N, 6, 6) in base axes, unit directions (N, 3) and quality
-    flags."""
+    flags. ``profiles`` is None as swept; a ``Scene`` fills in the
+    ``_score`` profiles of its grasps."""
 
     traj: QuinticTrajectory
     times: np.ndarray
@@ -168,21 +171,24 @@ class _Sweep(NamedTuple):
     lam_rob: np.ndarray
     dirs: np.ndarray
     qualities: tuple[str, ...]
+    profiles: tuple[EffectiveMassProfile, ...] | None = None
 
 
 def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
-    """Per-grasp part: each grasp's object matrix, rotated into base axes,
-    added to the arm's at every sample, and all its effective masses from
-    one batched solve. ``bodies`` is aligned with ``grasps``."""
+    """Per-grasp part: each grasp's object matrix, rotated into base axes
+    once, added to the arm's at every sample, and all its effective masses
+    from one batched solve. ``bodies`` is aligned with ``grasps``."""
     times, lam_rob, dirs = sweep.times, sweep.lam_rob, sweep.dirs
-    # blockdiag(R, R) with the held rotation: grasp axes -> base axes
-    rot = np.zeros((len(times), 6, 6))
-    rot[:, :3, :3] = rot[:, 3:, 3:] = sweep.traj.start_rotation
+    # blockdiag(R, R) with the held rotation: grasp axes -> base axes; the
+    # rotation is the same at every sample, so each object term is built
+    # once and broadcast over the (N, 6, 6) stack
+    rot = np.zeros((6, 6))
+    rot[:3, :3] = rot[3:, 3:] = sweep.traj.start_rotation
     rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
     profiles = []
     for body, grasp in zip(bodies, grasps):
         lam_gp = transform_to_grasp(com_energy_matrix(body), grasp).matrix
-        lam_tot = lam_rob + np.einsum("nij,jk,nlk->nil", rot, lam_gp, rot)
+        lam_tot = lam_rob + np.einsum("ij,jk,lk->il", rot, lam_gp, rot)
         if np.linalg.eigvalsh(lam_tot)[:, 0].min() <= PD_MIN_EIG:
             raise NotPositiveDefinite(f"grasp {grasp.id}: augmented matrix "
                                       "not positive definite; cannot invert")

@@ -9,9 +9,14 @@ object's CoM frame. A grasp entry may override the tensor rig's ring
 positions, which rebuilds the object for that grasp (same physical grip,
 different mass distribution).
 
-A ``Scene`` keeps the arm's sweep (``ranking._sweep``, the part of an
-evaluation that no grasp changes) per sampling step, so every command
-run on one ``Scene`` computes it at most once per ``dt``.
+A ``Scene`` keeps, per sampling step, the arm's sweep (``ranking._sweep``,
+the part of an evaluation that no grasp changes) together with the
+scored profiles of all its grasps (``ranking._score``), so every command
+run on one ``Scene`` computes each at most once per ``dt``.
+
+Grasp ids name artifact files (``file_stem``); two ids with the same
+stem are rejected at parse, so one grasp's file cannot overwrite
+another's.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ class Scene:
     ik_seed: JointState
     spec: dict
     digest: str
-    # dt -> the arm's sweep; a copy made by dataclasses.replace starts empty
+    # dt -> the arm's sweep, its profiles filled in once the grasps are
+    # scored; a copy made by dataclasses.replace starts empty
     _sweeps: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
 
@@ -72,9 +78,26 @@ class Scene:
                 self.chain, self.fit(), dt, self.ik_seed, None)
         return sweep
 
+    def _scored(self, dt: float) -> ranking._Sweep:
+        """The sweep at ``dt`` with ``profiles`` holding the profile of
+        every grasp, in scene order; the grasps are scored on the first
+        call per ``dt`` and the profiles kept in the same entry. A failed
+        scoring is not kept."""
+        sweep = self._sweep(dt)
+        if sweep.profiles is None:
+            profiles = ranking._score(sweep, self.bodies, self.grasps)
+            sweep = self._sweeps[dt] = sweep._replace(
+                profiles=tuple(profiles))
+        return sweep
+
     @property
     def n_samples(self) -> int:
         return max(1, round(self.t_f / self.dt))
+
+
+def file_stem(grasp_id: str) -> str:
+    """The grasp id as it appears in artifact file names."""
+    return "".join(c if c.isalnum() or c in "._-" else "_" for c in grasp_id)
 
 
 def _get(d, key, path, kind=None):
@@ -105,14 +128,17 @@ def _number(d, key, path, default=None):
 
 
 def _vector(d, key, path, length):
+    """``length`` finite numbers, as ``_number`` requires of a scalar."""
+    where = f"{path}.{key}" if path else key
     try:
         v = np.asarray(_get(d, key, path), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}.{key}" if path else key,
-                              f"expected {length} numbers") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(where, f"expected {length} numbers") from exc
     if v.shape != (length,):
-        raise ValidationError(f"{path}.{key}" if path else key,
-                              f"expected {length} numbers")
+        raise ValidationError(where, f"expected {length} numbers")
+    if not np.isfinite(v).all():
+        raise ValidationError(where, f"expected finite numbers, got "
+                              f"{v.tolist()}")
     return v
 
 
@@ -193,13 +219,17 @@ def _parse_grasps(d, obj_spec, base_object, path="grasps"):
     entries = _get(d, "grasps", "", list)
     if not entries:
         raise ValidationError(path, "at least one grasp required")
-    grasps, bodies, ids = [], [], set()
+    grasps, bodies, stems = [], [], {}  # file stem -> grasp id
     for k, entry in enumerate(entries):
         gp = f"{path}[{k}]"
         gid = str(_get(entry, "id", gp))
-        if gid in ids:
-            raise ValidationError(f"{gp}.id", f"duplicate grasp id {gid!r}")
-        ids.add(gid)
+        stem = file_stem(gid)
+        if stem in stems:
+            other = stems[stem]
+            raise ValidationError(f"{gp}.id", (
+                f"duplicate grasp id {gid!r}" if other == gid else
+                f"grasp id {gid!r} gives the file names of grasp {other!r}"))
+        stems[stem] = gid
         body = base_object
         if "ring_positions_m" in entry:
             if obj_spec.get("type") != "tensor":

@@ -15,13 +15,17 @@ from graspmass import (
     LinkInertia,
     Pose,
     RigidBodyInertia,
+    com_energy_matrix,
     parse_scene,
     rotation_axis_angle,
     rotation_log,
     skew,
+    transform_to_grasp,
 )
 from graspmass.cli import demo_scene_path
-from graspmass.constants import JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING
+from graspmass.constants import (JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
+                                 PD_MIN_EIG)
+from graspmass.errors import NotPositiveDefinite
 
 
 def random_rotation(rng):
@@ -241,6 +245,27 @@ def integrate_contact(scenario):
         times.append(i * dt)
         forces.append(max(0.0, k * x + c * v))
     return np.array(times), np.array(forces)
+
+
+def reference_score(sweep, bodies, grasps):
+    """Effective masses of each grasp along a ``ranking._Sweep``, with the
+    object term rotated into base axes sample by sample: one
+    blockdiag(R, R) per sample, stacked. The library builds the term once
+    per grasp; the arithmetic is the same, so the masses must be equal."""
+    times, lam_rob, dirs = sweep.times, sweep.lam_rob, sweep.dirs
+    rot = np.zeros((len(times), 6, 6))
+    rot[:, :3, :3] = rot[:, 3:, 3:] = sweep.traj.start_rotation
+    rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
+    masses = []
+    for body, grasp in zip(bodies, grasps):
+        lam_gp = transform_to_grasp(com_energy_matrix(body), grasp).matrix
+        lam_tot = lam_rob + np.einsum("nij,jk,nlk->nil", rot, lam_gp, rot)
+        if np.linalg.eigvalsh(lam_tot)[:, 0].min() <= PD_MIN_EIG:
+            raise NotPositiveDefinite(f"grasp {grasp.id}: augmented matrix "
+                                      "not positive definite; cannot invert")
+        x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
+        masses.append(1.0 / np.einsum("ni,ni->n", dirs, x))
+    return masses
 
 
 def book_scene():

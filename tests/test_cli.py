@@ -243,6 +243,23 @@ def test_fractional_collision_sample_is_a_clean_error(tmp_path, capsys):
     assert not list(tmp_path.glob("impact_*.csv"))
 
 
+def test_grasp_ids_sharing_a_file_name_are_a_clean_json_error(tmp_path,
+                                                              capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    for grasp, gid in zip(doc["grasps"], ["spine/x", "spine-mid", "spine x"]):
+        grasp["id"] = gid
+    bad = tmp_path / "clash.scene.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "simulate-impact", str(bad), "--json",
+                       "--out-dir", str(out_dir))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("grasps[2].id: ")
+    assert not out_dir.exists()
+
+
 def test_bad_aggregator_is_a_clean_error(tmp_path, capsys):
     code, out, _ = run(capsys, "rank", book_path(), "--json",
                        "--aggregator", "median", "--out-dir", str(tmp_path))

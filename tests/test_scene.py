@@ -90,6 +90,17 @@ def test_duplicate_grasp_id_rejected():
     assert "duplicate" in str(exc.value)
 
 
+def test_grasp_ids_with_the_same_file_name_rejected():
+    # both map to impact_spine_x.csv and profile_spine_x.csv
+    doc = book_dict()
+    doc["grasps"][1]["id"] = "spine/x"
+    doc["grasps"][2]["id"] = "spine x"
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert exc.value.field == "grasps[2].id"
+    assert "'spine/x'" in str(exc.value)
+
+
 def test_ring_override_requires_tensor_object():
     doc = book_dict()
     doc["grasps"][0]["ring_positions_m"] = [0.0, 0.1, 0.1, 0.1, 0.1]
@@ -168,6 +179,37 @@ def test_number_fields_reject_non_numbers_with_their_path(scene, keys, value):
     for key in keys[:-1]:
         target = target[key]
     target[keys[-1]] = value
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert exc.value.field == field_path(keys)
+
+
+VECTOR_FIELDS = [
+    ("trajectory", "start", "position_m"),
+    ("trajectory", "end", "ypr_rad"),
+    ("chain", "base_pose", "position_m"),
+    ("chain", "tool_transform", "ypr_rad"),
+    ("chain", "joints", 1, "origin", "position_m"),
+    ("chain", "joints", 4, "origin", "ypr_rad"),
+    ("grasps", 0, "pose_obj", "position_m"),
+    ("grasps", 2, "pose_obj", "ypr_rad"),
+    ("ik_seed_rad",),
+    ("chain", "joints", 2, "limits_rad"),
+    ("chain", "joints", 3, "axis"),
+    ("chain", "joints", 5, "link", "com_m"),
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "huge_int"])
+@pytest.mark.parametrize("keys", VECTOR_FIELDS, ids=field_path)
+def test_vector_fields_reject_non_finite_values_with_their_path(keys, value):
+    doc = book_dict()
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[1] = value
     with pytest.raises(ValidationError) as exc:
         scene_from_dict(doc)
     assert exc.value.field == field_path(keys)

@@ -1,4 +1,5 @@
-"""The arm's sweep is kept per Scene and dt and shared by the commands."""
+"""The arm's sweep and the grasps' profiles are kept per Scene and dt
+and shared by the commands."""
 
 import dataclasses
 import itertools
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 import graspmass.chain as chain_module
+import graspmass.ranking as ranking
 from graspmass import cli, parse_scene, scene_from_dict
 from graspmass.cli import demo_scene_path, main
-from graspmass.errors import IkDidNotConverge
+from graspmass.errors import IkDidNotConverge, NotPositiveDefinite
+
+from conftest import reference_score
 
 CASES = [("book", None), ("book", 0.01), ("tensor", None)]
 CASE_IDS = ["book", "book-dt-0.01", "tensor"]
@@ -53,6 +57,19 @@ def frame_passes(monkeypatch):
     return passes
 
 
+@pytest.fixture
+def score_calls(monkeypatch):
+    calls = []
+    score = ranking._score
+
+    def counting(sweep, bodies, grasps):
+        calls.append(len(grasps))
+        return score(sweep, bodies, grasps)
+
+    monkeypatch.setattr(ranking, "_score", counting)
+    return calls
+
+
 @pytest.fixture(scope="module", params=CASES, ids=CASE_IDS)
 def case(request, tmp_path_factory):
     """A case with the artifacts of each command on its own fresh scene."""
@@ -75,6 +92,55 @@ def test_commands_after_the_first_make_no_frame_pass(case, order, tmp_path,
         counts.append(len(frame_passes) - before)
     assert counts[0] > 0
     assert counts[1:] == [0, 0]
+
+
+@pytest.mark.parametrize("order", ORDERS, ids="-".join)
+def test_only_the_first_command_scores(case, order, tmp_path, score_calls):
+    name, dt, _ = case
+    scene = scene_of(name)
+    counts = []
+    for command in order:
+        before = len(score_calls)
+        COMMANDS[command](scene, dt, tmp_path)
+        counts.append(score_calls[before:])
+    # the first command scores every grasp, even profile of one
+    assert counts == [[len(scene.grasps)], [], []]
+
+
+@pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
+def test_kept_profiles_equal_the_per_sample_reference(name, dt):
+    scene = scene_of(name)
+    scored = scene._scored(scene.dt if dt is None else dt)
+    want = reference_score(scored, scene.bodies, scene.grasps)
+    assert [p.grasp_id for p in scored.profiles] == [g.id
+                                                     for g in scene.grasps]
+    for profile, masses in zip(scored.profiles, want):
+        assert np.array_equal(profile.masses, masses)
+        assert profile.times is scored.times
+
+
+def test_failed_scoring_is_not_kept(monkeypatch, tmp_path, frame_passes):
+    scene = scene_of("book")
+    score, calls = ranking._score, []
+
+    def fails_once(sweep, bodies, grasps):
+        calls.append(1)
+        if len(calls) == 1:
+            raise NotPositiveDefinite("grasp g: not positive definite")
+        return score(sweep, bodies, grasps)
+
+    monkeypatch.setattr(ranking, "_score", fails_once)
+    with pytest.raises(NotPositiveDefinite):
+        rank(scene, None, tmp_path)
+    swept = scene._sweeps[scene.dt]
+    assert swept.profiles is None
+    before = len(frame_passes)
+    rank(scene, None, tmp_path)
+    assert len(frame_passes) == before  # the sweep itself was kept
+    assert len(calls) == 2
+    assert len(scene._sweeps[scene.dt].profiles) == len(scene.grasps)
+    impact(scene, None, tmp_path)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("order", ORDERS, ids="-".join)
