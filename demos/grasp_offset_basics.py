@@ -17,7 +17,7 @@ couple. That asymmetry is the whole reason grasp choice matters.
 import numpy as np
 
 from graspmass import (GraspCandidate, Pose, build_cuboid, com_energy_matrix,
-                       effective_mass, evaluate_grasp, parse_scene,
+                       effective_mass, evaluate_grasps, parse_scene,
                        transform_to_grasp)
 from graspmass.cli import demo_scene_path
 
@@ -43,8 +43,8 @@ for y in np.linspace(-0.10, 0.10, 9):
                                                np.eye(3)))
     lam_gp = transform_to_grasp(com_energy_matrix(book), grasp)
     free = effective_mass(lam_gp, v_grasp).value
-    profile = evaluate_grasp(scene.chain, book, grasp, traj, scene.dt,
-                             scene.ik_seed)
+    profile = evaluate_grasps(scene.chain, book, [grasp], traj, scene.dt,
+                              scene.ik_seed)[0]
     total = profile.masses[k - 1]
     print(f"{y:>14.3f} {free:>18.4f} {total:>20.4f}")
 

@@ -20,8 +20,7 @@ from .chain import (ChainModel, JointSpec, JointState, LinkInertia,
 from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
                      predict_ordering, simulate_impact)
 from .ranking import (Aggregator, EffectiveMassProfile, RankingReport,
-                      evaluate_grasp, evaluate_grasps, mass_map,
-                      parse_aggregator, rank_grasps)
+                      evaluate_grasps, parse_aggregator, rank_grasps)
 from .scene import Scene, parse_scene, scene_from_dict, write_scene
 from .spatial import (Pose, Twist, pose_compose, pose_inverse,
                       rotation_axis_angle, rotation_log, rotation_ypr, skew,
@@ -46,8 +45,7 @@ __all__ = [
     "QuinticTrajectory", "TrajectorySample", "fit_quintic", "sample",
     "direction_at",
     "EffectiveMassProfile", "RankingReport", "Aggregator",
-    "parse_aggregator", "evaluate_grasp", "evaluate_grasps", "rank_grasps",
-    "mass_map",
+    "parse_aggregator", "evaluate_grasps", "rank_grasps",
     "ImpactScenario", "ForceTrace", "ImpactOrdering", "simulate_impact",
     "predict_ordering",
     "Scene", "parse_scene", "scene_from_dict", "write_scene",

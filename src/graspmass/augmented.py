@@ -22,10 +22,6 @@ import numpy as np
 from .constants import PD_MIN_EIG, SYMMETRY_TOL, UNIT_NORM_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
 
-QUALITY_CLEAN = "clean"
-QUALITY_NEAR_SINGULAR = "near_singular"
-
-
 def checked_energy_matrices(m: np.ndarray) -> np.ndarray:
     """Symmetrized copy of a 6x6 matrix or an (..., 6, 6) stack.
 
@@ -88,11 +84,10 @@ class KineticEnergyMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EffectiveMass:
-    """Directional effective mass in kg with a sample-quality flag."""
+    """Directional effective mass in kg along a unit direction."""
 
     value: float
     direction: np.ndarray
-    quality: str = QUALITY_CLEAN
 
     def __post_init__(self):
         d = np.array(self.direction, dtype=float)
@@ -129,16 +124,14 @@ def partition_inverse(lam_tot: KineticEnergyMatrix):
     return inv[:3, :3], inv[:3, 3:], inv[3:, 3:]
 
 
-def effective_mass(lam_tot: KineticEnergyMatrix, v, quality: str = QUALITY_CLEAN) -> EffectiveMass:
+def effective_mass(lam_tot: KineticEnergyMatrix, v) -> EffectiveMass:
     """Effective mass of the system along direction v.
 
     Non-unit v is normalized with a warning; a zero vector is rejected.
-    ``quality`` lets callers propagate a degraded-configuration flag onto
-    the resulting sample.
     """
     v = unit_direction(v)
     lam_u_inv, _, _ = partition_inverse(lam_tot)
-    return EffectiveMass(1.0 / float(v @ lam_u_inv @ v), v, quality)
+    return EffectiveMass(1.0 / float(v @ lam_u_inv @ v), v)
 
 
 def unit_direction(v) -> np.ndarray:

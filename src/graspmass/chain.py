@@ -14,9 +14,11 @@ on raw arrays (``_frame_pass``) gives the joint frames and end-effector
 poses of all S samples, and the Jacobians and CRBA mass matrices
 (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) are derived
 from it. ``operational_space_inertias`` returns the task-space inertia of
-a whole stack; the single-configuration calls (FK, Jacobian, mass matrix,
-task-space inertia, each IK iteration) run the same core on a batch of
-one. Validation sits at the boundary, once per call: joint values must be
+a whole stack, with a read-only bool array that flags each configuration
+near a Jacobian singularity (damped, not inverted exactly); the
+single-configuration calls (FK, Jacobian, mass matrix, task-space
+inertia, each IK iteration) run the same core on a batch of one.
+Validation sits at the boundary, once per call: joint values must be
 finite, and each pass checks every end-effector pose; joint frames are
 not validated one by one.
 
@@ -25,7 +27,8 @@ the converged configuration with its frame pass. A warm-started sweep
 hands that pass to the next solve, which then skips the pass at its
 seed, and stacks the passes of all samples for the task-space inertia
 (``_stacked_inertias``): a stack of passes holds the same bits as one
-pass over the stacked configurations.
+pass over the stacked configurations. Its flag array is the one that
+every grasp's profile carries.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .augmented import (QUALITY_CLEAN, QUALITY_NEAR_SINGULAR,
-                        KineticEnergyMatrix, checked_energy_matrices)
+from .augmented import KineticEnergyMatrix, checked_energy_matrices
 from .bodies import check_inertia_tensor
 from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         IK_STEP_CLAMP, JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
@@ -267,27 +269,18 @@ def mass_matrix(model: ChainModel, q) -> np.ndarray:
 
 
 class OperationalSpaceInertia(NamedTuple):
-    """Task-space kinetic-energy matrix plus the degraded-quality flag."""
+    """Task-space kinetic-energy matrix plus the near-singular flag."""
 
     matrix: KineticEnergyMatrix
     near_singular: bool
 
-    @property
-    def quality(self) -> str:
-        return QUALITY_NEAR_SINGULAR if self.near_singular else QUALITY_CLEAN
-
 
 class OperationalSpaceInertias(NamedTuple):
     """Task-space inertias of S configurations: (S, 6, 6) checked energy
-    matrices and (S,) near-singular flags."""
+    matrices and (S,) bool near-singular flags, both read-only."""
 
     matrices: np.ndarray
     near_singular: np.ndarray
-
-    @property
-    def qualities(self) -> tuple[str, ...]:
-        return tuple(QUALITY_NEAR_SINGULAR if near else QUALITY_CLEAN
-                     for near in self.near_singular)
 
 
 def _stacked_inertias(model: ChainModel,

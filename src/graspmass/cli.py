@@ -2,10 +2,10 @@
 
 Subcommands: rank, profile, simulate-impact, demo {book,tensor}. demo
 runs rank, simulate-impact and profile (of the recommended grasp) on one
-scene. The ``Scene`` keeps the arm's sweep and the scored profiles of
-all its grasps per sampling step, so the first command on a scene
-computes them, even ``profile`` of one grasp, and every later command
-reads them and adds only its own output. All outputs are
+scene. The ``Scene`` keeps one evaluation entry per sampling step, the
+arm's sweep and the profiles of all its grasps, so the first command on
+a scene computes it, even ``profile`` of one grasp, and every later
+command reads it and adds only its own output. All outputs are
 deterministic: floats are written with 9 significant digits, no
 timestamps, and re-running on the same scene reproduces numeric CSV
 content byte for byte.
@@ -93,7 +93,7 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profiles = scene._scored(dt).profiles
+    _, profiles = scene._evaluated(dt)
     report = rank_grasps(profiles, agg)
     artifact = _artifact_head(scene)
     artifact.update({
@@ -121,7 +121,8 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     idx = _resolve_grasp(scene, grasp_key)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    profile = scene._scored(dt).profiles[idx]
+    _, profiles = scene._evaluated(dt)
+    profile = profiles[idx]
     csv_name = f"profile_{file_stem(profile.grasp_id)}.csv"
     _write_csv(out / csv_name, ["t_s", "effective_mass_kg"],
                _pairs(profile.times, profile.masses))
@@ -142,8 +143,7 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sweep = scene._scored(dt)
-    profiles = sweep.profiles
+    sweep, profiles = scene._evaluated(dt)
     speed = _collision_speed(scene, sweep.velocities, dt)
     k = scene.collision_sample
     ordering = predict_ordering(profiles, k, speed, scene.stiffness,

@@ -70,5 +70,5 @@ class NearSingularConfiguration(UserWarning):
     """Jacobian near singular; a damped task-space inertia was returned.
 
     A warning, not an error: the contract is to degrade (damped inverse
-    plus quality flag) rather than fail, so profiles stay complete.
+    plus near-singular flag) rather than fail, so profiles stay complete.
     """

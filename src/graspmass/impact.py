@@ -123,8 +123,6 @@ class ImpactOrdering:
 
     grasp_ids: tuple[str, ...]
     peak_forces: tuple[float, ...]
-    collision_sample: int
-    speed: float
     traces: tuple[ForceTrace, ...]
 
 
@@ -152,5 +150,4 @@ def predict_ordering(profiles, collision_sample: int, speed: float,
     return ImpactOrdering(
         grasp_ids=tuple(gid for _, gid, _ in scored),
         peak_forces=tuple(peak for peak, _, _ in scored),
-        collision_sample=collision_sample, speed=speed,
         traces=tuple(trace for _, _, trace in scored))

@@ -4,15 +4,15 @@ The arm's energy matrix depends on the trajectory alone, so one sweep
 per trajectory computes it from the sampling grid, read as arrays:
 warm-started IK sample by sample (each solve seeds the next and hands
 it its converged frame pass), then the task-space inertia of all
-samples in one batched step on those passes, and the motion direction
-per sample (``_sweep``). Each grasp then rotates its object matrix
-into base axes once (the held orientation is the same at every sample),
-adds it to the arm's at every sample and gets all its effective masses
-from one batched solve (``_score``). ``evaluate_grasps`` is the two in
-turn; a ``Scene`` keeps the sweep and the scored profiles of all its
-grasps per ``dt``, so only the first command on a scene and ``dt`` pays
-for either. Grasps are ranked ascending by profile aggregate (safest
-first).
+samples in one batched step on those passes, with one near-singular
+flag per sample, and the motion direction per sample (``_sweep``). Each
+grasp then rotates its object matrix into base axes once (the held
+orientation is the same at every sample), adds it to the arm's at every
+sample and gets all its effective masses from one batched solve
+(``_score``). ``evaluate_grasps`` is the two in turn; a ``Scene`` keeps
+one entry per ``dt`` holding both results, so only the first command on
+a scene and ``dt`` pays for them. Grasps are ranked ascending by
+profile aggregate (safest first).
 """
 
 from __future__ import annotations
@@ -22,15 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .augmented import QUALITY_NEAR_SINGULAR, unit_direction
-from .bodies import (GraspCandidate, RigidBodyInertia, com_energy_matrix,
-                     transform_to_grasp)
-from .chain import ChainModel, _Frames, _ik, _qvec, _stacked_inertias
+from .bodies import RigidBodyInertia, com_energy_matrix, transform_to_grasp
+from .chain import _Frames, _ik, _qvec, _stacked_inertias
 from .constants import PD_MIN_EIG, ZERO_SPEED_TOL
 from .errors import (DegenerateTrajectory, EmptyInput, IkDidNotConverge,
                      LengthMismatch, NotPositiveDefinite)
 from .spatial import Pose
-from .trajectory import QuinticTrajectory, _directions, _grid
+from .trajectory import _directions, _grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,22 +38,22 @@ class EffectiveMassProfile:
     grasp_id: str
     times: np.ndarray
     masses: np.ndarray
-    qualities: tuple[str, ...]
+    near_singular: np.ndarray  # bool, one per sample: damped arm inertia
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         masses = np.asarray(self.masses, dtype=float)
+        near = np.asarray(self.near_singular, dtype=bool)
         if times.shape != masses.shape or times.ndim != 1:
             raise LengthMismatch("times and masses must be equal-length vectors")
-        if len(self.qualities) != len(times):
-            raise LengthMismatch("one quality flag per sample required")
+        if near.shape != times.shape:
+            raise LengthMismatch("one near-singular flag per sample required")
         if not (masses > 0.0).all():
             raise ValueError("effective masses must be positive")
-        times.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "qualities", tuple(self.qualities))
+        for name, a in (("times", times), ("masses", masses),
+                        ("near_singular", near)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -80,8 +78,7 @@ class Aggregator:
 
     def __call__(self, profile: EffectiveMassProfile) -> tuple[float, str | None]:
         """Aggregate value plus an optional per-grasp note."""
-        flagged = np.array([q == QUALITY_NEAR_SINGULAR
-                            for q in profile.qualities])
+        flagged = profile.near_singular
         if self.kind == "mean":
             return float(profile.masses.mean()), None
         if self.kind == "at_sample":
@@ -127,23 +124,15 @@ class RankingReport:
     notes: tuple[str, ...] = ()
 
 
-def evaluate_grasp(chain: ChainModel, body: RigidBodyInertia,
-                   grasp: GraspCandidate, traj: QuinticTrajectory, dt: float,
-                   q_seed, *, direction=None) -> EffectiveMassProfile:
-    """Effective-mass profile of one grasp: ``evaluate_grasps`` on one."""
-    return evaluate_grasps(chain, body, [grasp], traj, dt, q_seed,
-                           direction=direction)[0]
-
-
-def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
-                    direction=None) -> list[EffectiveMassProfile]:
+def evaluate_grasps(chain, bodies, grasps, traj, dt,
+                    q_seed) -> list[EffectiveMassProfile]:
     """Effective-mass profiles of grasps along the sampled trajectory.
 
     ``bodies`` is one RigidBodyInertia shared by all grasps, or a sequence
     aligned with ``grasps``; results keep the input order. IK is warm-
     started sample to sample, once for all grasps; on failure the error
-    carries the sample index (0 = grasp pose at t=0). ``direction`` fixes
-    the collision direction, else the motion direction at each sample.
+    carries the sample index (0 = grasp pose at t=0). The collision
+    direction at each sample is the motion direction there.
     """
     grasps = list(grasps)
     if isinstance(bodies, RigidBodyInertia):
@@ -152,26 +141,21 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt, q_seed, *,
         bodies = list(bodies)
     if len(bodies) != len(grasps):
         raise LengthMismatch("one body per grasp required")
-    if direction is not None:
-        direction = unit_direction(direction)
-    return _score(_sweep(chain, traj, dt, q_seed, direction), bodies, grasps)
+    return _score(_sweep(chain, traj, dt, q_seed), bodies, grasps)
 
 
 class _Sweep(NamedTuple):
     """The grasp-independent part of an evaluation, arrays read-only: the
-    trajectory, its sampling grid (``_grid``), the arm's task-space
-    inertia (N, 6, 6) in base axes, unit directions (N, 3) and quality
-    flags. ``profiles`` is None as swept; a ``Scene`` fills in the
-    ``_score`` profiles of its grasps."""
+    held rotation (3, 3), the sampling grid's times (N,) and velocities
+    (N, 3) (``_grid``), the arm's task-space inertia (N, 6, 6) in base
+    axes, unit directions (N, 3) and near-singular flags (N,)."""
 
-    traj: QuinticTrajectory
+    rotation: np.ndarray
     times: np.ndarray
-    positions: np.ndarray
     velocities: np.ndarray
     lam_rob: np.ndarray
     dirs: np.ndarray
-    qualities: tuple[str, ...]
-    profiles: tuple[EffectiveMassProfile, ...] | None = None
+    near_singular: np.ndarray
 
 
 def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
@@ -183,7 +167,7 @@ def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
     # rotation is the same at every sample, so each object term is built
     # once and broadcast over the (N, 6, 6) stack
     rot = np.zeros((6, 6))
-    rot[:3, :3] = rot[3:, 3:] = sweep.traj.start_rotation
+    rot[:3, :3] = rot[3:, 3:] = sweep.rotation
     rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
     profiles = []
     for body, grasp in zip(bodies, grasps):
@@ -196,11 +180,11 @@ def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
         x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
         masses = 1.0 / np.einsum("ni,ni->n", dirs, x)
         profiles.append(EffectiveMassProfile(grasp.id, times, masses,
-                                             sweep.qualities))
+                                             sweep.near_singular))
     return profiles
 
 
-def _sweep(chain, traj, dt, q_seed, direction) -> _Sweep:
+def _sweep(chain, traj, dt, q_seed) -> _Sweep:
     """Grasp-independent pass over the sampling grid of ``traj`` at ``dt``.
 
     IK runs sample by sample, each solve warm-started from the previous
@@ -225,14 +209,11 @@ def _sweep(chain, traj, dt, q_seed, direction) -> _Sweep:
         for rows, a in zip(stack, frames):
             rows[row] = a[0]
     osi = _stacked_inertias(chain, stack)
-    if direction is not None:
-        dirs = np.tile(direction, (len(times), 1))
-    else:
-        dirs = _motion_directions(traj, velocities)
-    for a in (times, positions, velocities, dirs):
+    dirs = _motion_directions(traj, velocities)
+    for a in (times, velocities, dirs):
         a.setflags(write=False)
-    return _Sweep(traj, times, positions, velocities, osi.matrices, dirs,
-                  osi.qualities)
+    return _Sweep(rotation, times, velocities, osi.matrices, dirs,
+                  osi.near_singular)
 
 
 def _motion_directions(traj, velocities):
@@ -281,14 +262,3 @@ def rank_grasps(profiles, aggregator="max") -> RankingReport:
         aggregator=aggregator.name,
         profiles=tuple(p for _, _, p in scored),
         notes=tuple(notes))
-
-
-def mass_map(profiles) -> np.ndarray:
-    """Stack profiles into a (grasps x samples) matrix, input order kept."""
-    profiles = list(profiles)
-    if not profiles:
-        raise EmptyInput("no profiles")
-    n = len(profiles[0])
-    if any(len(p) != n for p in profiles):
-        raise LengthMismatch("profiles must have equal length")
-    return np.vstack([p.masses for p in profiles])

@@ -9,10 +9,12 @@ object's CoM frame. A grasp entry may override the tensor rig's ring
 positions, which rebuilds the object for that grasp (same physical grip,
 different mass distribution).
 
-A ``Scene`` keeps, per sampling step, the arm's sweep (``ranking._sweep``,
-the part of an evaluation that no grasp changes) together with the
-scored profiles of all its grasps (``ranking._score``), so every command
-run on one ``Scene`` computes each at most once per ``dt``.
+A ``Scene`` keeps one evaluation entry per sampling step: the arm's
+sweep (``ranking._sweep``, the part of an evaluation that no grasp
+changes) and the profiles of all its grasps scored on it
+(``ranking._score``), built together and kept only when both succeed.
+So every command run on one ``Scene`` computes each at most once per
+``dt``.
 
 Grasp ids name artifact files (``file_stem``); two ids with the same
 stem are rejected at parse, so one grasp's file cannot overwrite
@@ -35,7 +37,7 @@ from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
 from .chain import ChainModel, JointSpec, JointState, LinkInertia
 from .errors import GraspmassError, ParseError, ValidationError
 from .spatial import Pose, pose_compose, pose_inverse
-from .trajectory import QuinticTrajectory, fit_quintic
+from .trajectory import QuinticTrajectory, _grid_size, fit_quintic
 
 SCHEMA_VERSION = 1
 
@@ -59,40 +61,30 @@ class Scene:
     ik_seed: JointState
     spec: dict
     digest: str
-    # dt -> the arm's sweep, its profiles filled in once the grasps are
-    # scored; a copy made by dataclasses.replace starts empty
-    _sweeps: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # dt -> (the arm's sweep, the profiles of all grasps); a copy made by
+    # dataclasses.replace starts empty
+    _evaluations: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     def fit(self) -> QuinticTrajectory:
         return fit_quintic(self.start, self.end, self.t_f)
 
-    def _sweep(self, dt: float) -> ranking._Sweep:
-        """The arm's grasp-independent sweep along the fitted trajectory at
-        ``dt`` (``ranking._sweep`` in the motion direction), computed on
-        the first call per ``dt`` and shared by every later one. A failed
-        sweep is not kept."""
-        sweep = self._sweeps.get(dt)
-        if sweep is None:
-            sweep = self._sweeps[dt] = ranking._sweep(
-                self.chain, self.fit(), dt, self.ik_seed, None)
-        return sweep
-
-    def _scored(self, dt: float) -> ranking._Sweep:
-        """The sweep at ``dt`` with ``profiles`` holding the profile of
-        every grasp, in scene order; the grasps are scored on the first
-        call per ``dt`` and the profiles kept in the same entry. A failed
-        scoring is not kept."""
-        sweep = self._sweep(dt)
-        if sweep.profiles is None:
+    def _evaluated(self, dt: float) -> tuple[
+            ranking._Sweep, tuple[ranking.EffectiveMassProfile, ...]]:
+        """The arm's sweep along the fitted trajectory at ``dt`` and the
+        profile of every grasp on it, in scene order: computed on the
+        first call per ``dt`` and shared by every later one. Nothing is
+        kept unless both the sweep and the scoring succeed."""
+        entry = self._evaluations.get(dt)
+        if entry is None:
+            sweep = ranking._sweep(self.chain, self.fit(), dt, self.ik_seed)
             profiles = ranking._score(sweep, self.bodies, self.grasps)
-            sweep = self._sweeps[dt] = sweep._replace(
-                profiles=tuple(profiles))
-        return sweep
+            entry = self._evaluations[dt] = (sweep, tuple(profiles))
+        return entry
 
     @property
     def n_samples(self) -> int:
-        return max(1, round(self.t_f / self.dt))
+        return _grid_size(self.t_f, self.dt)
 
 
 def file_stem(grasp_id: str) -> str:
@@ -127,15 +119,17 @@ def _number(d, key, path, default=None):
                           f"expected a finite number, got {value!r}")
 
 
-def _vector(d, key, path, length):
-    """``length`` finite numbers, as ``_number`` requires of a scalar."""
+def _vector(d, key, path, shape):
+    """An array of ``shape`` of finite numbers, as ``_number`` requires of
+    a scalar."""
     where = f"{path}.{key}" if path else key
+    expected = f"expected {'x'.join(map(str, shape))} numbers"
     try:
         v = np.asarray(_get(d, key, path), dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(where, f"expected {length} numbers") from exc
-    if v.shape != (length,):
-        raise ValidationError(where, f"expected {length} numbers")
+        raise ValidationError(where, expected) from exc
+    if v.shape != shape:
+        raise ValidationError(where, expected)
     if not np.isfinite(v).all():
         raise ValidationError(where, f"expected finite numbers, got "
                               f"{v.tolist()}")
@@ -145,8 +139,8 @@ def _vector(d, key, path, length):
 def _pose(d, key, path) -> Pose:
     sub = _get(d, key, path)
     sub_path = f"{path}.{key}" if path else key
-    pos = _vector(sub, "position_m", sub_path, 3)
-    ypr = _vector(sub, "ypr_rad", sub_path, 3)
+    pos = _vector(sub, "position_m", sub_path, (3,))
+    ypr = _vector(sub, "ypr_rad", sub_path, (3,))
     return Pose.from_ypr(pos, ypr)
 
 
@@ -170,15 +164,14 @@ def _parse_chain(d, path="chain") -> ChainModel:
     for k, entry in enumerate(entries):
         jp = f"{path}.joints[{k}]"
         origin = _pose(entry, "origin", jp)
-        axis = _vector(entry, "axis", jp, 3)
-        limits = _vector(entry, "limits_rad", jp, 2)
+        axis = _vector(entry, "axis", jp, (3,))
+        limits = _vector(entry, "limits_rad", jp, (2,))
         spec = _wrap(jp, JointSpec, origin, axis, (limits[0], limits[1]))
         link_d = _get(entry, "link", jp)
         link = _wrap(f"{jp}.link", LinkInertia,
                      _number(link_d, "mass_kg", f"{jp}.link"),
-                     _vector(link_d, "com_m", f"{jp}.link", 3),
-                     np.asarray(_get(link_d, "inertia_kgm2", f"{jp}.link"),
-                                dtype=float))
+                     _vector(link_d, "com_m", f"{jp}.link", (3,)),
+                     _vector(link_d, "inertia_kgm2", f"{jp}.link", (3, 3)))
         joints.append((spec, link))
     return _wrap(path, ChainModel, tuple(joints), base, tool)
 
@@ -187,21 +180,20 @@ def _build_object(d, path="object") -> RigidBodyInertia:
     kind = _get(d, "type", path, str)
     if kind == "cuboid":
         return _wrap(path, build_cuboid, _number(d, "mass_kg", path),
-                     _vector(d, "dims_m", path, 3))
+                     _vector(d, "dims_m", path, (3,)))
     if kind == "tensor":
         cfg = _tensor_config(d, path)
         return _wrap(path, build_tensor_object, cfg)
     if kind == "inertia":
         com_pose = _pose(d, "com_pose", path)
         return _wrap(path, RigidBodyInertia, _number(d, "mass_kg", path),
-                     com_pose,
-                     np.asarray(_get(d, "inertia_kgm2", path), dtype=float))
+                     com_pose, _vector(d, "inertia_kgm2", path, (3, 3)))
     raise ValidationError(f"{path}.type", f"unknown object type {kind!r}")
 
 
 def _tensor_config(d, path, ring_positions=None) -> TensorObjectConfig:
     if ring_positions is None:
-        ring_positions = _vector(d, "ring_positions_m", path, 5)
+        ring_positions = _vector(d, "ring_positions_m", path, (5,))
     kwargs = {}
     if "cylinder_radius_m" in d:
         kwargs["cylinder_radius"] = _number(d, "cylinder_radius_m", path)
@@ -236,7 +228,7 @@ def _parse_grasps(d, obj_spec, base_object, path="grasps"):
                 raise ValidationError(f"{gp}.ring_positions_m",
                                       "ring override needs a tensor object")
             cfg = _tensor_config(obj_spec, gp,
-                                 _vector(entry, "ring_positions_m", gp, 5))
+                                 _vector(entry, "ring_positions_m", gp, (5,)))
             body = _wrap(gp, build_tensor_object, cfg)
         pose_obj = _pose(entry, "pose_obj", gp)
         # grasp pose is stored object-frame; candidates are CoM-relative
@@ -267,7 +259,7 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
         raise ValidationError("trajectory.t_f_s", "must be positive")
     if not 0.0 < dt <= t_f:
         raise ValidationError("trajectory.dt_s", "must lie in (0, t_f]")
-    n = max(1, round(t_f / dt))
+    n = _grid_size(t_f, dt)
     coll = _get(d, "collision", "", dict)
     stiffness = _number(coll, "stiffness_n_per_m", "collision", 1e4)
     damping = _number(coll, "damping_ns_per_m", "collision", 0.0)
@@ -288,7 +280,7 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     if not float(sample_idx).is_integer() or not 1 <= sample_idx <= n:
         raise ValidationError("collision.sample", "expected an integer in "
                               f"1..{n}, got {sample_idx!r}")
-    seed = _vector(d, "ik_seed_rad", "", chain.dof)
+    seed = _vector(d, "ik_seed_rad", "", (chain.dof,))
     ik_seed = _wrap("ik_seed_rad", JointState, seed)
     if digest is None:
         digest = hashlib.sha256(

@@ -72,12 +72,17 @@ def fit_quintic(start: Pose, end: Pose, t_f: float) -> QuinticTrajectory:
     return QuinticTrajectory(coeffs, start.rotation, float(t_f))
 
 
+def _grid_size(t_f: float, dt: float) -> int:
+    """N, the number of samples on the grid of ``sample``."""
+    return max(1, round(t_f / dt))
+
+
 def _grid(traj: QuinticTrajectory, dt: float):
     """The sampling grid of ``sample`` as arrays: times (N,), positions
     (N, 3) and linear velocities (N, 3)."""
     if not 0.0 < dt <= traj.t_f:
         raise InvalidStep(f"dt must lie in (0, t_f], got {dt}")
-    n = max(1, round(traj.t_f / dt))
+    n = _grid_size(traj.t_f, dt)
     times = [traj.t_f * i / n for i in range(1, n + 1)]
     # per-t products, as position(t) and velocity(t) sum them
     pos_c = traj.coeffs.T

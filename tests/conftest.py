@@ -254,7 +254,7 @@ def reference_score(sweep, bodies, grasps):
     per grasp; the arithmetic is the same, so the masses must be equal."""
     times, lam_rob, dirs = sweep.times, sweep.lam_rob, sweep.dirs
     rot = np.zeros((len(times), 6, 6))
-    rot[:, :3, :3] = rot[:, 3:, 3:] = sweep.traj.start_rotation
+    rot[:, :3, :3] = rot[:, 3:, 3:] = sweep.rotation
     rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
     masses = []
     for body, grasp in zip(bodies, grasps):

@@ -1,5 +1,4 @@
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +14,9 @@ from graspmass import (
     com_energy_matrix,
     direction_at,
     effective_mass,
-    evaluate_grasp,
     evaluate_grasps,
     fit_quintic,
     inverse_kinematics,
-    mass_map,
     operational_space_inertia,
     operational_space_inertias,
     parse_aggregator,
@@ -27,8 +24,8 @@ from graspmass import (
     sample,
     transform_to_grasp,
 )
-from graspmass.errors import (DimensionMismatch, EmptyInput, IkDidNotConverge,
-                              LengthMismatch, NotPositiveDefinite)
+from graspmass.errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
+                              NotPositiveDefinite)
 
 from conftest import book_scene, tensor_scene
 
@@ -36,22 +33,22 @@ from conftest import book_scene, tensor_scene
 def profile(grasp_id, masses, flagged=()):
     masses = np.asarray(masses, dtype=float)
     times = np.arange(1, len(masses) + 1) * 0.1
-    qualities = tuple("near_singular" if i in flagged else "clean"
-                      for i in range(len(masses)))
-    return EffectiveMassProfile(grasp_id, times, masses, qualities)
+    near_singular = [i in flagged for i in range(len(masses))]
+    return EffectiveMassProfile(grasp_id, times, masses, near_singular)
 
 
 def test_profiles_have_expected_shape():
     scene = book_scene()
     traj = scene.fit()
-    prof = evaluate_grasp(scene.chain, scene.bodies[0], scene.grasps[0],
-                          traj, scene.dt, scene.ik_seed)
+    prof = evaluate_grasps(scene.chain, scene.bodies[0], scene.grasps[:1],
+                           traj, scene.dt, scene.ik_seed)[0]
     assert len(prof) == 20
     assert prof.grasp_id == scene.grasps[0].id
     assert np.all(prof.masses > 0.0)
     assert np.isclose(prof.times[0], 0.1)
     assert np.isclose(prof.times[-1], 2.0)
-    assert all(q == "clean" for q in prof.qualities)
+    assert prof.near_singular.dtype == bool
+    assert not prof.near_singular.any()
 
 
 def test_tiny_object_reduces_to_robot_alone():
@@ -59,8 +56,8 @@ def test_tiny_object_reduces_to_robot_alone():
     traj = scene.fit()
     crumb = RigidBodyInertia(1e-9, Pose.identity(), 1e-12 * np.eye(3))
     grasp = GraspCandidate("crumb", Pose.identity())
-    prof = evaluate_grasp(scene.chain, crumb, grasp, traj, scene.dt,
-                          scene.ik_seed)
+    prof = evaluate_grasps(scene.chain, crumb, [grasp], traj, scene.dt,
+                           scene.ik_seed)[0]
     samples = sample(traj, scene.dt)
     for samp, got in zip(samples, prof.masses):
         # robot-only reference, computed directly
@@ -76,13 +73,13 @@ def test_object_mass_scaling_is_monotone():
     traj = scene.fit()
     base = build_cuboid(0.34, (0.15, 0.22, 0.015))
     grasp = scene.grasps[2]
-    prev = evaluate_grasp(scene.chain, base, grasp, traj, scene.dt,
-                          scene.ik_seed).masses
+    prev = evaluate_grasps(scene.chain, base, [grasp], traj, scene.dt,
+                           scene.ik_seed)[0].masses
     for alpha in (1.5, 2.0, 5.0):
         scaled = RigidBodyInertia(alpha * base.mass, base.com_pose,
                                   alpha * base.inertia)
-        cur = evaluate_grasp(scene.chain, scaled, grasp, traj, scene.dt,
-                             scene.ik_seed).masses
+        cur = evaluate_grasps(scene.chain, scaled, [grasp], traj, scene.dt,
+                              scene.ik_seed)[0].masses
         assert np.all(cur >= prev - 1e-10)
         prev = cur
 
@@ -114,8 +111,8 @@ def test_ik_failure_names_the_sample():
     far = Pose(np.array([4.0, 0.0, 0.03]), scene.start.rotation)
     traj = fit_quintic(start, far, 2.0)
     with pytest.raises(IkDidNotConverge) as exc:
-        evaluate_grasp(scene.chain, scene.bodies[0], scene.grasps[0], traj,
-                       scene.dt, scene.ik_seed)
+        evaluate_grasps(scene.chain, scene.bodies[0], scene.grasps[:1], traj,
+                        scene.dt, scene.ik_seed)
     assert exc.value.sample_index is not None
     assert exc.value.sample_index >= 1
     assert "sample" in str(exc.value)
@@ -175,24 +172,6 @@ def test_parse_aggregator_variants():
         parse_aggregator("at-sample=zero")
 
 
-def test_mass_map_stacks_profiles():
-    profiles = [profile("a", [1.0, 2.0, 3.0]), profile("b", [4.0, 5.0, 6.0])]
-    m = mass_map(profiles)
-    assert m.shape == (2, 3)
-    assert np.allclose(m[1], [4.0, 5.0, 6.0])
-
-
-def test_fixed_direction_override():
-    scene = book_scene()
-    traj = scene.fit()
-    d = np.array([0.0, 0.0, 1.0])
-    prof = evaluate_grasp(scene.chain, scene.bodies[0], scene.grasps[0],
-                          traj, scene.dt, scene.ik_seed, direction=d)
-    default = evaluate_grasp(scene.chain, scene.bodies[0], scene.grasps[0],
-                             traj, scene.dt, scene.ik_seed)
-    assert not np.allclose(prof.masses, default.masses)
-
-
 def test_batched_masses_match_per_sample_reference():
     # the scalar path, one sample and one grasp at a time, is the reference
     scene = book_scene()
@@ -247,7 +226,8 @@ def test_profiles_do_not_depend_on_grasp_order():
     assert [p.grasp_id for p in shuffled] == [g.id for g in grasps]
     for p in shuffled:
         assert np.array_equal(p.masses, ref[p.grasp_id].masses)
-        assert p.qualities == ref[p.grasp_id].qualities
+        assert np.array_equal(p.near_singular,
+                              ref[p.grasp_id].near_singular)
 
 
 def test_single_grasp_equals_its_row_of_the_batch():
@@ -256,29 +236,10 @@ def test_single_grasp_equals_its_row_of_the_batch():
     batch = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
                             scene.dt, scene.ik_seed)
     k = 13
-    one = evaluate_grasp(scene.chain, scene.bodies[k], scene.grasps[k], traj,
-                         scene.dt, scene.ik_seed)
+    one = evaluate_grasps(scene.chain, scene.bodies[k], scene.grasps[k:k + 1],
+                          traj, scene.dt, scene.ik_seed)[0]
     assert one.grasp_id == batch[k].grasp_id
     assert np.allclose(one.masses, batch[k].masses, rtol=1e-12, atol=0.0)
-
-
-def test_fixed_direction_is_checked_and_normalized_once():
-    scene = book_scene()
-    traj = scene.fit()
-    args = (scene.chain, scene.bodies, scene.grasps, traj, scene.dt,
-            scene.ik_seed)
-    unit = evaluate_grasps(*args, direction=[0.0, 0.0, 1.0])
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        scaled = evaluate_grasps(*args, direction=[0.0, 0.0, 3.0])
-    assert [str(w.message) for w in caught] == [
-        "direction not unit norm; normalizing"]
-    for a, b in zip(unit, scaled):
-        assert np.allclose(a.masses, b.masses, rtol=1e-12, atol=0.0)
-    with pytest.raises(ValueError):
-        evaluate_grasps(*args, direction=np.zeros(3))
-    with pytest.raises(DimensionMismatch):
-        evaluate_grasps(*args, direction=[1.0, 0.0])
 
 
 def test_non_positive_definite_total_is_rejected(monkeypatch):
@@ -292,8 +253,9 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
     scene = book_scene()
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
     with pytest.raises(NotPositiveDefinite):
-        evaluate_grasp(scene.chain, speck, GraspCandidate("g", Pose.identity()),
-                       scene.fit(), scene.dt, scene.ik_seed)
+        evaluate_grasps(scene.chain, speck,
+                        [GraspCandidate("g", Pose.identity())], scene.fit(),
+                        scene.dt, scene.ik_seed)
 
 
 def public_ik_chain(chain, traj, dt, seed):
@@ -338,7 +300,7 @@ def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
         return q, frames
 
     monkeypatch.setattr(ranking, "_ik", recording_ik)
-    sweep = ranking._sweep(scene.chain, traj, dt, seed, None)
+    sweep = ranking._sweep(scene.chain, traj, dt, seed)
     want = public_ik_chain(scene.chain, traj, dt, seed)
     assert len(solved) == len(sweep.times) + 1
     assert np.array_equal(solved[1:], want)

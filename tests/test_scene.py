@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from graspmass import parse_scene, pose_compose, scene_from_dict, write_scene
+from graspmass import (parse_scene, pose_compose, sample, scene_from_dict,
+                       write_scene)
 from graspmass.cli import demo_scene_path
 from graspmass.errors import ParseError, ValidationError
 
@@ -215,6 +216,44 @@ def test_vector_fields_reject_non_finite_values_with_their_path(keys, value):
     assert exc.value.field == field_path(keys)
 
 
+
+def inertia_object_dict():
+    """The book scene holding a raw-inertia object, so that
+    ``object.inertia_kgm2`` is read."""
+    doc = book_dict()
+    doc["object"] = {"type": "inertia", "mass_kg": 0.34,
+                     "com_pose": {"position_m": [0.0, 0.0, 0.0],
+                                  "ypr_rad": [0.0, 0.0, 0.0]},
+                     "inertia_kgm2": [[1e-3, 0.0, 0.0], [0.0, 1.5e-3, 0.0],
+                                      [0.0, 0.0, 2e-3]]}
+    return doc
+
+
+INERTIA_FIELDS = [
+    ("chain", "joints", 0, "link", "inertia_kgm2"),
+    ("chain", "joints", 6, "link", "inertia_kgm2"),
+    ("object", "inertia_kgm2"),
+]
+NOT_INERTIAS = {
+    "str": "abc",
+    "ragged": [[1e-3, 0.0, 0.0], [0.0, 1e-3], [0.0, 0.0, 1e-3]],
+    "nan": [[1e-3, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1e-3]],
+}
+
+
+@pytest.mark.parametrize("value", NOT_INERTIAS.values(), ids=NOT_INERTIAS)
+@pytest.mark.parametrize("keys", INERTIA_FIELDS, ids=field_path)
+def test_inertia_fields_reject_non_matrices_with_their_path(keys, value):
+    doc = inertia_object_dict()
+    assert scene_from_dict(doc).object.mass == 0.34
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert exc.value.field == field_path(keys)
+
 def test_collision_time_resolves_to_sample():
     doc = book_dict()
     del doc["collision"]["sample"]
@@ -222,6 +261,20 @@ def test_collision_time_resolves_to_sample():
     scene = scene_from_dict(doc)
     assert scene.collision_sample == 10
 
+
+
+@pytest.mark.parametrize("dt", [0.3, 0.7, 2.0])
+def test_n_samples_and_the_collision_bound_follow_the_grid(dt):
+    doc = book_dict()
+    doc["trajectory"]["dt_s"] = dt
+    doc["collision"]["sample"] = 1
+    scene = scene_from_dict(doc)
+    assert scene.n_samples == len(sample(scene.fit(), dt))
+    doc["collision"]["sample"] = scene.n_samples
+    assert scene_from_dict(doc).collision_sample == scene.n_samples
+    doc["collision"]["sample"] = scene.n_samples + 1
+    with pytest.raises(ValidationError):
+        scene_from_dict(doc)
 
 def test_ik_seed_length_checked():
     doc = book_dict()

@@ -1,5 +1,5 @@
-"""The arm's sweep and the grasps' profiles are kept per Scene and dt
-and shared by the commands."""
+"""The arm's sweep and the grasps' profiles are kept in one entry per
+Scene and dt and shared by the commands."""
 
 import dataclasses
 import itertools
@@ -110,13 +110,13 @@ def test_only_the_first_command_scores(case, order, tmp_path, score_calls):
 @pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
 def test_kept_profiles_equal_the_per_sample_reference(name, dt):
     scene = scene_of(name)
-    scored = scene._scored(scene.dt if dt is None else dt)
-    want = reference_score(scored, scene.bodies, scene.grasps)
-    assert [p.grasp_id for p in scored.profiles] == [g.id
-                                                     for g in scene.grasps]
-    for profile, masses in zip(scored.profiles, want):
+    sweep, profiles = scene._evaluated(scene.dt if dt is None else dt)
+    want = reference_score(sweep, scene.bodies, scene.grasps)
+    assert [p.grasp_id for p in profiles] == [g.id for g in scene.grasps]
+    for profile, masses in zip(profiles, want):
         assert np.array_equal(profile.masses, masses)
-        assert profile.times is scored.times
+        assert profile.times is sweep.times
+        assert profile.near_singular is sweep.near_singular
 
 
 def test_failed_scoring_is_not_kept(monkeypatch, tmp_path, frame_passes):
@@ -132,15 +132,16 @@ def test_failed_scoring_is_not_kept(monkeypatch, tmp_path, frame_passes):
     monkeypatch.setattr(ranking, "_score", fails_once)
     with pytest.raises(NotPositiveDefinite):
         rank(scene, None, tmp_path)
-    swept = scene._sweeps[scene.dt]
-    assert swept.profiles is None
+    assert scene._evaluations == {}  # not even the sweep was kept
     before = len(frame_passes)
     rank(scene, None, tmp_path)
-    assert len(frame_passes) == before  # the sweep itself was kept
+    assert len(frame_passes) > before
     assert len(calls) == 2
-    assert len(scene._sweeps[scene.dt].profiles) == len(scene.grasps)
+    assert len(scene._evaluations[scene.dt][1]) == len(scene.grasps)
+    before = len(frame_passes)
     impact(scene, None, tmp_path)
-    assert len(calls) == 2
+    assert len(calls) == 2  # the retry was kept
+    assert len(frame_passes) == before
 
 
 @pytest.mark.parametrize("order", ORDERS, ids="-".join)
@@ -154,33 +155,33 @@ def test_shared_scene_writes_the_bytes_of_fresh_scenes(case, order, tmp_path):
 
 def test_dt_override_gets_its_own_entry(tmp_path, frame_passes):
     scene = scene_of("book")
-    coarse = scene._sweep(scene.dt)
+    coarse = scene._evaluated(scene.dt)
     before = len(frame_passes)
-    fine = scene._sweep(0.01)
+    fine = scene._evaluated(0.01)
     assert len(frame_passes) > before
     assert fine is not coarse
-    assert (len(coarse.times), len(fine.times)) == (20, 200)
+    assert (len(coarse[0].times), len(fine[0].times)) == (20, 200)
     before = len(frame_passes)
-    assert scene._sweep(scene.dt) is coarse
-    assert scene._sweep(0.01) is fine
+    assert scene._evaluated(scene.dt) is coarse
+    assert scene._evaluated(0.01) is fine
     rank(scene, None, tmp_path / "coarse")
     rank(scene, 0.01, tmp_path / "fine")
     assert len(frame_passes) == before
-    assert set(scene._sweeps) == {scene.dt, 0.01}
+    assert set(scene._evaluations) == {scene.dt, 0.01}
 
 
 @pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
 def test_replaced_scene_starts_with_an_empty_memo(name, dt, frame_passes):
     scene = scene_of(name)
     dt = scene.dt if dt is None else dt
-    swept = scene._sweep(dt)
+    entry = scene._evaluated(dt)
     longer = dataclasses.replace(scene, t_f=2.0 * scene.t_f)
-    assert longer._sweeps == {}
+    assert longer._evaluations == {}
     before = len(frame_passes)
-    stretched = longer._sweep(dt)
+    stretched, _ = longer._evaluated(dt)
     assert len(frame_passes) > before
-    assert len(stretched.times) == 2 * len(swept.times)
-    assert scene._sweeps == {dt: swept}
+    assert len(stretched.times) == 2 * len(entry[0].times)
+    assert scene._evaluations == {dt: entry}
 
 
 def unreachable_doc():
@@ -195,10 +196,10 @@ def test_ik_failure_is_not_cached(frame_passes):
     for _ in range(2):
         before = len(frame_passes)
         with pytest.raises(IkDidNotConverge) as exc:
-            scene._sweep(scene.dt)
+            scene._evaluated(scene.dt)
         assert len(frame_passes) > before
         indices.append(exc.value.sample_index)
-        assert scene._sweeps == {}
+        assert scene._evaluations == {}
     assert indices[0] == indices[1] > 0
 
 
@@ -220,11 +221,15 @@ def test_cli_exits_two_on_each_ik_failure(argv, tmp_path, capsys):
 @pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
 def test_cached_arrays_reject_writes(name, dt):
     scene = scene_of(name)
-    sweep = scene._sweep(scene.dt if dt is None else dt)
-    arrays = [sweep.traj.coeffs, sweep.times, sweep.positions,
-              sweep.velocities, sweep.lam_rob, sweep.dirs]
+    sweep, profiles = scene._evaluated(scene.dt if dt is None else dt)
+    arrays = [sweep.rotation, sweep.times, sweep.velocities, sweep.lam_rob,
+              sweep.dirs, sweep.near_singular]
+    for p in profiles:
+        arrays += [p.times, p.masses, p.near_singular]
     for a in arrays:
         assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError):
             a[0] = 0.0
-    assert isinstance(sweep.qualities, tuple)
+    assert sweep.near_singular.dtype == bool
+    assert sweep.near_singular.shape == sweep.times.shape
+    assert isinstance(profiles, tuple)

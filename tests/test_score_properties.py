@@ -1,5 +1,9 @@
 """Invariance properties of the per-grasp scorer over random grasp poses
-on the book body, along the book scene's sweep."""
+on the book body, along the book scene's sweep, and of a whole scene's
+evaluation under rigid motions of that scene."""
+
+import copy
+import json
 
 import numpy as np
 import pytest
@@ -8,13 +12,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from graspmass import GraspCandidate, Pose  # noqa: E402
+from graspmass import (GraspCandidate, Pose, rank_grasps,  # noqa: E402
+                       rotation_ypr, scene_from_dict)
+from graspmass.cli import demo_scene_path  # noqa: E402
 from graspmass.ranking import _score  # noqa: E402
 
 from conftest import book_scene  # noqa: E402
 
 SCENE = book_scene()
-SWEEP = SCENE._sweep(SCENE.dt)
+SWEEP = SCENE._evaluated(SCENE.dt)[0]
 BOOK = SCENE.bodies[0]
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
@@ -46,3 +52,44 @@ def test_effective_mass_does_not_change_when_the_direction_flips(position,
     flipped = SWEEP._replace(dirs=-SWEEP.dirs)
     assert np.array_equal(masses(flipped, position, ypr),
                           masses(SWEEP, position, ypr))
+
+
+def moved(doc, yaw, shift):
+    """The scene document after a rigid motion of the whole scene: a yaw
+    about z, then a shift. It moves the arm's base and both trajectory
+    endpoints; grasps are given in the object frame and move with it."""
+    doc = copy.deepcopy(doc)
+    rot = rotation_ypr(yaw, 0.0, 0.0)
+    for pose in (doc["chain"]["base_pose"], doc["trajectory"]["start"],
+                 doc["trajectory"]["end"]):
+        pose["position_m"] = (rot @ pose["position_m"] + shift).tolist()
+        # ZYX angles: a yaw applied on the left adds to the yaw
+        pose["ypr_rad"][0] += yaw
+    return doc
+
+
+def evaluated(doc):
+    scene = scene_from_dict(doc)
+    return scene._evaluated(scene.dt)[1]
+
+
+# the first example drawn is the identity, three motions follow
+MOTION = settings(derandomize=True, database=None, max_examples=4,
+                  deadline=None)
+DOCS = {name: json.loads(demo_scene_path(name).read_text(encoding="utf-8"))
+        for name in ("book", "tensor")}
+PLACED = {name: evaluated(doc) for name, doc in DOCS.items()}
+
+
+@pytest.mark.parametrize("name", DOCS)
+@MOTION
+@given(st.floats(-np.pi, np.pi),
+       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_a_rigid_motion_of_the_scene_leaves_the_masses_unchanged(name, yaw,
+                                                                 shift):
+    want = PLACED[name]
+    got = evaluated(moved(DOCS[name], yaw, shift))
+    assert [p.grasp_id for p in got] == [p.grasp_id for p in want]
+    for a, b in zip(got, want):
+        assert np.allclose(a.masses, b.masses, rtol=1e-9, atol=0.0)
+    assert rank_grasps(got).grasp_ids == rank_grasps(want).grasp_ids
