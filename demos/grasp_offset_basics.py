@@ -17,21 +17,19 @@ couple. That asymmetry is the whole reason grasp choice matters.
 import numpy as np
 
 from graspmass import (GraspCandidate, Pose, build_cuboid, com_energy_matrix,
-                       effective_mass, evaluate_grasps, parse_scene,
-                       transform_to_grasp)
+                       effective_mass, evaluate_grasps, motion_direction,
+                       parse_scene, transform_to_grasp)
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("book"))
 traj = scene.fit()
 book = build_cuboid(0.34, (0.22, 0.15, 0.015))
 
-# direction of travel at the collision sample, in grasp axes
+# direction of travel (the path's chord, the same at every sample), in
+# grasp axes
 k = scene.collision_sample
-t_k = k * scene.dt
-v_world = traj.velocity(t_k)
-v_world /= np.linalg.norm(v_world)
 rot = traj.start_rotation  # constant-orientation move
-v_grasp = rot.T @ v_world
+v_grasp = rot.T @ motion_direction(traj)
 
 print("Book: 0.34 kg, grasped along the spine, pushed at the collision sample")
 print(f"travel direction in grasp axes: {np.round(v_grasp, 3)}")

@@ -25,8 +25,8 @@ from .scene import Scene, parse_scene, scene_from_dict, write_scene
 from .spatial import (Pose, Twist, pose_compose, pose_inverse,
                       rotation_axis_angle, rotation_log, rotation_ypr, skew,
                       velocity_transform)
-from .trajectory import (QuinticTrajectory, TrajectorySample, direction_at,
-                         fit_quintic, sample)
+from .trajectory import (QuinticTrajectory, TrajectorySample, fit_quintic,
+                         motion_direction, sample)
 from . import errors
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "operational_space_inertia", "operational_space_inertias",
     "inverse_kinematics",
     "QuinticTrajectory", "TrajectorySample", "fit_quintic", "sample",
-    "direction_at",
+    "motion_direction",
     "EffectiveMassProfile", "RankingReport", "Aggregator",
     "parse_aggregator", "evaluate_grasps", "rank_grasps",
     "ImpactScenario", "ForceTrace", "ImpactOrdering", "simulate_impact",

@@ -58,14 +58,6 @@ class KineticEnergyMatrix:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def uu(self) -> np.ndarray:
-        return self.matrix[:3, :3]
-
-    @property
-    def uw(self) -> np.ndarray:
-        return self.matrix[:3, 3:]
-
-    @property
     def ww(self) -> np.ndarray:
         return self.matrix[3:, 3:]
 

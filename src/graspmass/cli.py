@@ -5,7 +5,9 @@ runs rank, simulate-impact and profile (of the recommended grasp) on one
 scene. The ``Scene`` keeps one evaluation entry per sampling step, the
 arm's sweep and the profiles of all its grasps, so the first command on
 a scene computes it, even ``profile`` of one grasp, and every later
-command reads it and adds only its own output. All outputs are
+command reads it and adds only its own output. ``simulate-impact``
+takes the approach speed from the trajectory's velocity at the
+collision sample's time on that grid. All outputs are
 deterministic: floats are written with 9 significant digits, no
 timestamps, and re-running on the same scene reproduces numeric CSV
 content byte for byte.
@@ -68,12 +70,17 @@ def _resolve_grasp(scene: Scene, key: str) -> int:
                           f"(ids: {', '.join(g.id for g in scene.grasps)})")
 
 
-def _collision_speed(scene: Scene, velocities, dt: float) -> float:
+def _collision_speed(scene: Scene, times, dt: float) -> float:
+    """Approach speed: |velocity| of the trajectory at the collision
+    sample's grid time."""
     k = scene.collision_sample
-    if k > len(velocities):
+    if k > len(times):
         raise ValidationError("collision.sample",
                               f"sample {k} out of range for dt={dt}")
-    speed = float(np.linalg.norm(velocities[k - 1]))
+    velocity = scene.fit().velocity(times[k - 1])
+    if not np.isfinite(velocity).all():
+        raise ValueError("trajectory samples must be finite")
+    speed = float(np.linalg.norm(velocity))
     if speed <= MIN_APPROACH_SPEED:
         raise ValidationError("collision.sample",
                               "approach speed is zero at this sample")
@@ -144,7 +151,7 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep, profiles = scene._evaluated(dt)
-    speed = _collision_speed(scene, sweep.velocities, dt)
+    speed = _collision_speed(scene, sweep.times, dt)
     k = scene.collision_sample
     ordering = predict_ordering(profiles, k, speed, scene.stiffness,
                                 scene.damping)

@@ -25,7 +25,7 @@ PD_MIN_EIG = 1e-12
 
 # Direction handling.
 UNIT_NORM_TOL = 1e-6       # |v| may deviate this much before a warning
-ZERO_SPEED_TOL = 1e-8      # below this a sample counts as at rest
+ZERO_SPEED_TOL = 1e-8      # a chord (m) this short has no direction
 
 # Contact model: an approach speed at or below this cannot drive an impact.
 MIN_APPROACH_SPEED = 1e-12  # m/s

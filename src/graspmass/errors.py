@@ -39,7 +39,8 @@ class InvalidStep(GraspmassError):
 
 
 class DegenerateTrajectory(GraspmassError):
-    """All trajectory samples are at rest; no motion direction exists."""
+    """The trajectory does not move (its start and end positions
+    coincide), so no motion direction exists."""
 
 
 class RingOutOfRange(GraspmassError):

@@ -5,14 +5,14 @@ per trajectory computes it from the sampling grid, read as arrays:
 warm-started IK sample by sample (each solve seeds the next and hands
 it its converged frame pass), then the task-space inertia of all
 samples in one batched step on those passes, with one near-singular
-flag per sample, and the motion direction per sample (``_sweep``). Each
-grasp then rotates its object matrix into base axes once (the held
-orientation is the same at every sample), adds it to the arm's at every
-sample and gets all its effective masses from one batched solve
-(``_score``). ``evaluate_grasps`` is the two in turn; a ``Scene`` keeps
-one entry per ``dt`` holding both results, so only the first command on
-a scene and ``dt`` pays for them. Grasps are ranked ascending by
-profile aggregate (safest first).
+flag per sample, and the motion direction: the path's chord, the same
+at every sample (``_sweep``). Each grasp then rotates its object matrix
+into base axes once (the held orientation is the same at every sample),
+adds it to the arm's at every sample and gets all its effective masses
+from one batched solve (``_score``). ``evaluate_grasps`` is the two in
+turn; a ``Scene`` keeps one entry per ``dt`` holding both results, so
+only the first command on a scene and ``dt`` pays for them. Grasps are
+ranked ascending by profile aggregate (safest first).
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import numpy as np
 
 from .bodies import RigidBodyInertia, com_energy_matrix, transform_to_grasp
 from .chain import _Frames, _ik, _qvec, _stacked_inertias
-from .constants import PD_MIN_EIG, ZERO_SPEED_TOL
-from .errors import (DegenerateTrajectory, EmptyInput, IkDidNotConverge,
-                     LengthMismatch, NotPositiveDefinite)
+from .constants import PD_MIN_EIG
+from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
+                     NotPositiveDefinite)
 from .spatial import Pose
-from .trajectory import _directions, _grid
+from .trajectory import _grid, motion_direction
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +52,9 @@ class EffectiveMassProfile:
             raise ValueError("effective masses must be positive")
         for name, a in (("times", times), ("masses", masses),
                         ("near_singular", near)):
-            a.setflags(write=False)
+            if a.flags.writeable:  # maybe the caller's own array
+                a = a.copy()
+                a.setflags(write=False)
             object.__setattr__(self, name, a)
 
     def __len__(self) -> int:
@@ -120,7 +122,6 @@ class RankingReport:
     grasp_ids: tuple[str, ...]
     aggregates: tuple[float, ...]
     aggregator: str
-    profiles: tuple[EffectiveMassProfile, ...]
     notes: tuple[str, ...] = ()
 
 
@@ -132,7 +133,8 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt,
     aligned with ``grasps``; results keep the input order. IK is warm-
     started sample to sample, once for all grasps; on failure the error
     carries the sample index (0 = grasp pose at t=0). The collision
-    direction at each sample is the motion direction there.
+    direction at every sample is the motion direction
+    (``motion_direction``).
     """
     grasps = list(grasps)
     if isinstance(bodies, RigidBodyInertia):
@@ -146,13 +148,12 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt,
 
 class _Sweep(NamedTuple):
     """The grasp-independent part of an evaluation, arrays read-only: the
-    held rotation (3, 3), the sampling grid's times (N,) and velocities
-    (N, 3) (``_grid``), the arm's task-space inertia (N, 6, 6) in base
-    axes, unit directions (N, 3) and near-singular flags (N,)."""
+    held rotation (3, 3), the sampling grid's times (N,) (``_grid``), the
+    arm's task-space inertia (N, 6, 6) in base axes, the unit motion
+    direction once per sample (N, 3) and near-singular flags (N,)."""
 
     rotation: np.ndarray
     times: np.ndarray
-    velocities: np.ndarray
     lam_rob: np.ndarray
     dirs: np.ndarray
     near_singular: np.ndarray
@@ -179,6 +180,7 @@ def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
         # [Lambda^-1]_uu v is the top half of Lambda^-1 [v, 0]
         x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
         masses = 1.0 / np.einsum("ni,ni->n", dirs, x)
+        masses.setflags(write=False)
         profiles.append(EffectiveMassProfile(grasp.id, times, masses,
                                              sweep.near_singular))
     return profiles
@@ -193,7 +195,7 @@ def _sweep(chain, traj, dt, q_seed) -> _Sweep:
     task-space inertia of all N solutions is then one batched step on
     their passes, stacked row by row, with no further pass over the
     chain. The stack itself is not kept."""
-    times, positions, velocities = _grid(traj, dt)
+    times, positions = _grid(traj, dt)
     rotation = traj.start_rotation
     start = Pose(traj.position(0.0), rotation)
     q, frames = _solve_ik(chain, start.position, rotation,
@@ -209,24 +211,10 @@ def _sweep(chain, traj, dt, q_seed) -> _Sweep:
         for rows, a in zip(stack, frames):
             rows[row] = a[0]
     osi = _stacked_inertias(chain, stack)
-    dirs = _motion_directions(traj, velocities)
-    for a in (times, velocities, dirs):
+    dirs = np.tile(motion_direction(traj), (len(times), 1))
+    for a in (times, dirs):
         a.setflags(write=False)
-    return _Sweep(rotation, times, velocities, osi.matrices, dirs,
-                  osi.near_singular)
-
-
-def _motion_directions(traj, velocities):
-    # coarse grids can leave every sample at rest (dt = t_f lands on the
-    # endpoint); the rest-to-rest path is a straight chord, so use it
-    try:
-        return _directions(velocities)
-    except DegenerateTrajectory:
-        chord = traj.position(traj.t_f) - traj.position(0.0)
-        norm = np.linalg.norm(chord)
-        if norm <= ZERO_SPEED_TOL:
-            raise
-        return np.tile(chord / norm, (len(velocities), 1))
+    return _Sweep(rotation, times, osi.matrices, dirs, osi.near_singular)
 
 
 def _solve_ik(chain, position, rotation, q, frames, index):
@@ -252,13 +240,12 @@ def rank_grasps(profiles, aggregator="max") -> RankingReport:
     notes = []
     for p in profiles:
         value, note = aggregator(p)
-        scored.append((value, p.grasp_id, p))
+        scored.append((value, p.grasp_id))
         if note:
             notes.append(note)
-    scored.sort(key=lambda item: (item[0], item[1]))
+    scored.sort()
     return RankingReport(
-        grasp_ids=tuple(gid for _, gid, _ in scored),
-        aggregates=tuple(v for v, _, _ in scored),
+        grasp_ids=tuple(gid for _, gid in scored),
+        aggregates=tuple(v for v, _ in scored),
         aggregator=aggregator.name,
-        profiles=tuple(p for _, _, p in scored),
         notes=tuple(notes))

@@ -2,12 +2,13 @@
 
 A scene is one JSON document holding the chain, the object (a builder
 spec: cuboid, tensor rig, or raw inertia), grasp candidates, the
-trajectory endpoints, the collision setup, and the IK seed. Units are
-explicit in field names (mass_kg, length_m, ypr_rad). Grasp poses are
-given in the object frame; the parser re-expresses them relative to the
-object's CoM frame. A grasp entry may override the tensor rig's ring
-positions, which rebuilds the object for that grasp (same physical grip,
-different mass distribution).
+trajectory endpoints (the end orientation must equal the start one,
+which the trajectory holds), the collision setup, and the IK seed.
+Units are explicit in field names (mass_kg, length_m, ypr_rad). Grasp
+poses are given in the object frame; the parser re-expresses them
+relative to the object's CoM frame. A grasp entry may override the
+tensor rig's ring positions, which rebuilds the object for that grasp
+(same physical grip, different mass distribution).
 
 A ``Scene`` keeps one evaluation entry per sampling step: the arm's
 sweep (``ranking._sweep``, the part of an evaluation that no grasp
@@ -35,6 +36,7 @@ from . import ranking
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object)
 from .chain import ChainModel, JointSpec, JointState, LinkInertia
+from .constants import ORTHONORMAL_TOL
 from .errors import GraspmassError, ParseError, ValidationError
 from .spatial import Pose, pose_compose, pose_inverse
 from .trajectory import QuinticTrajectory, _grid_size, fit_quintic
@@ -253,6 +255,12 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     traj = _get(d, "trajectory", "", dict)
     start = _pose(traj, "start", "trajectory")
     end = _pose(traj, "end", "trajectory")
+    # the trajectory holds the start orientation; a different end one
+    # would be dropped without a word
+    if np.abs(end.rotation - start.rotation).max() > ORTHONORMAL_TOL:
+        raise ValidationError("trajectory.end.ypr_rad", "must give the "
+                              "start orientation, which the trajectory "
+                              "holds")
     t_f = _number(traj, "t_f_s", "trajectory")
     dt = _number(traj, "dt_s", "trajectory")
     if not t_f > 0.0:

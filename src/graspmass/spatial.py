@@ -141,9 +141,6 @@ class Twist:
         object.__setattr__(self, "linear", _frozen(self.linear, (3,), "linear"))
         object.__setattr__(self, "angular", _frozen(self.angular, (3,), "angular"))
 
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
-
 
 def velocity_transform(r) -> np.ndarray:
     """Block matrix [[I, skew(r)], [0, I]] shifting a twist's reference point.

@@ -1,14 +1,18 @@
 """Rest-to-rest quintic point trajectories with uniform sampling.
 
-One independent quintic per Cartesian axis, boundary conditions
-x(0) = start, x(t_f) = end, zero velocity and acceleration at both ends.
-Orientation is held at the start pose's rotation for every sample.
+One quintic per Cartesian axis, boundary conditions x(0) = start,
+x(t_f) = end, first and second derivatives zero at both ends. The six
+conditions differ between axes only in the endpoints, so every axis is
+start + (end - start) s(t) with one time-scaling s: the path is the
+straight chord from start to end, and the velocity is parallel to it at
+every instant. So the motion direction is one unit vector per
+trajectory, the chord's (``motion_direction``). Orientation is held at
+the start pose's rotation for every sample.
 
 ``sample`` returns one validated ``TrajectorySample`` per grid point. The
-pipeline reads the same grid as arrays (``_grid``: times, positions and
-velocities, each row evaluated as ``position(t)``/``velocity(t)`` would,
-finiteness checked once per stack) and takes the motion directions from
-the velocity stack (``_directions``), by the rule of ``direction_at``.
+pipeline reads the same grid as arrays (``_grid``: times and positions,
+each row evaluated as ``position(t)`` would, finiteness checked once per
+stack).
 """
 
 from __future__ import annotations
@@ -39,10 +43,6 @@ class QuinticTrajectory:
         c = self.coeffs[1:] * _POWERS[1:, None]
         return c.T @ (t ** _POWERS[:5])
 
-    def acceleration(self, t: float) -> np.ndarray:
-        c = self.coeffs[2:] * (_POWERS[2:] * _POWERS[1:5])[:, None]
-        return c.T @ (t ** _POWERS[:4])
-
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySample:
@@ -72,26 +72,35 @@ def fit_quintic(start: Pose, end: Pose, t_f: float) -> QuinticTrajectory:
     return QuinticTrajectory(coeffs, start.rotation, float(t_f))
 
 
+def motion_direction(traj: QuinticTrajectory) -> np.ndarray:
+    """Unit direction of travel: the chord from start to end, which the
+    velocity is parallel to at every instant (at rest too, where its
+    own direction is lost to rounding)."""
+    chord = traj.position(traj.t_f) - traj.position(0.0)
+    norm = np.linalg.norm(chord)
+    if norm <= ZERO_SPEED_TOL:
+        raise DegenerateTrajectory("start and end positions coincide")
+    return chord / norm
+
+
 def _grid_size(t_f: float, dt: float) -> int:
     """N, the number of samples on the grid of ``sample``."""
     return max(1, round(t_f / dt))
 
 
 def _grid(traj: QuinticTrajectory, dt: float):
-    """The sampling grid of ``sample`` as arrays: times (N,), positions
-    (N, 3) and linear velocities (N, 3)."""
+    """The sampling grid of ``sample`` as arrays: times (N,) and
+    positions (N, 3)."""
     if not 0.0 < dt <= traj.t_f:
         raise InvalidStep(f"dt must lie in (0, t_f], got {dt}")
     n = _grid_size(traj.t_f, dt)
     times = [traj.t_f * i / n for i in range(1, n + 1)]
-    # per-t products, as position(t) and velocity(t) sum them
+    # per-t products, as position(t) sums them
     pos_c = traj.coeffs.T
-    vel_c = (traj.coeffs[1:] * _POWERS[1:, None]).T
     positions = np.array([pos_c @ (t ** _POWERS) for t in times])
-    velocities = np.array([vel_c @ (t ** _POWERS[:5]) for t in times])
-    if not (np.isfinite(positions).all() and np.isfinite(velocities).all()):
+    if not np.isfinite(positions).all():
         raise ValueError("trajectory samples must be finite")
-    return np.array(times), positions, velocities
+    return np.array(times), positions
 
 
 def sample(traj: QuinticTrajectory, dt: float) -> list[TrajectorySample]:
@@ -101,52 +110,7 @@ def sample(traj: QuinticTrajectory, dt: float) -> list[TrajectorySample]:
     recorded separately by callers). When dt does not divide t_f the grid
     is snapped so the last sample lands exactly on t_f.
     """
-    times, positions, velocities = _grid(traj, dt)
+    times, positions = _grid(traj, dt)
     return [TrajectorySample(t, Pose(p, traj.start_rotation),
-                             Twist(v, np.zeros(3)), i)
-            for i, (t, p, v) in enumerate(
-                zip(times.tolist(), positions, velocities), 1)]
-
-
-def direction_at(samp: TrajectorySample,
-                 samples: list[TrajectorySample]) -> np.ndarray:
-    """Unit motion direction at a sample.
-
-    At (near-)rest samples, endpoints in particular, the direction of the
-    nearest sample with nonzero speed substitutes, so effective mass stays
-    defined along the whole path.
-    """
-    v = samp.velocity.linear
-    speed = float(np.linalg.norm(v))
-    if speed >= ZERO_SPEED_TOL:
-        return v / speed
-    best = None
-    best_dist = None
-    for other in samples:
-        s = float(np.linalg.norm(other.velocity.linear))
-        if s < ZERO_SPEED_TOL:
-            continue
-        dist = abs(other.sample_index - samp.sample_index)
-        if best is None or dist < best_dist:
-            best, best_dist = other, dist
-    if best is None:
-        raise DegenerateTrajectory("all samples are at rest")
-    v = best.velocity.linear
-    return v / np.linalg.norm(v)
-
-
-def _directions(velocities: np.ndarray) -> np.ndarray:
-    """``direction_at`` of every row of a grid's (N, 3) velocity stack:
-    each moving row over its speed; each row at rest takes the direction
-    of the nearest moving row, the earlier one on a tie."""
-    speeds = np.array([float(np.linalg.norm(v)) for v in velocities])
-    moving = np.flatnonzero(speeds >= ZERO_SPEED_TOL)
-    if not len(moving):
-        raise DegenerateTrajectory("all samples are at rest")
-    rows = np.arange(len(speeds))
-    at = np.searchsorted(moving, rows)   # first moving row at or after
-    after = moving[np.minimum(at, len(moving) - 1)]
-    before = moving[np.maximum(at - 1, 0)]
-    nearest = np.where(np.abs(rows - before) <= np.abs(after - rows),
-                       before, after)
-    return np.array([velocities[k] / speeds[k] for k in nearest.tolist()])
+                             Twist(traj.velocity(t), np.zeros(3)), i)
+            for i, (t, p) in enumerate(zip(times.tolist(), positions), 1)]

@@ -24,8 +24,8 @@ from graspmass import (
 )
 from graspmass.cli import demo_scene_path
 from graspmass.constants import (JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
-                                 PD_MIN_EIG)
-from graspmass.errors import NotPositiveDefinite
+                                 PD_MIN_EIG, ZERO_SPEED_TOL)
+from graspmass.errors import DegenerateTrajectory, NotPositiveDefinite
 
 
 def random_rotation(rng):
@@ -177,6 +177,40 @@ def euler_rate_map(ypr):
     e = np.eye(6)
     e[3:, 3:] = np.column_stack([z, rz @ y, rz @ ry @ x])
     return e
+
+
+def acceleration(traj, t):
+    """Second derivative of a ``QuinticTrajectory`` at t, term by term
+    from its coefficient table; test-local."""
+    k = np.arange(2, 6)
+    return (traj.coeffs[2:] * (k * (k - 1))[:, None]).T @ (t ** (k - 2))
+
+
+def direction_at(samp, samples):
+    """Unit motion direction at a ``TrajectorySample``, from its own
+    velocity; test-local oracle of the path's chord direction.
+
+    At (near-)rest samples, endpoints in particular, the direction of the
+    nearest sample with nonzero speed (the earlier one on a tie)
+    substitutes, so it stays defined along the whole path.
+    """
+    v = samp.velocity.linear
+    speed = float(np.linalg.norm(v))
+    if speed >= ZERO_SPEED_TOL:
+        return v / speed
+    best = None
+    best_dist = None
+    for other in samples:
+        s = float(np.linalg.norm(other.velocity.linear))
+        if s < ZERO_SPEED_TOL:
+            continue
+        dist = abs(other.sample_index - samp.sample_index)
+        if best is None or dist < best_dist:
+            best, best_dist = other, dist
+    if best is None:
+        raise DegenerateTrajectory("all samples are at rest")
+    v = best.velocity.linear
+    return v / np.linalg.norm(v)
 
 
 def fd_jacobian(model, q, h=1e-6):

@@ -31,6 +31,7 @@ from graspmass.cli import cmd_rank
 from graspmass.ranking import Aggregator
 
 from conftest import (
+    acceleration,
     book_scene,
     fd_jacobian,
     impulse_oracle_mass,
@@ -62,8 +63,8 @@ def test_acceptance_1_quintic_boundaries():
         np.abs(traj.position(2.0) - end.position).max(),
         np.abs(traj.velocity(0.0)).max(),
         np.abs(traj.velocity(2.0)).max(),
-        np.abs(traj.acceleration(0.0)).max(),
-        np.abs(traj.acceleration(2.0)).max(),
+        np.abs(acceleration(traj, 0.0)).max(),
+        np.abs(acceleration(traj, 2.0)).max(),
     )
     report("1 quintic boundaries", worst < 1e-9,
            f"worst endpoint residual {worst:.2e} (tol 1e-9)",

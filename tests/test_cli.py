@@ -260,6 +260,20 @@ def test_grasp_ids_sharing_a_file_name_are_a_clean_json_error(tmp_path,
     assert not out_dir.exists()
 
 
+def test_a_reorienting_trajectory_is_a_clean_json_error(tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["trajectory"]["end"]["ypr_rad"] = [0.0, 0.5, 0.3]
+    bad = tmp_path / "turn.scene.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run(capsys, "rank", str(bad), "--json",
+                       "--out-dir", str(tmp_path))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("trajectory.end.ypr_rad: ")
+    assert not (tmp_path / "ranking.json").exists()
+
+
 def test_bad_aggregator_is_a_clean_error(tmp_path, capsys):
     code, out, _ = run(capsys, "rank", book_path(), "--json",
                        "--aggregator", "median", "--out-dir", str(tmp_path))

@@ -12,7 +12,6 @@ from graspmass import (
     augment,
     build_cuboid,
     com_energy_matrix,
-    direction_at,
     effective_mass,
     evaluate_grasps,
     fit_quintic,
@@ -27,7 +26,7 @@ from graspmass import (
 from graspmass.errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                               NotPositiveDefinite)
 
-from conftest import book_scene, tensor_scene
+from conftest import book_scene, direction_at, tensor_scene
 
 
 def profile(grasp_id, masses, flagged=()):
@@ -116,6 +115,20 @@ def test_ik_failure_names_the_sample():
     assert exc.value.sample_index is not None
     assert exc.value.sample_index >= 1
     assert "sample" in str(exc.value)
+
+
+def test_profile_leaves_the_callers_arrays_writable():
+    times = np.array([0.1, 0.2])
+    masses = np.array([1.0, 2.0])
+    near = np.array([False, False])
+    prof = EffectiveMassProfile("g", times, masses, near)
+    times[0], masses[0], near[0] = 0.05, 3.0, True
+    assert prof.times.tolist() == [0.1, 0.2]
+    assert prof.masses.tolist() == [1.0, 2.0]
+    assert prof.near_singular.tolist() == [False, False]
+    for a in (prof.times, prof.masses, prof.near_singular):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_rank_grasps_sorts_ascending_with_id_tiebreak():

@@ -276,6 +276,19 @@ def test_n_samples_and_the_collision_bound_follow_the_grid(dt):
     with pytest.raises(ValidationError):
         scene_from_dict(doc)
 
+def test_end_orientation_is_compared_as_a_rotation():
+    # yaw + 2 pi is the start orientation; only the angle triple differs
+    doc = book_dict()
+    start = doc["trajectory"]["start"]["ypr_rad"]
+    doc["trajectory"]["end"]["ypr_rad"] = [start[0] + 2.0 * np.pi] + start[1:]
+    scene = scene_from_dict(doc)
+    assert np.allclose(scene.end.rotation, scene.start.rotation, atol=1e-12)
+    doc["trajectory"]["end"]["ypr_rad"] = [start[0], 0.5, 0.3]
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert exc.value.field == "trajectory.end.ypr_rad"
+
+
 def test_ik_seed_length_checked():
     doc = book_dict()
     doc["ik_seed_rad"] = [0.0, 0.0]

@@ -222,8 +222,8 @@ def test_cli_exits_two_on_each_ik_failure(argv, tmp_path, capsys):
 def test_cached_arrays_reject_writes(name, dt):
     scene = scene_of(name)
     sweep, profiles = scene._evaluated(scene.dt if dt is None else dt)
-    arrays = [sweep.rotation, sweep.times, sweep.velocities, sweep.lam_rob,
-              sweep.dirs, sweep.near_singular]
+    arrays = [sweep.rotation, sweep.times, sweep.lam_rob, sweep.dirs,
+              sweep.near_singular]
     for p in profiles:
         arrays += [p.times, p.masses, p.near_singular]
     for a in arrays:

@@ -4,12 +4,13 @@ evaluation under rigid motions of that scene."""
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from graspmass import (GraspCandidate, Pose, rank_grasps,  # noqa: E402
@@ -54,41 +55,53 @@ def test_effective_mass_does_not_change_when_the_direction_flips(position,
                           masses(SWEEP, position, ypr))
 
 
-def moved(doc, yaw, shift):
-    """The scene document after a rigid motion of the whole scene: a yaw
-    about z, then a shift. It moves the arm's base and both trajectory
+def ypr_of(r):
+    """ZYX angles (yaw, pitch, roll) of a rotation matrix."""
+    return [math.atan2(r[1, 0], r[0, 0]),
+            -math.asin(min(1.0, max(-1.0, r[2, 0]))),
+            math.atan2(r[2, 1], r[2, 2])]
+
+
+def moved(doc, rot, shift):
+    """The scene document after a rigid motion of the whole scene: a
+    rotation, then a shift. It moves the arm's base and both trajectory
     endpoints; grasps are given in the object frame and move with it."""
     doc = copy.deepcopy(doc)
-    rot = rotation_ypr(yaw, 0.0, 0.0)
     for pose in (doc["chain"]["base_pose"], doc["trajectory"]["start"],
                  doc["trajectory"]["end"]):
         pose["position_m"] = (rot @ pose["position_m"] + shift).tolist()
-        # ZYX angles: a yaw applied on the left adds to the yaw
-        pose["ypr_rad"][0] += yaw
+        pose["ypr_rad"] = ypr_of(rot @ rotation_ypr(*pose["ypr_rad"]))
     return doc
 
 
 def evaluated(doc):
     scene = scene_from_dict(doc)
-    return scene._evaluated(scene.dt)[1]
+    return scene._evaluated(scene.dt)
 
 
-# the first example drawn is the identity, three motions follow
+# hypothesis draws the identity first, then three motions; the explicit
+# example tilts z
 MOTION = settings(derandomize=True, database=None, max_examples=4,
                   deadline=None)
 DOCS = {name: json.loads(demo_scene_path(name).read_text(encoding="utf-8"))
         for name in ("book", "tensor")}
 PLACED = {name: evaluated(doc) for name, doc in DOCS.items()}
+tilts = st.floats(-1.0, 1.0)
 
 
 @pytest.mark.parametrize("name", DOCS)
 @MOTION
-@given(st.floats(-np.pi, np.pi),
+@given(st.floats(-np.pi, np.pi), tilts, tilts,
        st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
-def test_a_rigid_motion_of_the_scene_leaves_the_masses_unchanged(name, yaw,
-                                                                 shift):
-    want = PLACED[name]
-    got = evaluated(moved(DOCS[name], yaw, shift))
+@example(0.4, 0.5, -0.3, [0.3, -0.2, 0.1])
+def test_a_rigid_motion_of_the_scene_leaves_the_masses_unchanged(
+        name, yaw, pitch, roll, shift):
+    rot = rotation_ypr(yaw, pitch, roll)
+    want_sweep, want = PLACED[name]
+    got_sweep, got = evaluated(moved(DOCS[name], rot, shift))
+    # the motion direction turns with the scene
+    assert np.allclose(got_sweep.dirs, want_sweep.dirs @ rot.T, rtol=0.0,
+                       atol=1e-12)
     assert [p.grasp_id for p in got] == [p.grasp_id for p in want]
     for a, b in zip(got, want):
         assert np.allclose(a.masses, b.masses, rtol=1e-9, atol=0.0)

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from graspmass import (Pose, TrajectorySample, Twist, direction_at,
-                       fit_quintic, sample)
+from graspmass import Pose, fit_quintic, motion_direction, sample
 from graspmass.constants import ZERO_SPEED_TOL
-from graspmass.ranking import _motion_directions
-from graspmass.trajectory import _directions, _grid
+from graspmass.trajectory import _grid
 from graspmass.errors import (
     DegenerateTrajectory,
     InvalidStep,
     NonPositiveDuration,
 )
+
+from conftest import acceleration, direction_at
 
 
 def unit_fit():
@@ -39,7 +39,7 @@ def test_rest_to_rest_boundary_conditions():
     assert np.allclose(traj.position(2.0), [1.1, -0.38, 0.16], atol=1e-9)
     for t in (0.0, 2.0):
         assert np.abs(traj.velocity(t)).max() < 1e-9
-        assert np.abs(traj.acceleration(t)).max() < 1e-9
+        assert np.abs(acceleration(traj, t)).max() < 1e-9
 
 
 def test_midpoint_speed_of_unit_move():
@@ -151,15 +151,14 @@ def test_grid_arrays_equal_the_samples(steps):
         dt = {"divides": traj.t_f / rng.integers(1, 60),
               "does_not_divide": traj.t_f / (rng.integers(1, 60) + 0.37),
               "t_f": traj.t_f}[steps]
-        times, positions, velocities = _grid(traj, dt)
+        times, positions = _grid(traj, dt)
         samples = sample(traj, dt)
         assert np.array_equal(times, [s.t for s in samples])
         assert np.array_equal(positions, [s.pose.position for s in samples])
-        assert np.array_equal(velocities,
-                              [s.velocity.linear for s in samples])
         # each row keeps the bits of the per-t evaluation
         assert np.array_equal(positions, [traj.position(t) for t in times])
-        assert np.array_equal(velocities, [traj.velocity(t) for t in times])
+        assert np.array_equal([s.velocity.linear for s in samples],
+                              [traj.velocity(t) for t in times])
 
 
 def test_grid_rejects_non_finite_samples():
@@ -170,46 +169,29 @@ def test_grid_rejects_non_finite_samples():
         _grid(huge, 1e-4)
 
 
-@pytest.mark.parametrize("dt", [0.1, 0.3, 0.001])
-def test_array_directions_equal_direction_at(dt):
-    # at dt 1 ms a 10 um move leaves 11 samples at rest, at both ends
+@pytest.mark.parametrize("dt, tol", [(0.1, 1e-12), (0.3, 1e-12),
+                                     (0.001, 1e-8)])
+def test_motion_direction_is_the_direction_at_every_sample(dt, tol):
+    # at dt 1 ms a 10 um move leaves 11 samples at rest, at both ends;
+    # near rest v/|v| carries the rounding of a small speed
     tiny = fit_quintic(Pose(np.zeros(3), np.eye(3)),
                        Pose(np.array([1e-5, 0.0, 0.0]), np.eye(3)), 1.0)
-    for traj in (book_fit(), unit_fit(), tiny):
+    rng = np.random.default_rng(32)
+    fits = [book_fit(), unit_fit(), tiny] + [random_fit(rng) for _ in range(8)]
+    for traj in fits:
         samples = sample(traj, dt)
-        dirs = _directions(_grid(traj, dt)[2])
+        d = motion_direction(traj)
         # the rest endpoint at t_f is among the rows
         assert np.linalg.norm(samples[-1].velocity.linear) < ZERO_SPEED_TOL
-        for samp, d in zip(samples, dirs):
-            assert np.array_equal(d, direction_at(samp, samples))
+        for samp in samples:
+            assert np.abs(direction_at(samp, samples) - d).max() <= tol
 
 
-def test_array_directions_pick_the_nearest_moving_row():
-    # rows at rest before, between (with ties) and after the moving rows
-    rng = np.random.default_rng(32)
-    for _ in range(20):
-        vel = rng.normal(size=(15, 3))
-        vel[rng.random(15) < 0.6] = 0.0
-        if not vel.any():
-            vel[int(rng.integers(15))] = rng.normal(size=3)
-        samples = [TrajectorySample(0.1 * i, Pose.identity(),
-                                    Twist(v, np.zeros(3)), i)
-                   for i, v in enumerate(vel, 1)]
-        dirs = _directions(vel)
-        for samp, d in zip(samples, dirs):
-            assert np.array_equal(d, direction_at(samp, samples))
-
-
-def test_all_at_rest_grid_falls_back_to_the_chord():
-    # dt = t_f leaves one sample, at the rest endpoint
-    traj = book_fit()
-    _, _, velocities = _grid(traj, traj.t_f)
-    with pytest.raises(DegenerateTrajectory):
-        _directions(velocities)
-    chord = traj.position(traj.t_f) - traj.position(0.0)
-    assert np.array_equal(_motion_directions(traj, velocities),
-                          [chord / np.linalg.norm(chord)])
+def test_motion_direction_is_the_exact_chord():
+    for traj in (book_fit(), unit_fit()):
+        chord = traj.position(traj.t_f) - traj.position(0.0)
+        assert np.array_equal(motion_direction(traj),
+                              chord / np.linalg.norm(chord))
     pose = Pose(np.array([0.5, 0.5, 0.5]), np.eye(3))
-    null = fit_quintic(pose, pose, 1.0)
     with pytest.raises(DegenerateTrajectory):
-        _motion_directions(null, _grid(null, 1.0)[2])
+        motion_direction(fit_quintic(pose, pose, 1.0))
