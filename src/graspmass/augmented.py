@@ -57,6 +57,14 @@ class KineticEnergyMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _of_checked(cls, m: np.ndarray) -> "KineticEnergyMatrix":
+        """Wraps a read-only 6x6 matrix that ``checked_energy_matrices``
+        returned, without checking it again."""
+        kem = object.__new__(cls)
+        object.__setattr__(kem, "matrix", m)
+        return kem
+
     @property
     def ww(self) -> np.ndarray:
         return self.matrix[3:, 3:]

@@ -13,17 +13,25 @@ The core works on stacks of configurations, shape (S, n): one frame pass
 on raw arrays (``_frame_pass``) gives the joint frames and end-effector
 poses of all S samples, and the Jacobians and CRBA mass matrices
 (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) are derived
-from it. ``operational_space_inertias`` returns the task-space inertia of
-a whole stack, with a read-only bool array that flags each configuration
-near a Jacobian singularity (damped, not inverted exactly); the
-single-configuration calls (FK, Jacobian, mass matrix, task-space
-inertia, each IK iteration) run the same core on a batch of one.
-Validation sits at the boundary, once per call: joint values must be
-finite, and each pass checks every end-effector pose; joint frames are
-not validated one by one.
+from it. The pass loops over the joints once, for the rotations; the
+joint origins are one batched product of the parent offsets by the
+preceding frames and one running sum in joint order, the additions of
+pose composition in its order. ``operational_space_inertias`` returns
+the task-space inertia of a whole stack, with a read-only bool array
+that flags each configuration near a Jacobian singularity (damped, not
+inverted exactly); the single-configuration calls (FK, Jacobian, mass
+matrix, task-space inertia, each IK iteration) run the same core on a
+batch of one. Validation sits at the boundary, once per call: joint
+values must be finite, and the end-effector rotation of each pass that
+reaches a result must be orthonormal (``_checked``: the public calls
+and ``inverse_kinematics`` check theirs, a sweep its stacked converged
+passes). The passes of intermediate IK iterates, which are thrown away,
+and the joint frames are not checked.
 
 ``inverse_kinematics`` wraps ``_ik``, which works on arrays and returns
-the converged configuration with its frame pass. A warm-started sweep
+the converged configuration with its frame pass. Each iteration does
+its arithmetic on plain floats and small arrays (residual norms as
+``sqrt(e @ e)``, the bits of ``np.linalg.norm``). A warm-started sweep
 hands that pass to the next solve, which then skips the pass at its
 seed, and stacks the passes of all samples for the task-space inertia
 (``_stacked_inertias``): a stack of passes holds the same bits as one
@@ -33,6 +41,7 @@ every grasp's profile carries.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,6 +60,7 @@ from .spatial import _check_rotation, _frozen
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
+_IK_DAMPING_EYE6 = IK_DAMPING**2 * _EYE6
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +89,13 @@ class JointSpec:
 
     def __post_init__(self):
         axis = _frozen(self.axis, (3,), "axis")
-        if abs(np.linalg.norm(axis) - 1.0) > UNIT_NORM_TOL:
+        norm = np.linalg.norm(axis)
+        if abs(norm - 1.0) > UNIT_NORM_TOL:
             raise ValueError("axis must be a unit vector")
+        # a near-unit axis would make Rodrigues spins that are not
+        # rotations; a unit one divides exactly
+        axis = axis / norm
+        axis.setflags(write=False)
         object.__setattr__(self, "axis", axis)
         lo, hi = float(self.limits[0]), float(self.limits[1])
         if not lo < hi:
@@ -188,27 +203,41 @@ class _Frames(NamedTuple):
 
 
 def _frame_pass(model: ChainModel, qs: np.ndarray) -> _Frames:
-    """Joint frames and end-effector poses for a validated (S, n) stack."""
+    """Joint frames and end-effector poses for a validated (S, n) stack.
+
+    The end-effector rotation is not checked here: callers check the
+    passes that reach a result (``_checked``)."""
     arrays = model._arrays
     # Rodrigues about each joint axis, all joints and samples at once
     spins = (_EYE3 + np.sin(qs)[..., None, None] * arrays.axis_skews
              + (1.0 - np.cos(qs))[..., None, None] * arrays.axis_skews2)
     rotations = np.empty(spins.shape)
-    origins = np.empty(qs.shape + (3,))
-    rot, pos = model.base_pose.rotation, model.base_pose.position
+    base = model.base_pose
+    rot = base.rotation
     for i in range(model.dof):
-        pos = rot @ arrays.parent_positions[i] + pos
         rot = rot @ arrays.parent_rotations[i] @ spins[:, i]
         rotations[:, i] = rot
-        origins[:, i] = pos
+    # joint i's offset in base axes, by the frame before it; then each
+    # origin is the previous one plus its offset, summed in joint order
+    preceding = np.empty(rotations.shape)
+    preceding[:, 0] = base.rotation
+    preceding[:, 1:] = rotations[:, :-1]
+    origins = (preceding @ arrays.parent_positions[..., None])[..., 0]
+    origins[:, 0] += base.position
+    origins = np.cumsum(origins, axis=1)
     axes = (rotations @ arrays.axes[..., None])[..., 0]
     tool = model.tool_transform
-    ee_position = rot @ tool.position + pos
+    ee_position = rot @ tool.position + origins[:, -1]
     ee_rotation = rot @ tool.rotation
     if not np.isfinite(ee_position).all():
         raise ValueError("end-effector position must be finite")
-    _check_rotation(ee_rotation, "end-effector rotation")
     return _Frames(rotations, origins, axes, ee_rotation, ee_position)
+
+
+def _checked(frames: _Frames) -> _Frames:
+    """The pass, once every end-effector rotation in it is checked."""
+    _check_rotation(frames.ee_rotation, "end-effector rotation")
+    return frames
 
 
 def _jacobian(frames: _Frames) -> np.ndarray:
@@ -254,18 +283,18 @@ def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
-    frames = _frame_pass(model, _qvec(model, q))
+    frames = _checked(_frame_pass(model, _qvec(model, q)))
     return Pose(frames.ee_position[0], frames.ee_rotation[0])
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
     """6 x n map from joint rates to the end-effector twist, linear rows first."""
-    return _jacobian(_frame_pass(model, _qvec(model, q)))[0]
+    return _jacobian(_checked(_frame_pass(model, _qvec(model, q))))[0]
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Joint-space mass matrix by the composite rigid-body recursion."""
-    return _crba(model, _frame_pass(model, _qvec(model, q)))[0]
+    return _crba(model, _checked(_frame_pass(model, _qvec(model, q))))[0]
 
 
 class OperationalSpaceInertia(NamedTuple):
@@ -316,9 +345,10 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
     instead of failing, so trajectory profiles stay complete.
     """
-    osi = _stacked_inertias(model, _frame_pass(model, _qvec(model, q)))
-    return OperationalSpaceInertia(KineticEnergyMatrix(osi.matrices[0]),
-                                   bool(osi.near_singular[0]))
+    osi = _stacked_inertias(model,
+                            _checked(_frame_pass(model, _qvec(model, q))))
+    return OperationalSpaceInertia(KineticEnergyMatrix._of_checked(
+        osi.matrices[0]), bool(osi.near_singular[0]))
 
 
 def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertias:
@@ -326,7 +356,8 @@ def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertia
     batched pass; every near-singular sample is damped and warned about
     once. Raises like ``KineticEnergyMatrix`` if any result is not
     symmetric or not positive semidefinite."""
-    return _stacked_inertias(model, _frame_pass(model, _qstack(model, qs)))
+    return _stacked_inertias(model,
+                             _checked(_frame_pass(model, _qstack(model, qs))))
 
 
 def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
@@ -334,25 +365,27 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
 
     Returns once position and orientation residuals are inside tolerance;
     if the target equals FK(seed) the seed comes back unchanged. After the
-    iteration budget, raises with the best configuration seen.
+    iteration budget, raises with the best configuration seen. The
+    end-effector rotation at the solution must be orthonormal.
     """
-    q, _ = _ik(model, target.position, target.rotation,
-               _qvec(model, seed)[0])
+    q, frames = _ik(model, target.position, target.rotation,
+                    _qvec(model, seed)[0])
+    _checked(frames)
     return JointState(q)
 
 
 def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
         q: np.ndarray, frames: _Frames | None = None):
     """``inverse_kinematics`` on arrays: the converged q and its frame
-    pass (a batch of one).
+    pass (a batch of one), whose end-effector rotation the caller checks.
 
     ``frames``, the pass at the seed (the previous solve's result in a
     warm-started sweep), saves the first pass; it is used only if the
     joint limits leave the seed as it is.
     """
-    arrays = model._arrays
-    seed, q = q, np.clip(q, arrays.lower, arrays.upper)
-    if frames is not None and not np.array_equal(q, seed):
+    lower, upper = model._arrays.lower, model._arrays.upper
+    seed, q = q, np.minimum(np.maximum(q, lower), upper)
+    if frames is not None and not (q == seed).all():
         frames = None
     best_q, best_err = q, np.inf
     best_pos, best_rot = np.inf, np.inf
@@ -361,8 +394,9 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
             frames = _frame_pass(model, q[None])
         e_pos = target_pos - frames.ee_position[0]
         e_rot = rotation_log(target_rot @ frames.ee_rotation[0].T)
-        pos_err = float(np.linalg.norm(e_pos))
-        rot_err = float(np.linalg.norm(e_rot))
+        # the bits of np.linalg.norm on a 1-D float vector
+        pos_err = math.sqrt(e_pos @ e_pos)
+        rot_err = math.sqrt(e_rot @ e_rot)
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
             return q, frames
         if pos_err + rot_err < best_err:
@@ -372,11 +406,11 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
             break
         jac = _jacobian(frames)[0]
         err = np.concatenate([e_pos, e_rot])
-        dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * _EYE6, err)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + _IK_DAMPING_EYE6, err)
         step = np.abs(dq).max()
         if step > IK_STEP_CLAMP:
             dq *= IK_STEP_CLAMP / step
-        q = np.clip(q + dq, arrays.lower, arrays.upper)
+        q = np.minimum(np.maximum(q + dq, lower), upper)
         frames = None
     raise IkDidNotConverge(
         f"no convergence after {IK_MAX_ITERS} iterations "

@@ -3,7 +3,8 @@
 The arm's energy matrix depends on the trajectory alone, so one sweep
 per trajectory computes it from the sampling grid, read as arrays:
 warm-started IK sample by sample (each solve seeds the next and hands
-it its converged frame pass), then the task-space inertia of all
+it its converged frame pass), then one orthonormality check of all
+the converged end-effector rotations and the task-space inertia of all
 samples in one batched step on those passes, with one near-singular
 flag per sample, and the motion direction: the path's chord, the same
 at every sample (``_sweep``). Each grasp then rotates its object matrix
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import RigidBodyInertia, com_energy_matrix, transform_to_grasp
-from .chain import _Frames, _ik, _qvec, _stacked_inertias
+from .chain import _checked, _Frames, _ik, _qvec, _stacked_inertias
 from .constants import PD_MIN_EIG
 from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                      NotPositiveDefinite)
@@ -194,7 +195,8 @@ def _sweep(chain, traj, dt, q_seed) -> _Sweep:
     its seed; the start pose (sample 0) seeds sample 1 the same way. The
     task-space inertia of all N solutions is then one batched step on
     their passes, stacked row by row, with no further pass over the
-    chain. The stack itself is not kept."""
+    chain, once their end-effector rotations are checked. The stack
+    itself is not kept."""
     times, positions = _grid(traj, dt)
     rotation = traj.start_rotation
     start = Pose(traj.position(0.0), rotation)
@@ -210,7 +212,7 @@ def _sweep(chain, traj, dt, q_seed) -> _Sweep:
                               for a in frames))
         for rows, a in zip(stack, frames):
             rows[row] = a[0]
-    osi = _stacked_inertias(chain, stack)
+    osi = _stacked_inertias(chain, _checked(stack))
     dirs = np.tile(motion_direction(traj), (len(times), 1))
     for a in (times, dirs):
         a.setflags(write=False)

@@ -3,7 +3,8 @@
 A scene is one JSON document holding the chain, the object (a builder
 spec: cuboid, tensor rig, or raw inertia), grasp candidates, the
 trajectory endpoints (the end orientation must equal the start one,
-which the trajectory holds), the collision setup, and the IK seed.
+which the trajectory holds, and the end position must differ from the
+start one), the collision setup, and the IK seed.
 Units are explicit in field names (mass_kg, length_m, ypr_rad). Grasp
 poses are given in the object frame; the parser re-expresses them
 relative to the object's CoM frame. A grasp entry may override the
@@ -39,7 +40,8 @@ from .chain import ChainModel, JointSpec, JointState, LinkInertia
 from .constants import ORTHONORMAL_TOL
 from .errors import GraspmassError, ParseError, ValidationError
 from .spatial import Pose, pose_compose, pose_inverse
-from .trajectory import QuinticTrajectory, _grid_size, fit_quintic
+from .trajectory import (QuinticTrajectory, _grid_size, fit_quintic,
+                         motion_direction)
 
 SCHEMA_VERSION = 1
 
@@ -267,6 +269,10 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
         raise ValidationError("trajectory.t_f_s", "must be positive")
     if not 0.0 < dt <= t_f:
         raise ValidationError("trajectory.dt_s", "must lie in (0, t_f]")
+    # a path that does not move has no motion direction; the chord rule
+    # of the evaluation rejects it here, before any IK runs
+    _wrap("trajectory.end.position_m", motion_direction,
+          fit_quintic(start, end, t_f))
     n = _grid_size(t_f, dt)
     coll = _get(d, "collision", "", dict)
     stiffness = _number(coll, "stiffness_n_per_m", "collision", 1e4)

@@ -17,6 +17,8 @@ import numpy as np
 from .constants import ORTHONORMAL_TOL
 from .errors import DimensionMismatch
 
+_EYE3 = np.eye(3)
+
 
 def _frozen(a, shape, name) -> np.ndarray:
     arr = np.array(a, dtype=float)
@@ -30,7 +32,7 @@ def _frozen(a, shape, name) -> np.ndarray:
 
 def _check_rotation(r: np.ndarray, name="rotation") -> None:
     """Checks a 3x3 rotation, or each of an (..., 3, 3) stack."""
-    if np.abs(r @ np.swapaxes(r, -1, -2) - np.eye(3)).max() > ORTHONORMAL_TOL:
+    if np.abs(r @ np.swapaxes(r, -1, -2) - _EYE3).max() > ORTHONORMAL_TOL:
         raise ValueError(f"{name} is not orthonormal")
     if np.abs(np.linalg.det(r) - 1.0).max() > ORTHONORMAL_TOL:
         raise ValueError(f"{name} must have determinant +1")
@@ -80,7 +82,9 @@ def rotation_axis_angle(axis, angle) -> np.ndarray:
 def rotation_log(r) -> np.ndarray:
     """Axis-angle vector of a rotation matrix (inverse of rotation_axis_angle)."""
     r = np.asarray(r, dtype=float)
-    c = (np.trace(r) - 1.0) / 2.0
+    # plain floats: the sums np.trace makes, in its order
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    c = (r00 + r11 + r22 - 1.0) / 2.0
     c = min(1.0, max(-1.0, c))
     angle = math.acos(c)
     if angle < 1e-12:
@@ -95,8 +99,8 @@ def rotation_log(r) -> np.ndarray:
         else:
             a[2] = math.copysign(a[2], r[1, 2] + r[2, 1])
         return angle * a / np.linalg.norm(a)
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return w * (angle / (2.0 * math.sin(angle)))
+    k = angle / (2.0 * math.sin(angle))
+    return np.array([(r21 - r12) * k, (r02 - r20) * k, (r10 - r01) * k])
 
 
 @dataclass(frozen=True, eq=False)

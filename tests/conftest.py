@@ -23,9 +23,14 @@ from graspmass import (
     transform_to_grasp,
 )
 from graspmass.cli import demo_scene_path
-from graspmass.constants import (JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
+from graspmass.chain import _Frames, _stacked_inertias
+from graspmass.constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL,
+                                 IK_ROT_TOL, IK_STEP_CLAMP,
+                                 JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
                                  PD_MIN_EIG, ZERO_SPEED_TOL)
-from graspmass.errors import DegenerateTrajectory, NotPositiveDefinite
+from graspmass.errors import (DegenerateTrajectory, IkDidNotConverge,
+                              NotPositiveDefinite)
+from graspmass.trajectory import _grid
 
 
 def random_rotation(rng):
@@ -308,3 +313,97 @@ def book_scene():
 
 def tensor_scene():
     return parse_scene(demo_scene_path("tensor"))
+
+
+# The warm-started IK sweep with numpy's own norms, clipping, trace and
+# array comparisons, one matmul per joint origin: the library computes
+# the same quantities with fewer calls per iteration, so its joint
+# solutions and task-space inertias must be equal to these bit for bit.
+
+def reference_rotation_log(r):
+    """Axis-angle vector of a rotation matrix, numpy array arithmetic."""
+    r = np.asarray(r, dtype=float)
+    c = (np.trace(r) - 1.0) / 2.0
+    c = min(1.0, max(-1.0, c))
+    angle = math.acos(c)
+    if angle < 1e-12:
+        return np.zeros(3)
+    if angle > math.pi - 1e-6:
+        a = np.sqrt(np.maximum(np.diag(r) - c, 0.0) / (1.0 - c))
+        if a[0] > 0:
+            a[1] = math.copysign(a[1], r[0, 1] + r[1, 0])
+            a[2] = math.copysign(a[2], r[0, 2] + r[2, 0])
+        else:
+            a[2] = math.copysign(a[2], r[1, 2] + r[2, 1])
+        return angle * a / np.linalg.norm(a)
+    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    return w * (angle / (2.0 * math.sin(angle)))
+
+
+def reference_frame_pass(model, qs):
+    """Joint frames and end-effector poses of an (S, n) stack, each joint
+    origin accumulated inside the loop over the joints."""
+    k = skew([spec.axis for spec, _ in model.joints])
+    spins = (np.eye(3) + np.sin(qs)[..., None, None] * k
+             + (1.0 - np.cos(qs))[..., None, None] * (k @ k))
+    rotations = np.empty(spins.shape)
+    origins = np.empty(qs.shape + (3,))
+    rot, pos = model.base_pose.rotation, model.base_pose.position
+    for i, (spec, _) in enumerate(model.joints):
+        pos = rot @ spec.parent_transform.position + pos
+        rot = rot @ spec.parent_transform.rotation @ spins[:, i]
+        rotations[:, i] = rot
+        origins[:, i] = pos
+    axes = (rotations @ np.array([spec.axis for spec, _ in model.joints])
+            [..., None])[..., 0]
+    tool = model.tool_transform
+    return _Frames(rotations, origins, axes, rot @ tool.rotation,
+                   rot @ tool.position + pos)
+
+
+def reference_ik(model, target_pos, target_rot, q, frames=None):
+    """Damped least squares from q; the converged q and its frame pass.
+    ``frames`` is the pass at q, reused unless the limits move q."""
+    lower, upper = model.limits_array().T
+    seed, q = q, np.clip(q, lower, upper)
+    if frames is not None and not np.array_equal(q, seed):
+        frames = None
+    for _ in range(IK_MAX_ITERS + 1):
+        if frames is None:
+            frames = reference_frame_pass(model, q[None])
+        e_pos = target_pos - frames.ee_position[0]
+        e_rot = reference_rotation_log(target_rot @ frames.ee_rotation[0].T)
+        pos_err = float(np.linalg.norm(e_pos))
+        rot_err = float(np.linalg.norm(e_rot))
+        if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
+            return q, frames
+        jac = np.empty((6, model.dof))
+        jac[:3] = np.cross(frames.axes[0],
+                           frames.ee_position[0] - frames.origins[0]).T
+        jac[3:] = frames.axes[0].T
+        err = np.concatenate([e_pos, e_rot])
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * np.eye(6),
+                                     err)
+        step = np.abs(dq).max()
+        if step > IK_STEP_CLAMP:
+            dq *= IK_STEP_CLAMP / step
+        q = np.clip(q + dq, lower, upper)
+        frames = None
+    raise IkDidNotConverge("reference IK did not converge")
+
+
+def reference_sweep(chain, traj, dt, q_seed):
+    """From the joint values ``q_seed``: joint solutions (N, n) along the grid, each solve seeded with the
+    previous one and its pass, the start pose first; and the arm's
+    task-space inertias (N, 6, 6) of the stacked converged passes."""
+    _, positions = _grid(traj, dt)
+    rotation = traj.start_rotation
+    q, frames = reference_ik(chain, traj.position(0.0), rotation,
+                             np.asarray(q_seed, dtype=float))
+    qs, passes = [], []
+    for position in positions:
+        q, frames = reference_ik(chain, position, rotation, q, frames)
+        qs.append(q)
+        passes.append(frames)
+    stack = _Frames(*(np.concatenate(a) for a in zip(*passes)))
+    return np.array(qs), _stacked_inertias(chain, stack).matrices

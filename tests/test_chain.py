@@ -32,6 +32,8 @@ from conftest import (
     pose_jacobian,
     pose_osi,
     random_chain,
+    random_rotation,
+    reference_frame_pass,
 )
 
 
@@ -58,6 +60,26 @@ def test_frame_pass_equals_pose_composition_exactly():
             assert np.array_equal(geometric_jacobian(model, q),
                                   pose_jacobian(model, q))
             assert np.array_equal(mass_matrix(model, q), pose_crba(model, q))
+
+
+def test_frame_pass_equals_the_reference_on_rotated_frames():
+    # random parent rotations, base and tool poses, so that the order of
+    # every product and sum shows; stacks of one and of several
+    from graspmass.chain import _frame_pass
+    rng = np.random.default_rng(31)
+    for dof in (1, 3, 7):
+        chain = random_chain(rng, dof)
+        joints = tuple((JointSpec(Pose(j.parent_transform.position,
+                                       random_rotation(rng)), j.axis), link)
+                       for j, link in chain.joints)
+        model = ChainModel(joints, Pose(rng.normal(size=3),
+                                        random_rotation(rng)),
+                           Pose(rng.normal(size=3), random_rotation(rng)))
+        for count in (1, 5):
+            qs = rng.uniform(-np.pi, np.pi, size=(count, dof))
+            got = _frame_pass(model, qs)
+            want = reference_frame_pass(model, qs)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def wrist_chain(rng):

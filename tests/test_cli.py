@@ -274,6 +274,44 @@ def test_a_reorienting_trajectory_is_a_clean_json_error(tmp_path, capsys):
     assert not (tmp_path / "ranking.json").exists()
 
 
+def test_a_trajectory_that_does_not_move_is_a_clean_json_error(tmp_path,
+                                                               capsys):
+    # rejected at parse, before the sweep, so no artifact is written
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["trajectory"]["end"]["position_m"] = doc["trajectory"]["start"][
+        "position_m"]
+    bad = tmp_path / "still.scene.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "rank", str(bad), "--json",
+                         "--out-dir", str(out_dir))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("trajectory.end.position_m: ")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_a_near_unit_joint_axis_ranks_as_the_unit_one(tmp_path, capsys):
+    # within the unit-norm tolerance, the axis is stored normalized, so
+    # its spins stay rotations
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    assert doc["chain"]["joints"][0]["axis"] == [0.0, 0.0, 1.0]
+    doc["chain"]["joints"][0]["axis"] = [0.0, 0.0, 1.0000005]
+    near = tmp_path / "near.scene.json"
+    near.write_text(json.dumps(doc), encoding="utf-8")
+    results = []
+    for k, scene in enumerate((book_path(), str(near))):
+        out_dir = tmp_path / f"out-{k}"
+        code, out, _ = run(capsys, "rank", scene, "--json",
+                           "--out-dir", str(out_dir))
+        assert code == 0
+        results.append((json.loads(out)["ranking"],
+                        (out_dir / "mass_map.csv").read_bytes()))
+    assert results[0] == results[1]
+
+
 def test_bad_aggregator_is_a_clean_error(tmp_path, capsys):
     code, out, _ = run(capsys, "rank", book_path(), "--json",
                        "--aggregator", "median", "--out-dir", str(tmp_path))

@@ -5,8 +5,11 @@ import pytest
 
 from graspmass import (
     Aggregator,
+    ChainModel,
     EffectiveMassProfile,
     GraspCandidate,
+    JointSpec,
+    KineticEnergyMatrix,
     Pose,
     RigidBodyInertia,
     augment,
@@ -15,7 +18,10 @@ from graspmass import (
     effective_mass,
     evaluate_grasps,
     fit_quintic,
+    forward_kinematics,
+    geometric_jacobian,
     inverse_kinematics,
+    mass_matrix,
     operational_space_inertia,
     operational_space_inertias,
     parse_aggregator,
@@ -26,7 +32,7 @@ from graspmass import (
 from graspmass.errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                               NotPositiveDefinite)
 
-from conftest import book_scene, direction_at, tensor_scene
+from conftest import book_scene, direction_at, reference_sweep, tensor_scene
 
 
 def profile(grasp_id, masses, flagged=()):
@@ -293,18 +299,22 @@ SWEEP_PATHS = ["book", "book-dt-0.01", "tensor", "pitch-pi/2",
                "seed-out-of-limits"]
 
 
-@pytest.mark.parametrize("path", SWEEP_PATHS)
-def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
-    # the sweep hands each solve the previous frame pass; the joint
-    # solutions and the arm's inertias must keep the bits of plain calls
-    import graspmass.ranking as ranking
-    from graspmass.chain import _ik
+def sweep_case(path):
+    """(scene, trajectory, dt, IK seed) of one ``SWEEP_PATHS`` case."""
     scene = tensor_scene() if path == "tensor" else book_scene()
     traj = (pitched_path(scene, np.pi / 2) if path == "pitch-pi/2"
             else scene.fit())
     dt = 0.01 if path == "book-dt-0.01" else scene.dt
     seed = (out_of_limits_seed(scene) if path == "seed-out-of-limits"
             else scene.ik_seed)
+    return scene, traj, dt, seed
+
+
+def recorded_sweep(monkeypatch, chain, traj, dt, seed):
+    """``ranking._sweep`` and the joint solution of each of its IK solves,
+    the start pose's first."""
+    import graspmass.ranking as ranking
+    from graspmass.chain import _ik
     solved = []
 
     def recording_ik(*args):
@@ -313,12 +323,88 @@ def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
         return q, frames
 
     monkeypatch.setattr(ranking, "_ik", recording_ik)
-    sweep = ranking._sweep(scene.chain, traj, dt, seed)
+    return ranking._sweep(chain, traj, dt, seed), solved
+
+
+@pytest.mark.parametrize("path", SWEEP_PATHS)
+def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
+    # the sweep hands each solve the previous frame pass; the joint
+    # solutions and the arm's inertias must keep the bits of plain calls
+    scene, traj, dt, seed = sweep_case(path)
+    sweep, solved = recorded_sweep(monkeypatch, scene.chain, traj, dt, seed)
     want = public_ik_chain(scene.chain, traj, dt, seed)
     assert len(solved) == len(sweep.times) + 1
     assert np.array_equal(solved[1:], want)
     assert np.array_equal(
         sweep.lam_rob, operational_space_inertias(scene.chain, want).matrices)
+
+
+@pytest.mark.parametrize("path", SWEEP_PATHS)
+def test_sweep_equals_the_reference_arithmetic(path, monkeypatch):
+    # the lean IK loop and frame pass must reach the bits of numpy's own
+    # norms, clipping and per-joint origins
+    scene, traj, dt, seed = sweep_case(path)
+    sweep, solved = recorded_sweep(monkeypatch, scene.chain, traj, dt, seed)
+    qs, lam_rob = reference_sweep(scene.chain, traj, dt,
+                                  getattr(seed, "q", seed))
+    assert np.array_equal(solved[1:], qs)
+    assert np.array_equal(sweep.lam_rob, lam_rob)
+
+
+def skewed_chain(chain):
+    """``chain`` with each parent rotation scaled by 1 + 3e-10: each one
+    passes as a rotation, their product does not."""
+    joints = tuple((JointSpec(Pose(j.parent_transform.position,
+                                   j.parent_transform.rotation * (1 + 3e-10)),
+                              j.axis, j.limits), link)
+                   for j, link in chain.joints)
+    return ChainModel(joints, chain.base_pose, chain.tool_transform)
+
+
+@pytest.mark.parametrize("call", ["fk", "jacobian", "mass_matrix", "osi",
+                                  "osi_stack", "ik", "evaluate"])
+def test_a_result_from_a_non_orthonormal_pose_is_refused(call):
+    # intermediate IK passes go unchecked; every pass that reaches a
+    # result is checked
+    scene = book_scene()
+    chain = skewed_chain(scene.chain)
+    q = scene.ik_seed.q
+    calls = {
+        "fk": lambda: forward_kinematics(chain, q),
+        "jacobian": lambda: geometric_jacobian(chain, q),
+        "mass_matrix": lambda: mass_matrix(chain, q),
+        "osi": lambda: operational_space_inertia(chain, q),
+        "osi_stack": lambda: operational_space_inertias(chain, [q, q]),
+        "ik": lambda: inverse_kinematics(chain, scene.start, q),
+        "evaluate": lambda: evaluate_grasps(chain, scene.bodies,
+                                            scene.grasps, scene.fit(),
+                                            scene.dt, scene.ik_seed),
+    }
+    with pytest.raises(ValueError,
+                       match="^end-effector rotation is not orthonormal$"):
+        calls[call]()
+
+
+def test_operational_space_inertia_checks_its_result_once(monkeypatch):
+    import graspmass.augmented as augmented
+    import graspmass.chain as chain_module
+    calls = []
+    check = augmented.checked_energy_matrices
+
+    def counting(m):
+        calls.append(m.shape)
+        return check(m)
+
+    monkeypatch.setattr(augmented, "checked_energy_matrices", counting)
+    monkeypatch.setattr(chain_module, "checked_energy_matrices", counting)
+    scene = book_scene()
+    osi = operational_space_inertia(scene.chain, scene.ik_seed)
+    assert calls == [(1, 6, 6)]
+    assert isinstance(osi.matrix, KineticEnergyMatrix)
+    assert osi.matrix.matrix.shape == (6, 6)
+    assert not osi.matrix.matrix.flags.writeable
+    want = operational_space_inertias(scene.chain, [scene.ik_seed.q])
+    assert np.array_equal(osi.matrix.matrix, want.matrices[0])
 
 
 def test_stale_frames_are_not_reused_for_a_clipped_seed():

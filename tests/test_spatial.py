@@ -13,7 +13,7 @@ from graspmass import (
 )
 from graspmass.spatial import rotation_x, rotation_y, rotation_z
 
-from conftest import euler_rate_map, random_rotation
+from conftest import euler_rate_map, random_rotation, reference_rotation_log
 
 
 def test_skew_matches_cross_product():
@@ -45,6 +45,29 @@ def test_axis_angle_log_round_trip():
         angle = rng.uniform(-3.0, 3.0)
         r = rotation_axis_angle(axis, angle)
         assert np.allclose(rotation_log(r), axis * angle, atol=1e-9)
+
+
+def test_rotation_log_keeps_the_bits_of_the_reference():
+    # general, near-zero and near-pi angles, and products of a rotation
+    # with the transpose of a nearby one, as IK residuals form them
+    rng = np.random.default_rng(21)
+    angles = np.concatenate([rng.uniform(-np.pi, np.pi, 2000),
+                             rng.uniform(-1e-11, 1e-11, 200),
+                             np.pi - rng.uniform(0.0, 2e-6, 400),
+                             [0.0, np.pi, 1e-12, np.pi - 1e-6]])
+    rotations = []
+    for angle in angles:
+        axis = rng.normal(size=3)
+        rotations.append(rotation_axis_angle(axis / np.linalg.norm(axis),
+                                             angle))
+    for _ in range(500):
+        r = random_rotation(rng)
+        nudge = rotation_axis_angle([0.0, 0.0, 1.0], rng.normal(scale=1e-3))
+        rotations.append(r @ (r @ nudge).T)
+    for r in rotations:
+        got = rotation_log(r)
+        assert np.array_equal(got, reference_rotation_log(r))
+        assert got.shape == (3,)
 
 
 def test_pose_compose_inverse_round_trip():
