@@ -9,7 +9,7 @@ aggregates, approach speed, and the simulated peak contact forces.
 import numpy as np
 
 from graspmass import (ImpactScenario, evaluate_grasps, parse_scene,
-                       predict_ordering, rank_grasps, sample, simulate_impact)
+                       predict_ordering, rank_grasps, simulate_impact)
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("book"))
@@ -36,7 +36,7 @@ print()
 # contact happens at a known sample; feed the masses there into the
 # spring model and check the force order tells the same story
 k = scene.collision_sample
-speed = float(np.linalg.norm(sample(traj, scene.dt)[k - 1].velocity.linear))
+speed = float(np.linalg.norm(traj.velocity(profiles[0].times[k - 1])))
 print(f"collision at sample {k} (t = {k * scene.dt:.1f} s), "
       f"approach speed {speed:.3f} m/s, "
       f"stiffness {scene.stiffness:.0f} N/m")

@@ -24,19 +24,17 @@ matrix, task-space inertia, each IK iteration) run the same core on a
 batch of one. Validation sits at the boundary, once per call: joint
 values must be finite, and the end-effector rotation of each pass that
 reaches a result must be orthonormal (``_checked``: the public calls
-and ``inverse_kinematics`` check theirs, a sweep its stacked converged
-passes). The passes of intermediate IK iterates, which are thrown away,
-and the joint frames are not checked.
+and ``inverse_kinematics`` check theirs). The passes of intermediate IK
+iterates, which are thrown away, and the joint frames are not checked.
 
 ``inverse_kinematics`` wraps ``_ik``, which works on arrays and returns
 the converged configuration with its frame pass. Each iteration does
 its arithmetic on plain floats and small arrays (residual norms as
 ``sqrt(e @ e)``, the bits of ``np.linalg.norm``). A warm-started sweep
 hands that pass to the next solve, which then skips the pass at its
-seed, and stacks the passes of all samples for the task-space inertia
-(``_stacked_inertias``): a stack of passes holds the same bits as one
-pass over the stacked configurations. Its flag array is the one that
-every grasp's profile carries.
+seed, and gets the task-space inertia of all its converged joint values
+from ``operational_space_inertias``, one pass over the stack. Its flag
+array is the one that every grasp's profile carries.
 """
 
 from __future__ import annotations
@@ -314,10 +312,8 @@ class OperationalSpaceInertias(NamedTuple):
 
 def _stacked_inertias(model: ChainModel,
                       frames: _Frames) -> OperationalSpaceInertias:
-    """Checked, read-only task-space inertias of a frame pass, one per
-    configuration. The passes may be ones already made (the converged
-    ones of an IK sweep), stacked row by row: a stack of passes holds the
-    same bits as one pass over the stacked configurations."""
+    """Checked, read-only task-space inertias of a checked frame pass, one
+    per configuration."""
     jac = _jacobian(frames)
     a = jac @ np.linalg.solve(_crba(model, frames), jac.swapaxes(1, 2))
     a = (a + a.swapaxes(1, 2)) / 2.0

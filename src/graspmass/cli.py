@@ -6,11 +6,11 @@ scene. The ``Scene`` keeps one evaluation entry per sampling step, the
 arm's sweep and the profiles of all its grasps, so the first command on
 a scene computes it, even ``profile`` of one grasp, and every later
 command reads it and adds only its own output. ``simulate-impact``
-takes the approach speed from the trajectory's velocity at the
-collision sample's time on that grid. All outputs are
-deterministic: floats are written with 9 significant digits, no
-timestamps, and re-running on the same scene reproduces numeric CSV
-content byte for byte.
+collides at the sample nearest the scene's collision instant on the
+``dt`` grid, at the trajectory's speed there. A failing command creates
+no output directory. All outputs are deterministic: floats are written
+with 9 significant digits, no timestamps, and re-running on the same
+scene reproduces numeric CSV content byte for byte.
 
 Exit codes: 0 success, 2 inverse-kinematics failure (message names the
 failing sample), 1 anything else. With --json, errors also land on
@@ -70,14 +70,10 @@ def _resolve_grasp(scene: Scene, key: str) -> int:
                           f"(ids: {', '.join(g.id for g in scene.grasps)})")
 
 
-def _collision_speed(scene: Scene, times, dt: float) -> float:
+def _collision_speed(scene: Scene, t: float) -> float:
     """Approach speed: |velocity| of the trajectory at the collision
-    sample's grid time."""
-    k = scene.collision_sample
-    if k > len(times):
-        raise ValidationError("collision.sample",
-                              f"sample {k} out of range for dt={dt}")
-    velocity = scene.fit().velocity(times[k - 1])
+    sample's grid time ``t``."""
+    velocity = scene.fit().velocity(t)
     if not np.isfinite(velocity).all():
         raise ValueError("trajectory samples must be finite")
     speed = float(np.linalg.norm(velocity))
@@ -98,9 +94,7 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     agg = parse_aggregator(aggregator) if isinstance(aggregator, str) \
         else aggregator
     dt = scene.dt if dt is None else dt
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _, profiles = scene._evaluated(dt)
+    _, profiles = scene.evaluated(dt)
     report = rank_grasps(profiles, agg)
     artifact = _artifact_head(scene)
     artifact.update({
@@ -111,6 +105,8 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
         "recommended": report.grasp_ids[0],
         "notes": list(report.notes),
     })
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "ranking.json", "w", encoding="utf-8") as fh:
         json.dump(artifact, fh, indent=2)
         fh.write("\n")
@@ -126,11 +122,11 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     """Effective-mass profile of one grasp; writes profile_<id>.csv."""
     dt = scene.dt if dt is None else dt
     idx = _resolve_grasp(scene, grasp_key)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _, profiles = scene._evaluated(dt)
+    _, profiles = scene.evaluated(dt)
     profile = profiles[idx]
     csv_name = f"profile_{file_stem(profile.grasp_id)}.csv"
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / csv_name, ["t_s", "effective_mass_kg"],
                _pairs(profile.times, profile.masses))
     artifact = _artifact_head(scene)
@@ -142,26 +138,25 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
 
 
 def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
-    """Per-grasp contact simulations at the scene's collision sample.
+    """Per-grasp contact simulations at the collision sample of ``dt``.
 
     Writes impact_<id>.csv force traces plus impact_summary.json with the
     peak-force ordering and min/median/max highlights.
     """
     dt = scene.dt if dt is None else dt
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    sweep, profiles = scene._evaluated(dt)
-    speed = _collision_speed(scene, sweep.times, dt)
-    k = scene.collision_sample
+    sweep, profiles = scene.evaluated(dt)
+    k = scene.collision_sample_at(dt)
+    speed = _collision_speed(scene, sweep.times[k - 1])
     ordering = predict_ordering(profiles, k, speed, scene.stiffness,
                                 scene.damping)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     for gid, trace in zip(ordering.grasp_ids, ordering.traces):
         _write_csv(out / f"impact_{file_stem(gid)}.csv", ["t_s", "force_n"],
                    _pairs(trace.times, trace.forces))
     by_peak = list(ordering.grasp_ids)
     peaks = dict(zip(by_peak, ordering.peak_forces))
-    mass_order = [gid for _, gid in sorted(
-        (float(p.masses[k - 1]), p.grasp_id) for p in profiles)]
+    mass_order = list(rank_grasps(profiles, f"at-sample={k}").grasp_ids)
     artifact = _artifact_head(scene)
     artifact.update({
         "collision_sample": k,

@@ -3,12 +3,12 @@
 The arm's energy matrix depends on the trajectory alone, so one sweep
 per trajectory computes it from the sampling grid, read as arrays:
 warm-started IK sample by sample (each solve seeds the next and hands
-it its converged frame pass), then one orthonormality check of all
-the converged end-effector rotations and the task-space inertia of all
-samples in one batched step on those passes, with one near-singular
-flag per sample, and the motion direction: the path's chord, the same
-at every sample (``_sweep``). Each grasp then rotates its object matrix
-into base axes once (the held orientation is the same at every sample),
+it its converged frame pass), then the task-space inertia of all the
+converged joint values in one batched call
+(``operational_space_inertias``), with one near-singular flag per
+sample, and the motion direction: the path's chord, the same at every
+sample (``_sweep``). Each grasp then rotates its object matrix into
+base axes once (the held orientation is the same at every sample),
 adds it to the arm's at every sample and gets all its effective masses
 from one batched solve (``_score``). ``evaluate_grasps`` is the two in
 turn; a ``Scene`` keeps one entry per ``dt`` holding both results, so
@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bodies import RigidBodyInertia, com_energy_matrix, transform_to_grasp
-from .chain import _checked, _Frames, _ik, _qvec, _stacked_inertias
+from .chain import _ik, _qvec, operational_space_inertias
 from .constants import PD_MIN_EIG
 from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                      NotPositiveDefinite)
@@ -151,12 +151,12 @@ class _Sweep(NamedTuple):
     """The grasp-independent part of an evaluation, arrays read-only: the
     held rotation (3, 3), the sampling grid's times (N,) (``_grid``), the
     arm's task-space inertia (N, 6, 6) in base axes, the unit motion
-    direction once per sample (N, 3) and near-singular flags (N,)."""
+    direction (3,) of every sample and near-singular flags (N,)."""
 
     rotation: np.ndarray
     times: np.ndarray
     lam_rob: np.ndarray
-    dirs: np.ndarray
+    direction: np.ndarray
     near_singular: np.ndarray
 
 
@@ -164,13 +164,14 @@ def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
     """Per-grasp part: each grasp's object matrix, rotated into base axes
     once, added to the arm's at every sample, and all its effective masses
     from one batched solve. ``bodies`` is aligned with ``grasps``."""
-    times, lam_rob, dirs = sweep.times, sweep.lam_rob, sweep.dirs
+    times, lam_rob, v = sweep.times, sweep.lam_rob, sweep.direction
     # blockdiag(R, R) with the held rotation: grasp axes -> base axes; the
     # rotation is the same at every sample, so each object term is built
     # once and broadcast over the (N, 6, 6) stack
     rot = np.zeros((6, 6))
     rot[:3, :3] = rot[3:, 3:] = sweep.rotation
-    rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
+    # [v, 0] as one (1, 6, 1) matrix: numpy 1 and 2 broadcast it alike
+    rhs = np.concatenate([v, np.zeros(3)])[None, :, None]
     profiles = []
     for body, grasp in zip(bodies, grasps):
         lam_gp = transform_to_grasp(com_energy_matrix(body), grasp).matrix
@@ -178,9 +179,10 @@ def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
         if np.linalg.eigvalsh(lam_tot)[:, 0].min() <= PD_MIN_EIG:
             raise NotPositiveDefinite(f"grasp {grasp.id}: augmented matrix "
                                       "not positive definite; cannot invert")
-        # [Lambda^-1]_uu v is the top half of Lambda^-1 [v, 0]
+        # [Lambda^-1]_uu v is the top half of Lambda^-1 [v, 0]; einsum sums
+        # each dot in the order of the per-sample products (x @ v does not)
         x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
-        masses = 1.0 / np.einsum("ni,ni->n", dirs, x)
+        masses = 1.0 / np.einsum("ni,i->n", x, v)
         masses.setflags(write=False)
         profiles.append(EffectiveMassProfile(grasp.id, times, masses,
                                              sweep.near_singular))
@@ -193,30 +195,22 @@ def _sweep(chain, traj, dt, q_seed) -> _Sweep:
     IK runs sample by sample, each solve warm-started from the previous
     solution and handed its converged frame pass, so it skips the pass at
     its seed; the start pose (sample 0) seeds sample 1 the same way. The
-    task-space inertia of all N solutions is then one batched step on
-    their passes, stacked row by row, with no further pass over the
-    chain, once their end-effector rotations are checked. The stack
-    itself is not kept."""
+    task-space inertia of all N solutions is then one batched call on the
+    (N, n) stack of their joint values."""
     times, positions = _grid(traj, dt)
     rotation = traj.start_rotation
     start = Pose(traj.position(0.0), rotation)
     q, frames = _solve_ik(chain, start.position, rotation,
                           _qvec(chain, q_seed)[0], None, 0)
-    # each converged pass is copied into one preallocated stack, which
-    # keeps the sweep's peak memory below that of a list of passes
-    stack = None
+    qs = np.empty((len(positions), chain.dof))
     for row, position in enumerate(positions):
         q, frames = _solve_ik(chain, position, rotation, q, frames, row + 1)
-        if stack is None:
-            stack = _Frames(*(np.empty((len(positions),) + a.shape[1:])
-                              for a in frames))
-        for rows, a in zip(stack, frames):
-            rows[row] = a[0]
-    osi = _stacked_inertias(chain, _checked(stack))
-    dirs = np.tile(motion_direction(traj), (len(times), 1))
-    for a in (times, dirs):
+        qs[row] = q
+    osi = operational_space_inertias(chain, qs)
+    direction = motion_direction(traj)
+    for a in (times, direction):
         a.setflags(write=False)
-    return _Sweep(rotation, times, osi.matrices, dirs, osi.near_singular)
+    return _Sweep(rotation, times, osi.matrices, direction, osi.near_singular)
 
 
 def _solve_ik(chain, position, rotation, q, frames, index):

@@ -4,7 +4,9 @@ A scene is one JSON document holding the chain, the object (a builder
 spec: cuboid, tensor rig, or raw inertia), grasp candidates, the
 trajectory endpoints (the end orientation must equal the start one,
 which the trajectory holds, and the end position must differ from the
-start one), the collision setup, and the IK seed.
+start one), the collision setup, and the IK seed. The collision is one
+instant, given as a time or as a sample of the scene's own grid; every
+grid collides at its sample nearest it (``Scene.collision_sample_at``).
 Units are explicit in field names (mass_kg, length_m, ypr_rad). Grasp
 poses are given in the object frame; the parser re-expresses them
 relative to the object's CoM frame. A grasp entry may override the
@@ -25,6 +27,7 @@ another's.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -48,7 +51,7 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Validated scene plus the declarative dict it came from."""
+    """Validated scene plus its own copy of the dict it came from."""
 
     name: str
     chain: ChainModel
@@ -59,7 +62,7 @@ class Scene:
     end: Pose
     t_f: float
     dt: float
-    collision_sample: int
+    collision_time: float  # the collision instant, s; every grid keeps it
     stiffness: float
     damping: float
     ik_seed: JointState
@@ -73,7 +76,7 @@ class Scene:
     def fit(self) -> QuinticTrajectory:
         return fit_quintic(self.start, self.end, self.t_f)
 
-    def _evaluated(self, dt: float) -> tuple[
+    def evaluated(self, dt: float) -> tuple[
             ranking._Sweep, tuple[ranking.EffectiveMassProfile, ...]]:
         """The arm's sweep along the fitted trajectory at ``dt`` and the
         profile of every grasp on it, in scene order: computed on the
@@ -85,6 +88,15 @@ class Scene:
             profiles = ranking._score(sweep, self.bodies, self.grasps)
             entry = self._evaluations[dt] = (sweep, tuple(profiles))
         return entry
+
+    def collision_sample_at(self, dt: float) -> int:
+        """Sample nearest the collision instant on the grid at ``dt``."""
+        n = _grid_size(self.t_f, dt)
+        return max(1, round(self.collision_time / (self.t_f / n)))
+
+    @property
+    def collision_sample(self) -> int:  # on the scene's own grid
+        return self.collision_sample_at(self.dt)
 
     @property
     def n_samples(self) -> int:
@@ -283,17 +295,17 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
         raise ValidationError("collision.damping_ns_per_m", "must be >= 0")
     if "sample" in coll:
         sample_idx = _number(coll, "sample", "collision")
+        # 10.7 must not truncate to 10
+        if not sample_idx.is_integer() or not 1 <= sample_idx <= n:
+            raise ValidationError("collision.sample", "expected an integer "
+                                  f"in 1..{n}, got {sample_idx!r}")
+        time_s = t_f * sample_idx / n
     elif "time_s" in coll:
         time_s = _number(coll, "time_s", "collision")
         if not 0.0 < time_s <= t_f:
             raise ValidationError("collision.time_s", "must lie in (0, t_f]")
-        sample_idx = max(1, round(time_s / (t_f / n)))
     else:
         raise ValidationError("collision", "needs 'sample' or 'time_s'")
-    # 10.7 must not truncate to 10
-    if not float(sample_idx).is_integer() or not 1 <= sample_idx <= n:
-        raise ValidationError("collision.sample", "expected an integer in "
-                              f"1..{n}, got {sample_idx!r}")
     seed = _vector(d, "ik_seed_rad", "", (chain.dof,))
     ik_seed = _wrap("ik_seed_rad", JointState, seed)
     if digest is None:
@@ -301,8 +313,9 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
             json.dumps(d, sort_keys=True).encode()).hexdigest()
     return Scene(name=name, chain=chain, object=base_object, grasps=grasps,
                  bodies=bodies, start=start, end=end, t_f=t_f, dt=dt,
-                 collision_sample=int(sample_idx), stiffness=stiffness,
-                 damping=damping, ik_seed=ik_seed, spec=d, digest=digest)
+                 collision_time=time_s, stiffness=stiffness,
+                 damping=damping, ik_seed=ik_seed, spec=copy.deepcopy(d),
+                 digest=digest)
 
 
 def parse_scene(path) -> Scene:

@@ -291,7 +291,8 @@ def reference_score(sweep, bodies, grasps):
     object term rotated into base axes sample by sample: one
     blockdiag(R, R) per sample, stacked. The library builds the term once
     per grasp; the arithmetic is the same, so the masses must be equal."""
-    times, lam_rob, dirs = sweep.times, sweep.lam_rob, sweep.dirs
+    times, lam_rob = sweep.times, sweep.lam_rob
+    dirs = np.tile(sweep.direction, (len(times), 1))
     rot = np.zeros((len(times), 6, 6))
     rot[:, :3, :3] = rot[:, 3:, 3:] = sweep.rotation
     rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]

@@ -133,6 +133,38 @@ def test_simulate_impact_artifacts(tmp_path, capsys):
         assert len(trace) > 10
 
 
+@pytest.mark.parametrize("dt, k", [("0.05", 20), ("0.02", 50), ("1.0", 1)])
+def test_dt_override_keeps_the_collision_instant(dt, k, tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["collision"] = {"time_s": 1.0}
+    path = tmp_path / "timed.scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    summaries = []
+    for extra in ([], ["--dt", dt]):
+        code, out, _ = run(capsys, "simulate-impact", str(path), "--json",
+                           "--out-dir", str(tmp_path), *extra)
+        assert code == 0
+        summaries.append(json.loads(out))
+    assert [s["collision_sample"] for s in summaries] == [10, k]
+    # every grid has a sample at t = 1.0 s, where the path moves fastest
+    assert (summaries[1]["approach_speed_mps"]
+            == summaries[0]["approach_speed_mps"])
+
+
+def test_a_failing_command_creates_no_output_directory(tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["collision"]["sample"] = 20   # t_f, where the path is at rest
+    at_rest = tmp_path / "at-rest.scene.json"
+    at_rest.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["rank", book_path(), "--aggregator", "at-sample=999"],
+                 ["simulate-impact", str(at_rest)]):
+        out_dir = tmp_path / argv[0]
+        code, _, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith("error: ")
+        assert not out_dir.exists()
+
+
 def test_impact_highlights_cover_min_median_max(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate-impact",
                        str(demo_scene_path("tensor")), "--json",

@@ -265,10 +265,10 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
     # a massless arm plus a near-massless object leaves nothing to invert
     import graspmass.ranking as ranking
     from graspmass.chain import OperationalSpaceInertias
-    monkeypatch.setattr(ranking, "_stacked_inertias",
-                        lambda chain, frames: OperationalSpaceInertias(
-                            np.zeros((len(frames.axes), 6, 6)),
-                            np.zeros(len(frames.axes), dtype=bool)))
+    monkeypatch.setattr(ranking, "operational_space_inertias",
+                        lambda chain, qs: OperationalSpaceInertias(
+                            np.zeros((len(qs), 6, 6)),
+                            np.zeros(len(qs), dtype=bool)))
     scene = book_scene()
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
     with pytest.raises(NotPositiveDefinite):

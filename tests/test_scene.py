@@ -263,6 +263,13 @@ def test_collision_time_resolves_to_sample():
 
 
 
+def test_collision_sample_names_one_instant_on_every_grid():
+    scene = book_scene()   # sample 10 of 20 over 2 s: t = 1.0 s
+    assert scene.collision_time == 1.0
+    assert [scene.collision_sample_at(dt) for dt in (0.1, 0.05, 0.02, 2.0)] \
+        == [10, 20, 50, 1]
+
+
 @pytest.mark.parametrize("dt", [0.3, 0.7, 2.0])
 def test_n_samples_and_the_collision_bound_follow_the_grid(dt):
     doc = book_dict()
@@ -275,6 +282,18 @@ def test_n_samples_and_the_collision_bound_follow_the_grid(dt):
     doc["collision"]["sample"] = scene.n_samples + 1
     with pytest.raises(ValidationError):
         scene_from_dict(doc)
+
+
+def test_scene_keeps_its_own_copy_of_the_spec(tmp_path):
+    doc = book_dict()
+    scene = scene_from_dict(doc)
+    doc["trajectory"]["t_f_s"] = -1
+    path = tmp_path / "copy.scene.json"
+    write_scene(scene, path)
+    again = parse_scene(path)
+    assert again.t_f == scene.t_f == 2.0
+    assert scene.spec["trajectory"]["t_f_s"] == 2.0
+
 
 def test_end_orientation_is_compared_as_a_rotation():
     # yaw + 2 pi is the start orientation; only the angle triple differs

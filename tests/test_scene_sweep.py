@@ -110,7 +110,7 @@ def test_only_the_first_command_scores(case, order, tmp_path, score_calls):
 @pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
 def test_kept_profiles_equal_the_per_sample_reference(name, dt):
     scene = scene_of(name)
-    sweep, profiles = scene._evaluated(scene.dt if dt is None else dt)
+    sweep, profiles = scene.evaluated(scene.dt if dt is None else dt)
     want = reference_score(sweep, scene.bodies, scene.grasps)
     assert [p.grasp_id for p in profiles] == [g.id for g in scene.grasps]
     for profile, masses in zip(profiles, want):
@@ -155,15 +155,15 @@ def test_shared_scene_writes_the_bytes_of_fresh_scenes(case, order, tmp_path):
 
 def test_dt_override_gets_its_own_entry(tmp_path, frame_passes):
     scene = scene_of("book")
-    coarse = scene._evaluated(scene.dt)
+    coarse = scene.evaluated(scene.dt)
     before = len(frame_passes)
-    fine = scene._evaluated(0.01)
+    fine = scene.evaluated(0.01)
     assert len(frame_passes) > before
     assert fine is not coarse
     assert (len(coarse[0].times), len(fine[0].times)) == (20, 200)
     before = len(frame_passes)
-    assert scene._evaluated(scene.dt) is coarse
-    assert scene._evaluated(0.01) is fine
+    assert scene.evaluated(scene.dt) is coarse
+    assert scene.evaluated(0.01) is fine
     rank(scene, None, tmp_path / "coarse")
     rank(scene, 0.01, tmp_path / "fine")
     assert len(frame_passes) == before
@@ -174,11 +174,11 @@ def test_dt_override_gets_its_own_entry(tmp_path, frame_passes):
 def test_replaced_scene_starts_with_an_empty_memo(name, dt, frame_passes):
     scene = scene_of(name)
     dt = scene.dt if dt is None else dt
-    entry = scene._evaluated(dt)
+    entry = scene.evaluated(dt)
     longer = dataclasses.replace(scene, t_f=2.0 * scene.t_f)
     assert longer._evaluations == {}
     before = len(frame_passes)
-    stretched, _ = longer._evaluated(dt)
+    stretched, _ = longer.evaluated(dt)
     assert len(frame_passes) > before
     assert len(stretched.times) == 2 * len(entry[0].times)
     assert scene._evaluations == {dt: entry}
@@ -196,7 +196,7 @@ def test_ik_failure_is_not_cached(frame_passes):
     for _ in range(2):
         before = len(frame_passes)
         with pytest.raises(IkDidNotConverge) as exc:
-            scene._evaluated(scene.dt)
+            scene.evaluated(scene.dt)
         assert len(frame_passes) > before
         indices.append(exc.value.sample_index)
         assert scene._evaluations == {}
@@ -221,8 +221,8 @@ def test_cli_exits_two_on_each_ik_failure(argv, tmp_path, capsys):
 @pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
 def test_cached_arrays_reject_writes(name, dt):
     scene = scene_of(name)
-    sweep, profiles = scene._evaluated(scene.dt if dt is None else dt)
-    arrays = [sweep.rotation, sweep.times, sweep.lam_rob, sweep.dirs,
+    sweep, profiles = scene.evaluated(scene.dt if dt is None else dt)
+    arrays = [sweep.rotation, sweep.times, sweep.lam_rob, sweep.direction,
               sweep.near_singular]
     for p in profiles:
         arrays += [p.times, p.masses, p.near_singular]

@@ -21,7 +21,7 @@ from graspmass.ranking import _score  # noqa: E402
 from conftest import book_scene  # noqa: E402
 
 SCENE = book_scene()
-SWEEP = SCENE._evaluated(SCENE.dt)[0]
+SWEEP = SCENE.evaluated(SCENE.dt)[0]
 BOOK = SCENE.bodies[0]
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60,
@@ -39,7 +39,7 @@ def masses(sweep, position, ypr):
 @PROPERTY
 @given(offsets, angles)
 def test_holding_the_book_never_lowers_the_effective_mass(position, ypr):
-    dirs = SWEEP.dirs
+    dirs = np.tile(SWEEP.direction, (len(SWEEP.times), 1))
     rhs = np.concatenate([dirs, np.zeros_like(dirs)], axis=1)[:, :, None]
     x = np.linalg.solve(SWEEP.lam_rob, rhs)[:, :3, 0]
     arm_alone = 1.0 / np.einsum("ni,ni->n", dirs, x)
@@ -50,7 +50,7 @@ def test_holding_the_book_never_lowers_the_effective_mass(position, ypr):
 @given(offsets, angles)
 def test_effective_mass_does_not_change_when_the_direction_flips(position,
                                                                  ypr):
-    flipped = SWEEP._replace(dirs=-SWEEP.dirs)
+    flipped = SWEEP._replace(direction=-SWEEP.direction)
     assert np.array_equal(masses(flipped, position, ypr),
                           masses(SWEEP, position, ypr))
 
@@ -76,7 +76,7 @@ def moved(doc, rot, shift):
 
 def evaluated(doc):
     scene = scene_from_dict(doc)
-    return scene._evaluated(scene.dt)
+    return scene.evaluated(scene.dt)
 
 
 # hypothesis draws the identity first, then three motions; the explicit
@@ -100,8 +100,8 @@ def test_a_rigid_motion_of_the_scene_leaves_the_masses_unchanged(
     want_sweep, want = PLACED[name]
     got_sweep, got = evaluated(moved(DOCS[name], rot, shift))
     # the motion direction turns with the scene
-    assert np.allclose(got_sweep.dirs, want_sweep.dirs @ rot.T, rtol=0.0,
-                       atol=1e-12)
+    assert np.allclose(got_sweep.direction, want_sweep.direction @ rot.T,
+                       rtol=0.0, atol=1e-12)
     assert [p.grasp_id for p in got] == [p.grasp_id for p in want]
     for a, b in zip(got, want):
         assert np.allclose(a.masses, b.masses, rtol=1e-9, atol=0.0)
