@@ -9,22 +9,26 @@ Conventions:
     with all spatial quantities referenced at the base origin, which keeps
     every 6-vector in one frame (linear first, matching the Jacobian)
 
-The core works on stacks of configurations, shape (S, n): one frame pass
-on raw arrays (``_frame_pass``) gives the joint frames and end-effector
-poses of all S samples, and the Jacobians and CRBA mass matrices
-(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) are derived
-from it. The pass loops over the joints once, for the rotations; the
-joint origins are one batched product of the parent offsets by the
-preceding frames and one running sum in joint order, the additions of
-pose composition in its order. ``operational_space_inertias`` returns
-the task-space inertia of a whole stack, with a read-only bool array
-that flags each configuration near a Jacobian singularity (damped, not
-inverted exactly); the single-configuration calls (FK, Jacobian, mass
-matrix, task-space inertia, each IK iteration) run the same core on a
-batch of one. Validation sits at the boundary, once per call: joint
-values must be finite, and the end-effector rotation of each pass that
-reaches a result must be orthonormal (``_checked``: the public calls
-and ``inverse_kinematics`` check theirs). The passes of intermediate IK
+One frame pass on raw arrays (``_frame_pass``) gives the joint frames
+and end-effector poses of one configuration, shape (n,), or of a stack,
+shape (S, n); the Jacobians (``_jacobian``) take either pass, and row k
+of a stack's pass and Jacobians holds the bits of those at its k-th
+configuration. FK, the Jacobian and each IK iteration run on the one
+configuration, without a batch axis. The CRBA mass matrices
+(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) and the
+task-space inertias are built on stacks; the single-configuration mass
+matrix and task-space inertia use a stack of one. The pass loops over
+the joints once, for the rotations; the joint origins are one batched
+product of the parent offsets by the preceding frames and one running
+sum in joint order, the additions of pose composition in its order.
+``operational_space_inertias`` returns the task-space inertia of a whole
+stack, with a read-only bool array that flags each configuration near a
+Jacobian singularity (damped, not inverted exactly).
+
+Validation sits at the boundary, once per call: joint values must be
+finite, and the end-effector rotation of each pass that reaches a
+result must be orthonormal (``_checked``: the public calls and
+``inverse_kinematics`` check theirs). The passes of intermediate IK
 iterates, which are thrown away, and the joint frames are not checked.
 
 ``inverse_kinematics`` wraps ``_ik``, which works on arrays and returns
@@ -171,11 +175,11 @@ def _qstack(model: ChainModel, qs) -> np.ndarray:
 
 
 def _qvec(model: ChainModel, q) -> np.ndarray:
-    """One configuration as a validated batch of one, shape (1, n)."""
+    """One configuration as a validated (n,) vector."""
     v = np.asarray(q.q if isinstance(q, JointState) else q, dtype=float)
     if v.shape != (model.dof,):
         raise DimensionMismatch(f"expected {model.dof} joint values, got {v.shape}")
-    return _qstack(model, v[None])
+    return _qstack(model, v[None])[0]
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,17 +195,20 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Frames(NamedTuple):
-    """One pass over the chain for S configurations, all in base axes."""
+    """One pass over the chain, all in base axes; ``...`` is () for one
+    configuration and (S,) for a stack."""
 
-    rotations: np.ndarray    # (S, n, 3, 3) joint frames, post joint rotation
-    origins: np.ndarray      # (S, n, 3)
-    axes: np.ndarray         # (S, n, 3) joint axes
-    ee_rotation: np.ndarray  # (S, 3, 3)
-    ee_position: np.ndarray  # (S, 3)
+    rotations: np.ndarray    # (..., n, 3, 3) joint frames, post joint rotation
+    origins: np.ndarray      # (..., n, 3)
+    axes: np.ndarray         # (..., n, 3) joint axes
+    ee_rotation: np.ndarray  # (..., 3, 3)
+    ee_position: np.ndarray  # (..., 3)
 
 
 def _frame_pass(model: ChainModel, qs: np.ndarray) -> _Frames:
-    """Joint frames and end-effector poses for a validated (S, n) stack.
+    """Joint frames and end-effector poses for validated joint values, one
+    configuration (n,) or a stack (S, n); row k of a stack's pass holds
+    the bits of the pass at ``qs[k]``.
 
     The end-effector rotation is not checked here: callers check the
     passes that reach a result (``_checked``)."""
@@ -213,19 +220,19 @@ def _frame_pass(model: ChainModel, qs: np.ndarray) -> _Frames:
     base = model.base_pose
     rot = base.rotation
     for i in range(model.dof):
-        rot = rot @ arrays.parent_rotations[i] @ spins[:, i]
-        rotations[:, i] = rot
+        rot = rot @ arrays.parent_rotations[i] @ spins[..., i, :, :]
+        rotations[..., i, :, :] = rot
     # joint i's offset in base axes, by the frame before it; then each
     # origin is the previous one plus its offset, summed in joint order
     preceding = np.empty(rotations.shape)
-    preceding[:, 0] = base.rotation
-    preceding[:, 1:] = rotations[:, :-1]
+    preceding[..., 0, :, :] = base.rotation
+    preceding[..., 1:, :, :] = rotations[..., :-1, :, :]
     origins = (preceding @ arrays.parent_positions[..., None])[..., 0]
-    origins[:, 0] += base.position
-    origins = np.cumsum(origins, axis=1)
+    origins[..., 0, :] += base.position
+    origins = np.cumsum(origins, axis=-2)
     axes = (rotations @ arrays.axes[..., None])[..., 0]
     tool = model.tool_transform
-    ee_position = rot @ tool.position + origins[:, -1]
+    ee_position = rot @ tool.position + origins[..., -1, :]
     ee_rotation = rot @ tool.rotation
     if not np.isfinite(ee_position).all():
         raise ValueError("end-effector position must be finite")
@@ -239,18 +246,19 @@ def _checked(frames: _Frames) -> _Frames:
 
 
 def _jacobian(frames: _Frames) -> np.ndarray:
-    """(S, 6, n) geometric Jacobians, linear rows first."""
-    s_count, n = frames.axes.shape[:2]
-    jac = np.empty((s_count, 6, n))
-    jac[:, :3] = _cross(frames.axes, frames.ee_position[:, None]
-                        - frames.origins).swapaxes(1, 2)
-    jac[:, 3:] = frames.axes.swapaxes(1, 2)
+    """(..., 6, n) geometric Jacobians of a pass, linear rows first."""
+    axes = frames.axes
+    jac = np.empty(axes.shape[:-2] + (6, axes.shape[-2]))
+    jac[..., :3, :] = _cross(axes, frames.ee_position[..., None, :]
+                             - frames.origins).swapaxes(-1, -2)
+    jac[..., 3:, :] = axes.swapaxes(-1, -2)
     return jac
 
 
 def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
-    """(S, n, n) joint-space mass matrices by the composite rigid-body
-    recursion, spatial quantities referenced at the base origin."""
+    """(S, n, n) joint-space mass matrices of a stack's pass by the
+    composite rigid-body recursion, spatial quantities referenced at the
+    base origin."""
     s_count, n = frames.axes.shape[:2]
     # motion subspace of each joint, referenced at the base origin
     subspaces = np.empty((s_count, n, 6))
@@ -282,17 +290,18 @@ def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
     frames = _checked(_frame_pass(model, _qvec(model, q)))
-    return Pose(frames.ee_position[0], frames.ee_rotation[0])
+    return Pose(frames.ee_position, frames.ee_rotation)
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
     """6 x n map from joint rates to the end-effector twist, linear rows first."""
-    return _jacobian(_checked(_frame_pass(model, _qvec(model, q))))[0]
+    return _jacobian(_checked(_frame_pass(model, _qvec(model, q))))
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Joint-space mass matrix by the composite rigid-body recursion."""
-    return _crba(model, _checked(_frame_pass(model, _qvec(model, q))))[0]
+    return _crba(model,
+                 _checked(_frame_pass(model, _qvec(model, q)[None])))[0]
 
 
 class OperationalSpaceInertia(NamedTuple):
@@ -342,7 +351,7 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     instead of failing, so trajectory profiles stay complete.
     """
     osi = _stacked_inertias(model,
-                            _checked(_frame_pass(model, _qvec(model, q))))
+                            _checked(_frame_pass(model, _qvec(model, q)[None])))
     return OperationalSpaceInertia(KineticEnergyMatrix._of_checked(
         osi.matrices[0]), bool(osi.near_singular[0]))
 
@@ -365,7 +374,7 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
     end-effector rotation at the solution must be orthonormal.
     """
     q, frames = _ik(model, target.position, target.rotation,
-                    _qvec(model, seed)[0])
+                    _qvec(model, seed))
     _checked(frames)
     return JointState(q)
 
@@ -373,7 +382,8 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
 def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
         q: np.ndarray, frames: _Frames | None = None):
     """``inverse_kinematics`` on arrays: the converged q and its frame
-    pass (a batch of one), whose end-effector rotation the caller checks.
+    pass (of the one configuration), whose end-effector rotation the
+    caller checks.
 
     ``frames``, the pass at the seed (the previous solve's result in a
     warm-started sweep), saves the first pass; it is used only if the
@@ -387,9 +397,9 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
     best_pos, best_rot = np.inf, np.inf
     for it in range(IK_MAX_ITERS + 1):
         if frames is None:
-            frames = _frame_pass(model, q[None])
-        e_pos = target_pos - frames.ee_position[0]
-        e_rot = rotation_log(target_rot @ frames.ee_rotation[0].T)
+            frames = _frame_pass(model, q)
+        e_pos = target_pos - frames.ee_position
+        e_rot = rotation_log(target_rot @ frames.ee_rotation.T)
         # the bits of np.linalg.norm on a 1-D float vector
         pos_err = math.sqrt(e_pos @ e_pos)
         rot_err = math.sqrt(e_rot @ e_rot)
@@ -400,7 +410,7 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
             best_pos, best_rot = pos_err, rot_err
         if it == IK_MAX_ITERS:
             break
-        jac = _jacobian(frames)[0]
+        jac = _jacobian(frames)
         err = np.concatenate([e_pos, e_rot])
         dq = jac.T @ np.linalg.solve(jac @ jac.T + _IK_DAMPING_EYE6, err)
         step = np.abs(dq).max()

@@ -7,14 +7,18 @@ arm's sweep and the profiles of all its grasps, so the first command on
 a scene computes it, even ``profile`` of one grasp, and every later
 command reads it and adds only its own output. ``simulate-impact``
 collides at the sample nearest the scene's collision instant on the
-``dt`` grid, at the trajectory's speed there. A failing command creates
-no output directory. All outputs are deterministic: floats are written
-with 9 significant digits, no timestamps, and re-running on the same
-scene reproduces numeric CSV content byte for byte.
+``dt`` grid, at the trajectory's speed there; ``at-sample=K`` instead
+counts K samples on the grid in use. A failing command creates no output
+directory. All outputs are deterministic: floats are written with 9
+significant digits, no timestamps, and re-running on the same scene
+reproduces numeric CSV content byte for byte. Each CSV is formatted as
+bytes by one ``%`` over the whole table (``_table``) and written in one
+call.
 
 Exit codes: 0 success, 2 inverse-kinematics failure (message names the
-failing sample), 1 anything else. With --json, errors also land on
-stdout as {"error": {...}}.
+failing sample), 1 anything else, an output directory or artifact that
+cannot be written included. With --json, errors also land on stdout as
+{"error": {...}}.
 """
 
 from __future__ import annotations
@@ -35,23 +39,26 @@ from .ranking import parse_aggregator, rank_grasps
 from .scene import Scene, file_stem, parse_scene
 
 SCHEMA_VERSION = 1
+AGGREGATOR_HELP = ("max | mean | at-sample=K (1-based, counted on the grid "
+                   "in use, so --dt moves the instant; simulate-impact "
+                   "keeps the collision instant)")
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-def _pairs(xs: np.ndarray, ys: np.ndarray) -> str:
-    """CSV rows of two float columns, formatted in one pass; '%.9g' % x
-    is _fmt(x) for floats."""
-    flat = np.column_stack([xs, ys]).ravel().tolist()
-    return ("%.9g,%.9g\n" * len(xs)) % tuple(flat)
+def _table(header: bytes, row: bytes, n_rows: int, values) -> bytes:
+    """A CSV table as bytes: ``header``, then ``n_rows`` copies of ``row``,
+    formatted by one % over all ``values``; b'%.9g' % x is the ASCII of
+    _fmt(x) for every float."""
+    return (header + row * n_rows) % tuple(values)
 
 
-def _write_csv(path: Path, header, rows: str) -> None:
-    """The header fields, then the formatted rows, in one write."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + rows)
+def _pairs(header: bytes, xs: np.ndarray, ys: np.ndarray) -> bytes:
+    """A CSV table of two float columns under a literal header line."""
+    return _table(header, b"%.9g,%.9g\n", len(xs),
+                  np.column_stack([xs, ys]).ravel().tolist())
 
 
 def _resolve_grasp(scene: Scene, key: str) -> int:
@@ -111,10 +118,13 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
         json.dump(artifact, fh, indent=2)
         fh.write("\n")
     times = profiles[0].times
-    _write_csv(out / "mass_map.csv",
-               ["grasp_id"] + [_fmt(t) for t in times],
-               "".join(",".join([p.grasp_id] + [_fmt(v) for v in p.masses])
-                       + "\n" for p in profiles))
+    values = times.tolist()
+    for p in profiles:
+        values.append(p.grasp_id.encode("utf-8"))
+        values += p.masses.tolist()
+    columns = b",%.9g" * len(times) + b"\n"
+    (out / "mass_map.csv").write_bytes(_table(
+        b"grasp_id" + columns, b"%s" + columns, len(profiles), values))
     return artifact
 
 
@@ -127,8 +137,8 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     csv_name = f"profile_{file_stem(profile.grasp_id)}.csv"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / csv_name, ["t_s", "effective_mass_kg"],
-               _pairs(profile.times, profile.masses))
+    (out / csv_name).write_bytes(_pairs(b"t_s,effective_mass_kg\n",
+                                        profile.times, profile.masses))
     artifact = _artifact_head(scene)
     artifact.update({"grasp_id": profile.grasp_id, "csv": csv_name,
                      "n_samples": len(profile),
@@ -152,8 +162,8 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for gid, trace in zip(ordering.grasp_ids, ordering.traces):
-        _write_csv(out / f"impact_{file_stem(gid)}.csv", ["t_s", "force_n"],
-                   _pairs(trace.times, trace.forces))
+        (out / f"impact_{file_stem(gid)}.csv").write_bytes(
+            _pairs(b"t_s,force_n\n", trace.times, trace.forces))
     by_peak = list(ordering.grasp_ids)
     peaks = dict(zip(by_peak, ordering.peak_forces))
     mass_order = list(rank_grasps(profiles, f"at-sample={k}").grasp_ids)
@@ -230,8 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("rank", help="rank all grasps in a scene")
     common(sp)
-    sp.add_argument("--aggregator", default="max",
-                    help="max | mean | at-sample=K (1-based)")
+    sp.add_argument("--aggregator", default="max", help=AGGREGATOR_HELP)
 
     sp = subs.add_parser("profile", help="effective-mass profile of one grasp")
     common(sp)
@@ -245,8 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("demo", help="run a packaged demo scene end to end")
     sp.add_argument("which", choices=["book", "tensor"])
     common(sp, scene_arg=False)
-    sp.add_argument("--aggregator", default="max",
-                    help="max | mean | at-sample=K (1-based)")
+    sp.add_argument("--aggregator", default="max", help=AGGREGATOR_HELP)
     return parser
 
 
@@ -289,6 +297,11 @@ def main(argv=None) -> int:
         return 2
     except (GraspmassError, ValueError) as exc:
         _emit_error(args, type(exc).__name__, str(exc))
+        return 1
+    except OSError as exc:  # an artifact that cannot be written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        _emit_error(args, type(exc).__name__,
+                    f"cannot write {where}{exc.strerror or exc}")
         return 1
     if args.json:
         print(json.dumps(artifact, indent=2))

@@ -201,7 +201,7 @@ def _sweep(chain, traj, dt, q_seed) -> _Sweep:
     rotation = traj.start_rotation
     start = Pose(traj.position(0.0), rotation)
     q, frames = _solve_ik(chain, start.position, rotation,
-                          _qvec(chain, q_seed)[0], None, 0)
+                          _qvec(chain, q_seed), None, 0)
     qs = np.empty((len(positions), chain.dof))
     for row, position in enumerate(positions):
         q, frames = _solve_ik(chain, position, rotation, q, frames, row + 1)

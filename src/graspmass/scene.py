@@ -27,7 +27,6 @@ another's.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -51,7 +50,9 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Validated scene plus its own copy of the dict it came from."""
+    """Validated scene plus the document it came from, kept as JSON text
+    (``spec_json``); ``spec`` parses a fresh dict from it on every read,
+    so no caller can change what ``write_scene`` writes."""
 
     name: str
     chain: ChainModel
@@ -66,12 +67,17 @@ class Scene:
     stiffness: float
     damping: float
     ik_seed: JointState
-    spec: dict
+    spec_json: str
     digest: str
     # dt -> (the arm's sweep, the profiles of all grasps); a copy made by
     # dataclasses.replace starts empty
     _evaluations: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+
+    @property
+    def spec(self) -> dict:
+        """A fresh copy of the scene document."""
+        return json.loads(self.spec_json)
 
     def fit(self) -> QuinticTrajectory:
         return fit_quintic(self.start, self.end, self.t_f)
@@ -314,7 +320,7 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     return Scene(name=name, chain=chain, object=base_object, grasps=grasps,
                  bodies=bodies, start=start, end=end, t_f=t_f, dt=dt,
                  collision_time=time_s, stiffness=stiffness,
-                 damping=damping, ik_seed=ik_seed, spec=copy.deepcopy(d),
+                 damping=damping, ik_seed=ik_seed, spec_json=json.dumps(d),
                  digest=digest)
 
 

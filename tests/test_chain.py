@@ -34,6 +34,7 @@ from conftest import (
     random_chain,
     random_rotation,
     reference_frame_pass,
+    tensor_scene,
 )
 
 
@@ -80,6 +81,26 @@ def test_frame_pass_equals_the_reference_on_rotated_frames():
             got = _frame_pass(model, qs)
             want = reference_frame_pass(model, qs)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("scene", [book_scene, tensor_scene],
+                         ids=["book", "tensor"])
+def test_frame_pass_of_one_configuration_is_its_row_of_the_stack(scene):
+    # one implementation for both ranks: the pass and the Jacobian of
+    # q = qs[k] hold the bits of row k of the stack's
+    from graspmass.chain import _frame_pass, _jacobian
+    chain = scene().chain
+    rng = np.random.default_rng(57)
+    lower, upper = chain.limits_array().T
+    qs = rng.uniform(lower, upper, size=(9, chain.dof))
+    stack = _frame_pass(chain, qs)
+    jacobians = _jacobian(stack)
+    for k, q in enumerate(qs):
+        one = _frame_pass(chain, q)
+        for field, a, b in zip(one._fields, one, stack):
+            assert a.shape == b.shape[1:], field
+            assert np.array_equal(a, b[k]), field
+        assert np.array_equal(_jacobian(one), jacobians[k])
 
 
 def wrist_chain(rng):

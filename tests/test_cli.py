@@ -165,6 +165,28 @@ def test_a_failing_command_creates_no_output_directory(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["rank", "SCENE"], ["profile", "SCENE", "0"],
+    ["simulate-impact", "SCENE"], ["demo", "book"]],
+    ids=["rank", "profile", "simulate-impact", "demo"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_an_unwritable_out_dir_is_a_clean_json_error(command, under,
+                                                     tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out_dir = blocker / "out" if under else blocker
+    argv = [book_path() if a == "SCENE" else a for a in command]
+    code, out, err = run(capsys, *argv, "--json", "--out-dir", str(out_dir))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == ("NotADirectoryError" if under
+                             else "FileExistsError")
+    assert str(out_dir) in error["message"]
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_impact_highlights_cover_min_median_max(tmp_path, capsys):
     code, out, _ = run(capsys, "simulate-impact",
                        str(demo_scene_path("tensor")), "--json",
@@ -225,8 +247,8 @@ def test_pairs_formats_each_value_like_fmt():
         [0.0, -0.0, 1.0, 1e16, 123456789.5, 5e-324]])
     ys = 3.0 * xs[::-1]
     want = "".join(f"{cli._fmt(x)},{cli._fmt(y)}\n" for x, y in zip(xs, ys))
-    assert cli._pairs(xs, ys) == want
-    assert cli._pairs(xs[:0], ys[:0]) == ""
+    assert cli._pairs(b"x,y\n", xs, ys) == b"x,y\n" + want.encode()
+    assert cli._pairs(b"x,y\n", xs[:0], ys[:0]) == b"x,y\n"
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
@@ -259,6 +281,43 @@ def test_mass_map_matches_pinned_digest(name, dt, digest, tmp_path):
     cli.cmd_rank(parse_scene(demo_scene_path(name)), dt=dt, out_dir=tmp_path)
     data = (tmp_path / "mass_map.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def artifacts_digest(out_dir):
+    """sha256 over the name, length and bytes of every file in ``out_dir``,
+    in name order."""
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+# every file that `demo` writes, at the scene's dt and at a --dt override:
+# the traces, the profile, mass_map.csv and both JSON artifacts
+PINNED_DEMO_SHA256 = [
+    ("book", None,
+     "e11111ee27cdff587747e9c8dd42bf356cabbd715e990400f0f9477c92f33b43"),
+    ("book", "0.05",
+     "115a7edde6bb64818b95eea38feeba6b2a06338422cd118472a91b1fca8c988a"),
+    ("tensor", None,
+     "b2eed5b1450eeece751080f71dc82cc27bfddeb87b31d4418478e63b9366f62a"),
+    ("tensor", "0.05",
+     "5801aaa9959a0df4dcb940eb7ddba781be620a42f2de9752d4ea302dd7414746"),
+]
+
+
+@pytest.mark.parametrize("which, dt, digest", PINNED_DEMO_SHA256,
+                         ids=["book", "book-dt0.05", "tensor",
+                              "tensor-dt0.05"])
+def test_demo_artifacts_match_pinned_digest(which, dt, digest, tmp_path,
+                                            capsys):
+    extra = [] if dt is None else ["--dt", dt]
+    code, _, _ = run(capsys, "demo", which, "--out-dir", str(tmp_path),
+                     *extra)
+    assert code == 0
+    assert artifacts_digest(tmp_path) == digest
 
 
 def test_fractional_collision_sample_is_a_clean_error(tmp_path, capsys):

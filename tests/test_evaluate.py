@@ -413,10 +413,10 @@ def test_stale_frames_are_not_reused_for_a_clipped_seed():
     chain = scene.chain
     seed = out_of_limits_seed(scene)
     target = sample(scene.fit(), scene.dt)[5].pose
-    stale = _frame_pass(chain, seed[None])   # the pass at the unclipped seed
+    stale = _frame_pass(chain, seed)   # the pass at the unclipped seed
     q, frames = _ik(chain, target.position, target.rotation, seed, stale)
     assert np.array_equal(q, inverse_kinematics(chain, target, seed).q)
-    fresh = _frame_pass(chain, q[None])
+    fresh = _frame_pass(chain, q)
     assert all(np.array_equal(a, b) for a, b in zip(frames, fresh))
 
 

@@ -295,6 +295,22 @@ def test_scene_keeps_its_own_copy_of_the_spec(tmp_path):
     assert scene.spec["trajectory"]["t_f_s"] == 2.0
 
 
+def test_mutating_the_spec_does_not_change_what_is_written(tmp_path):
+    scene = parse_scene(demo_scene_path("book"))
+    spec = scene.spec
+    spec["trajectory"]["t_f_s"] = -1
+    spec["grasps"].clear()
+    scene.spec["name"] = "changed"
+    path = tmp_path / "written.scene.json"
+    write_scene(scene, path)
+    again = parse_scene(path)
+    assert path.read_bytes() == demo_scene_path("book").read_bytes()
+    assert again.digest == scene.digest
+    assert again.spec == scene.spec
+    assert (again.name, again.t_f) == (scene.name, scene.t_f) == ("book", 2.0)
+    assert [g.id for g in again.grasps] == [g.id for g in scene.grasps]
+
+
 def test_end_orientation_is_compared_as_a_rotation():
     # yaw + 2 pi is the start orientation; only the angle triple differs
     doc = book_dict()
