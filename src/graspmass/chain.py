@@ -44,7 +44,6 @@ array is the one that every grasp's profile carries.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,10 +54,8 @@ from .bodies import check_inertia_tensor
 from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         IK_STEP_CLAMP, JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
                         UNIT_NORM_TOL)
-from .errors import (DimensionMismatch, IkDidNotConverge,
-                     NearSingularConfiguration)
-from .spatial import Pose, rotation_log, skew
-from .spatial import _check_rotation, _frozen
+from .errors import DimensionMismatch, IkDidNotConverge
+from .spatial import Pose, _check_rotation, _frozen, rotation_log, skew
 
 _EYE3 = np.eye(3)
 _EYE6 = np.eye(6)
@@ -330,11 +327,6 @@ def _stacked_inertias(model: ChainModel,
     sv_min = (np.linalg.svd(jac, compute_uv=False)[:, -1] if model.dof >= 6
               else np.zeros(len(jac)))
     near = sv_min < JACOBIAN_SINGULARITY_GUARD
-    for sv in sv_min[near]:
-        # stacklevel 3: the caller of the function that called this one
-        warnings.warn(f"Jacobian near singular (min sv {sv:.3e}); "
-                      "returning damped task-space inertia",
-                      NearSingularConfiguration, stacklevel=3)
     a[near] += OSI_DAMPING**2 * _EYE6
     lam = np.linalg.inv(a)
     lam = checked_energy_matrices((lam + lam.swapaxes(1, 2)) / 2.0)
@@ -348,7 +340,7 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
 
     Near a Jacobian singularity (smallest singular value below the guard)
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
-    instead of failing, so trajectory profiles stay complete.
+    instead of failing or warning, so trajectory profiles stay complete.
     """
     osi = _stacked_inertias(model,
                             _checked(_frame_pass(model, _qvec(model, q)[None])))
@@ -358,9 +350,9 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
 
 def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertias:
     """``operational_space_inertia`` of each row of an (S, n) stack, in one
-    batched pass; every near-singular sample is damped and warned about
-    once. Raises like ``KineticEnergyMatrix`` if any result is not
-    symmetric or not positive semidefinite."""
+    batched pass; every near-singular sample is damped and flagged (the
+    only signal: no warning). Raises like ``KineticEnergyMatrix`` if any
+    result is not symmetric or not positive semidefinite."""
     return _stacked_inertias(model,
                              _checked(_frame_pass(model, _qstack(model, qs))))
 

@@ -9,11 +9,12 @@ command reads it and adds only its own output. ``simulate-impact``
 collides at the sample nearest the scene's collision instant on the
 ``dt`` grid, at the trajectory's speed there; ``at-sample=K`` instead
 counts K samples on the grid in use. A failing command creates no output
-directory. All outputs are deterministic: floats are written with 9
-significant digits, no timestamps, and re-running on the same scene
-reproduces numeric CSV content byte for byte. Each CSV is formatted as
-bytes by one ``%`` over the whole table (``_table``) and written in one
-call.
+directory. A command that succeeds prints one note on stderr when the
+evaluation it read flagged near-singular samples (K of N). All outputs
+are deterministic: floats are written with 9 significant digits, no
+timestamps, and re-running on the same scene reproduces numeric CSV
+content byte for byte. Each CSV is formatted as bytes by one ``%`` over
+the whole table (``_table``) and written in one call.
 
 Exit codes: 0 success, 2 inverse-kinematics failure (message names the
 failing sample), 1 anything else, an output directory or artifact that
@@ -77,17 +78,24 @@ def _resolve_grasp(scene: Scene, key: str) -> int:
                           f"(ids: {', '.join(g.id for g in scene.grasps)})")
 
 
-def _collision_speed(scene: Scene, t: float) -> float:
-    """Approach speed: |velocity| of the trajectory at the collision
-    sample's grid time ``t``."""
+def _collision_speed(scene: Scene, times: np.ndarray, k: int,
+                     dt: float) -> float:
+    """Approach speed: |velocity| of the trajectory at ``times[k - 1]``,
+    the collision sample's instant on the grid at ``dt``."""
+    t = times[k - 1]
     velocity = scene.fit().velocity(t)
     if not np.isfinite(velocity).all():
         raise ValueError("trajectory samples must be finite")
     speed = float(np.linalg.norm(velocity))
     if speed <= MIN_APPROACH_SPEED:
-        raise ValidationError("collision.sample",
-                              "approach speed is zero at this sample")
+        raise ValidationError("collision", (
+            f"approach speed is zero at t = {t:g} s "
+            f"(sample {k} of {len(times)} at dt {dt:g})"))
     return speed
+
+
+def _write_json(path: Path, artifact: dict) -> None:
+    path.write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
 
 
 def _artifact_head(scene: Scene) -> dict:
@@ -114,9 +122,7 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     })
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ranking.json", "w", encoding="utf-8") as fh:
-        json.dump(artifact, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "ranking.json", artifact)
     times = profiles[0].times
     values = times.tolist()
     for p in profiles:
@@ -156,7 +162,7 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     sweep, profiles = scene.evaluated(dt)
     k = scene.collision_sample_at(dt)
-    speed = _collision_speed(scene, sweep.times[k - 1])
+    speed = _collision_speed(scene, sweep.times, k, dt)
     ordering = predict_ordering(profiles, k, speed, scene.stiffness,
                                 scene.damping)
     out = Path(out_dir)
@@ -178,17 +184,12 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
         "orderings_agree": by_peak == mass_order,
         "peaks_n": {gid: float(_fmt(peaks[gid])) for gid in by_peak},
         "highlights": {
-            "min": {"grasp_id": by_peak[0],
-                    "peak_n": float(_fmt(peaks[by_peak[0]]))},
-            "median": {"grasp_id": by_peak[len(by_peak) // 2],
-                       "peak_n": float(_fmt(peaks[by_peak[len(by_peak) // 2]]))},
-            "max": {"grasp_id": by_peak[-1],
-                    "peak_n": float(_fmt(peaks[by_peak[-1]]))},
-        },
+            label: {"grasp_id": gid, "peak_n": float(_fmt(peaks[gid]))}
+            for label, gid in (("min", by_peak[0]),
+                               ("median", by_peak[len(by_peak) // 2]),
+                               ("max", by_peak[-1]))},
     })
-    with open(out / "impact_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(artifact, fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "impact_summary.json", artifact)
     return artifact
 
 
@@ -259,31 +260,37 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> dict:
-    if args.command == "demo":
+    """Run one command on one parsed scene; on success, note on stderr
+    how many samples of the evaluation it read were near singular."""
+    demo = args.command == "demo"
+    scene = parse_scene(demo_scene_path(args.which) if demo else args.scene)
+    if demo:
         # the three commands share the scene's sweep and profiles
-        scene = parse_scene(demo_scene_path(args.which))
         rank_art = cmd_rank(scene, args.aggregator, args.dt, args.out_dir)
         impact_art = cmd_simulate_impact(scene, args.dt, args.out_dir)
         cmd_profile(scene, rank_art["recommended"], args.dt, args.out_dir)
+        artifact = {"rank": rank_art, "impact": impact_art}
         if not args.json:
             _print_rank(rank_art)
             _print_impact(impact_art)
-        return {"rank": rank_art, "impact": impact_art}
-    scene = parse_scene(args.scene)
-    if args.command == "rank":
+    elif args.command == "rank":
         artifact = cmd_rank(scene, args.aggregator, args.dt, args.out_dir)
         if not args.json:
             _print_rank(artifact)
-        return artifact
-    if args.command == "profile":
+    elif args.command == "profile":
         artifact = cmd_profile(scene, args.grasp, args.dt, args.out_dir)
         if not args.json:
             print(f"wrote {artifact['csv']} ({artifact['n_samples']} samples, "
                   f"max {artifact['max_kg']:.6g} kg)")
-        return artifact
-    artifact = cmd_simulate_impact(scene, args.dt, args.out_dir)
-    if not args.json:
-        _print_impact(artifact)
+    else:
+        artifact = cmd_simulate_impact(scene, args.dt, args.out_dir)
+        if not args.json:
+            _print_impact(artifact)
+    dt = scene.dt if args.dt is None else args.dt
+    near = scene.evaluated(dt)[0].near_singular
+    if near.any():
+        print(f"note: {near.sum()} of {len(near)} samples near singular "
+              "(damped task-space inertia)", file=sys.stderr)
     return artifact
 
 

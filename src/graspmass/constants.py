@@ -13,6 +13,9 @@ SYMMETRY_TOL = 1e-9
 JACOBIAN_SINGULARITY_GUARD = 1e-6
 OSI_DAMPING = 1e-4
 
+# Most samples one trajectory grid may hold (book-fine has 200).
+MAX_SAMPLES = 100_000
+
 # Damped-least-squares inverse kinematics.
 IK_MAX_ITERS = 200
 IK_DAMPING = 1e-3

@@ -1,4 +1,5 @@
-"""Exception taxonomy for the grasp effective-mass workbench."""
+"""Exception taxonomy for the grasp effective-mass workbench; a
+near-singular arm posture is no error or warning, only a flag."""
 
 
 class GraspmassError(Exception):
@@ -35,7 +36,7 @@ class NonPositiveDuration(GraspmassError):
 
 
 class InvalidStep(GraspmassError):
-    """Sampling step outside (0, t_f]."""
+    """Sampling step outside (0, t_f], or one giving over MAX_SAMPLES."""
 
 
 class DegenerateTrajectory(GraspmassError):
@@ -66,10 +67,3 @@ class ValidationError(GraspmassError):
         super().__init__(f"{field}: {message}")
         self.field = field
 
-
-class NearSingularConfiguration(UserWarning):
-    """Jacobian near singular; a damped task-space inertia was returned.
-
-    A warning, not an error: the contract is to degrade (damped inverse
-    plus near-singular flag) rather than fail, so profiles stay complete.
-    """

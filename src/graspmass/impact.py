@@ -146,8 +146,5 @@ def predict_ordering(profiles, collision_sample: int, speed: float,
             approach_speed=speed, contact_stiffness=stiffness,
             contact_damping=damping))
         scored.append((trace.peak_force, p.grasp_id, trace))
-    scored.sort(key=lambda item: item[:2])
-    return ImpactOrdering(
-        grasp_ids=tuple(gid for _, gid, _ in scored),
-        peak_forces=tuple(peak for peak, _, _ in scored),
-        traces=tuple(trace for _, _, trace in scored))
+    peaks, grasp_ids, traces = zip(*sorted(scored, key=lambda item: item[:2]))
+    return ImpactOrdering(grasp_ids, peaks, traces)

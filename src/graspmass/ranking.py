@@ -96,10 +96,8 @@ class Aggregator:
             return float(profile.masses.max()), (
                 f"{profile.grasp_id}: all samples near singular; "
                 "max taken over damped values")
-        note = None
-        if flagged.any():
-            note = (f"{profile.grasp_id}: excluded "
-                    f"{int(flagged.sum())} near-singular sample(s) from max")
+        note = (f"{profile.grasp_id}: excluded {int(flagged.sum())} "
+                "near-singular sample(s) from max" if flagged.any() else None)
         return float(profile.masses[~flagged].max()), note
 
 
@@ -138,10 +136,8 @@ def evaluate_grasps(chain, bodies, grasps, traj, dt,
     (``motion_direction``).
     """
     grasps = list(grasps)
-    if isinstance(bodies, RigidBodyInertia):
-        bodies = [bodies] * len(grasps)
-    else:
-        bodies = list(bodies)
+    bodies = ([bodies] * len(grasps) if isinstance(bodies, RigidBodyInertia)
+              else list(bodies))
     if len(bodies) != len(grasps):
         raise LengthMismatch("one body per grasp required")
     return _score(_sweep(chain, traj, dt, q_seed), bodies, grasps)
@@ -232,16 +228,11 @@ def rank_grasps(profiles, aggregator="max") -> RankingReport:
     n = len(profiles[0])
     if any(len(p) != n for p in profiles):
         raise LengthMismatch("profiles must have equal length")
-    scored = []
-    notes = []
+    scored, notes = [], []
     for p in profiles:
         value, note = aggregator(p)
         scored.append((value, p.grasp_id))
         if note:
             notes.append(note)
-    scored.sort()
-    return RankingReport(
-        grasp_ids=tuple(gid for _, gid in scored),
-        aggregates=tuple(v for v, _ in scored),
-        aggregator=aggregator.name,
-        notes=tuple(notes))
+    aggregates, grasp_ids = zip(*sorted(scored))
+    return RankingReport(grasp_ids, aggregates, aggregator.name, tuple(notes))

@@ -32,6 +32,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -112,6 +113,15 @@ class Scene:
 def file_stem(grasp_id: str) -> str:
     """The grasp id as it appears in artifact file names."""
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in grasp_id)
+
+
+def _text(value, where) -> str:
+    """``value`` as text; JSON admits a lone surrogate ("\\ud800"), which
+    UTF-8 cannot encode, so no artifact could be written with it."""
+    text = str(value)
+    if any("\ud800" <= c <= "\udfff" for c in text):
+        raise ValidationError(where, f"{text!r} is not valid UTF-8 text")
+    return text
 
 
 def _get(d, key, path, kind=None):
@@ -216,17 +226,16 @@ def _build_object(d, path="object") -> RigidBodyInertia:
 def _tensor_config(d, path, ring_positions=None) -> TensorObjectConfig:
     if ring_positions is None:
         ring_positions = _vector(d, "ring_positions_m", path, (5,))
-    kwargs = {}
-    if "cylinder_radius_m" in d:
-        kwargs["cylinder_radius"] = _number(d, "cylinder_radius_m", path)
-    if "ring_radius_m" in d:
-        kwargs["ring_radius"] = _number(d, "ring_radius_m", path)
     return _wrap(path, lambda: TensorObjectConfig(
         handle_length=_number(d, "handle_length_m", path),
         cylinder_length=_number(d, "cylinder_length_m", path),
         cylinder_mass=_number(d, "cylinder_mass_kg", path),
         ring_mass=_number(d, "ring_mass_kg", path),
-        ring_positions=ring_positions, **kwargs))
+        ring_positions=ring_positions,
+        cylinder_radius=_number(d, "cylinder_radius_m", path,
+                                TensorObjectConfig.cylinder_radius),
+        ring_radius=_number(d, "ring_radius_m", path,
+                            TensorObjectConfig.ring_radius)))
 
 
 def _parse_grasps(d, obj_spec, base_object, path="grasps"):
@@ -236,7 +245,7 @@ def _parse_grasps(d, obj_spec, base_object, path="grasps"):
     grasps, bodies, stems = [], [], {}  # file stem -> grasp id
     for k, entry in enumerate(entries):
         gp = f"{path}[{k}]"
-        gid = str(_get(entry, "id", gp))
+        gid = _text(_get(entry, "id", gp), f"{gp}.id")
         stem = file_stem(gid)
         if stem in stems:
             other = stems[stem]
@@ -264,10 +273,16 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     """Validate a scene dict into a Scene; field paths on every failure."""
     if not isinstance(d, dict):
         raise ParseError("scene document must be a JSON object")
+    try:  # a set, an ndarray or a cycle has no JSON text
+        spec_json = json.dumps(d)
+        digest = digest or hashlib.sha256(
+            json.dumps(d, sort_keys=True).encode()).hexdigest()
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"scene document is not JSON: {exc}") from exc
     version = d.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError("schema_version", f"unsupported version {version}")
-    name = str(d.get("name", "scene"))
+    name = _text(d.get("name", "scene"), "name")
     chain = _parse_chain(_get(d, "chain", "", dict))
     obj_spec = _get(d, "object", "", dict)
     base_object = _build_object(obj_spec)
@@ -285,13 +300,11 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     dt = _number(traj, "dt_s", "trajectory")
     if not t_f > 0.0:
         raise ValidationError("trajectory.t_f_s", "must be positive")
-    if not 0.0 < dt <= t_f:
-        raise ValidationError("trajectory.dt_s", "must lie in (0, t_f]")
+    n = _wrap("trajectory.dt_s", _grid_size, t_f, dt)
     # a path that does not move has no motion direction; the chord rule
     # of the evaluation rejects it here, before any IK runs
     _wrap("trajectory.end.position_m", motion_direction,
           fit_quintic(start, end, t_f))
-    n = _grid_size(t_f, dt)
     coll = _get(d, "collision", "", dict)
     stiffness = _number(coll, "stiffness_n_per_m", "collision", 1e4)
     damping = _number(coll, "damping_ns_per_m", "collision", 0.0)
@@ -314,13 +327,10 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
         raise ValidationError("collision", "needs 'sample' or 'time_s'")
     seed = _vector(d, "ik_seed_rad", "", (chain.dof,))
     ik_seed = _wrap("ik_seed_rad", JointState, seed)
-    if digest is None:
-        digest = hashlib.sha256(
-            json.dumps(d, sort_keys=True).encode()).hexdigest()
     return Scene(name=name, chain=chain, object=base_object, grasps=grasps,
                  bodies=bodies, start=start, end=end, t_f=t_f, dt=dt,
                  collision_time=time_s, stiffness=stiffness,
-                 damping=damping, ik_seed=ik_seed, spec_json=json.dumps(d),
+                 damping=damping, ik_seed=ik_seed, spec_json=spec_json,
                  digest=digest)
 
 
@@ -340,6 +350,5 @@ def parse_scene(path) -> Scene:
 
 def write_scene(scene: Scene, path) -> None:
     """Persist the declarative form; parse(write(scene)) reproduces it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene.spec, fh, indent=2)
-        fh.write("\n")
+    Path(path).write_text(json.dumps(scene.spec, indent=2) + "\n",
+                          encoding="utf-8")

@@ -17,11 +17,12 @@ stack).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ZERO_SPEED_TOL
+from .constants import MAX_SAMPLES, ZERO_SPEED_TOL
 from .errors import DegenerateTrajectory, InvalidStep, NonPositiveDuration
 from .spatial import Pose, Twist
 
@@ -84,15 +85,19 @@ def motion_direction(traj: QuinticTrajectory) -> np.ndarray:
 
 
 def _grid_size(t_f: float, dt: float) -> int:
-    """N, the number of samples on the grid of ``sample``."""
-    return max(1, round(t_f / dt))
+    """N, the number of samples on the grid of ``sample``: ``dt`` must lie
+    in (0, t_f] and give at most ``MAX_SAMPLES`` samples."""
+    if not 0.0 < dt <= t_f:
+        raise InvalidStep(f"dt must lie in (0, t_f], got {dt}")
+    ratio = t_f / dt  # at least 1
+    if math.isfinite(ratio) and round(ratio) <= MAX_SAMPLES:
+        return round(ratio)
+    raise InvalidStep(f"t_f/dt = {ratio:.3g}: over {MAX_SAMPLES} samples")
 
 
 def _grid(traj: QuinticTrajectory, dt: float):
     """The sampling grid of ``sample`` as arrays: times (N,) and
     positions (N, 3)."""
-    if not 0.0 < dt <= traj.t_f:
-        raise InvalidStep(f"dt must lie in (0, t_f], got {dt}")
     n = _grid_size(traj.t_f, dt)
     times = [traj.t_f * i / n for i in range(1, n + 1)]
     # per-t products, as position(t) sums them

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -441,3 +442,94 @@ def test_simulate_impact_does_not_import_numpy_ma(tmp_path):
                           check=True, timeout=120)
     assert (tmp_path / "impact_summary.json").exists()
     assert done.stdout == "False\n"
+
+
+NOTE = "note: 20 of 20 samples near singular (damped task-space inertia)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rank", "SCENE"], ["profile", "SCENE", "spine-mid"],
+    ["simulate-impact", "SCENE"], ["demo", "book"]],
+    ids=lambda argv: argv[0])
+def test_near_singular_samples_are_one_note_per_command(argv, tmp_path,
+                                                        capsys, monkeypatch):
+    argv = [book_path() if a == "SCENE" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--out-dir", str(tmp_path / "stock"))
+    assert code == 0
+    assert "note:" not in err
+    # a guard above every singular value flags (and damps) every sample
+    monkeypatch.setattr("graspmass.chain.JACOBIAN_SINGULARITY_GUARD", 1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--json",
+                             "--out-dir", str(tmp_path / "flagged"))
+    assert code == 0
+    json.loads(out)
+    assert err.splitlines() == [NOTE]
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "edited.scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def assert_json_error(capsys, argv, out_dir, kind, field):
+    code, out, err = run(capsys, *argv, "--json", "--out-dir", str(out_dir))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == kind
+    assert error["message"].startswith(f"{field}: " if field else "")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+    return error["message"]
+
+
+@pytest.mark.parametrize("command", ["rank", "simulate-impact"])
+@pytest.mark.parametrize("keys, field", [
+    (("name",), "name"), (("grasps", 1, "id"), "grasps[1].id")],
+    ids=["name", "grasp-id"])
+def test_text_utf8_cannot_encode_is_rejected_at_parse(command, keys, field,
+                                                      tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = "\ud800"   # valid JSON, no UTF-8 encoding
+    assert_json_error(capsys, [command, write_doc(tmp_path, doc)],
+                      tmp_path / "out", "ValidationError", field)
+
+
+# only grids whose count overflows: a finer one that slipped through
+# would be built sample by sample
+@pytest.mark.parametrize("key, value", [("t_f_s", 1e308), ("dt_s", 1e-320)])
+def test_a_grid_too_fine_to_count_names_the_step(key, value, tmp_path,
+                                                 capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["trajectory"][key] = value
+    assert_json_error(capsys, ["rank", write_doc(tmp_path, doc)],
+                      tmp_path / "out", "ValidationError", "trajectory.dt_s")
+
+
+def test_a_dt_override_too_fine_to_count_is_a_clean_json_error(tmp_path,
+                                                               capsys):
+    message = assert_json_error(
+        capsys, ["rank", book_path(), "--dt", "1e-320"], tmp_path / "out",
+        "InvalidStep", None)
+    assert "100000 samples" in message
+
+
+@pytest.mark.parametrize("collision, extra, where", [
+    ({"time_s": 2.0}, [], "t = 2 s (sample 20 of 20 at dt 0.1)"),
+    (None, ["--dt", "2.0"], "t = 2 s (sample 1 of 1 at dt 2)")],
+    ids=["time-at-t_f", "dt-override"])
+def test_zero_approach_speed_names_the_collision_instant(collision, extra,
+                                                         where, tmp_path,
+                                                         capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    if collision is not None:
+        doc["collision"] = collision
+    message = assert_json_error(
+        capsys, ["simulate-impact", write_doc(tmp_path, doc), *extra],
+        tmp_path / "out", "ValidationError", "collision")
+    assert message == f"collision: approach speed is zero at {where}"

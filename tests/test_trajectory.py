@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from graspmass import Pose, fit_quintic, motion_direction, sample
-from graspmass.constants import ZERO_SPEED_TOL
-from graspmass.trajectory import _grid
+from graspmass.constants import MAX_SAMPLES, ZERO_SPEED_TOL
+from graspmass.trajectory import _grid, _grid_size
 from graspmass.errors import (
     DegenerateTrajectory,
     InvalidStep,
@@ -107,6 +107,17 @@ def test_bad_duration_and_step():
         sample(traj, -0.1)
     with pytest.raises(InvalidStep):
         sample(traj, 1.5)
+
+
+def test_grid_size_is_bounded_and_finite():
+    assert _grid_size(2.0, 2.0 / MAX_SAMPLES) == MAX_SAMPLES
+    # counted before any grid is built: no list of 2e9 times, no overflow
+    for t_f, dt in ((2.0, 2.0 / (MAX_SAMPLES + 1)), (2.0, 1e-9),
+                    (2.0, 1e-320), (1e308, 0.1)):
+        with pytest.raises(InvalidStep, match=f"over {MAX_SAMPLES} samples"):
+            _grid_size(t_f, dt)
+    with pytest.raises(InvalidStep):
+        sample(unit_fit(), 1e-320)
 
 
 def test_direction_is_unit_tangent():

@@ -18,6 +18,7 @@ import numpy as np
 
 from graspmass import fit_quintic, inverse_kinematics, scene_from_dict, write_scene
 from graspmass.chain import ChainModel, JointSpec, LinkInertia
+from graspmass.constants import MIN_APPROACH_SPEED
 from graspmass.spatial import Pose, rotation_z
 
 OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "graspmass" / "scenes"
@@ -186,9 +187,11 @@ def main():
     seed = solve_seed()
     for doc in (book_scene(seed), tensor_scene(seed)):
         scene = scene_from_dict(doc)
-        # sanity: the collision sample must carry usable speed
         traj = fit_quintic(scene.start, scene.end, scene.t_f)
         assert scene.n_samples == round(T_F / DT)
+        # the collision sample must carry usable speed, at its grid time
+        t_hit = traj.t_f * scene.collision_sample / scene.n_samples
+        assert np.linalg.norm(traj.velocity(t_hit)) > MIN_APPROACH_SPEED
         path = OUT_DIR / f"{scene.name}.scene.json"
         write_scene(scene, path)
         print(f"wrote {path} ({len(scene.grasps)} grasps, "
