@@ -9,7 +9,7 @@ along the motion, which sets the peak force of an unexpected collision.
 __version__ = "0.1.0"
 
 from .augmented import (EffectiveMass, KineticEnergyMatrix, augment,
-                        effective_mass, partition_inverse)
+                        effective_mass)
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object, com_energy_matrix,
                      transform_to_grasp)
@@ -23,18 +23,16 @@ from .ranking import (Aggregator, EffectiveMassProfile, RankingReport,
                       evaluate_grasps, parse_aggregator, rank_grasps)
 from .scene import Scene, parse_scene, scene_from_dict, write_scene
 from .spatial import (Pose, Twist, pose_compose, pose_inverse,
-                      rotation_axis_angle, rotation_log, rotation_ypr, skew,
-                      velocity_transform)
+                      rotation_axis_angle, rotation_log, rotation_ypr, skew)
 from .trajectory import (QuinticTrajectory, TrajectorySample, fit_quintic,
                          motion_direction, sample)
 from . import errors
 
 __all__ = [
     "__version__", "errors",
-    "Pose", "Twist", "skew", "velocity_transform", "pose_compose",
-    "pose_inverse", "rotation_ypr", "rotation_axis_angle", "rotation_log",
-    "KineticEnergyMatrix", "EffectiveMass", "augment", "partition_inverse",
-    "effective_mass",
+    "Pose", "Twist", "skew", "pose_compose", "pose_inverse", "rotation_ypr",
+    "rotation_axis_angle", "rotation_log",
+    "KineticEnergyMatrix", "EffectiveMass", "augment", "effective_mass",
     "RigidBodyInertia", "GraspCandidate", "TensorObjectConfig",
     "com_energy_matrix", "transform_to_grasp",
     "build_tensor_object", "build_cuboid",

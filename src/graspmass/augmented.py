@@ -10,6 +10,8 @@ The effective mass along a unit direction v is 1/(v^T [L^-1]_uu v): the
 scalar mass the environment feels when the reference point is struck along
 v. It must be computed from the inverse's top-left block (the inverse of
 the Schur complement L_u - L_uw L_w^-1 L_uw^T), never from L_u alone.
+``effective_masses`` computes it for a stack, by solves with no explicit
+inverse; the pipeline and ``effective_mass`` both call it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class KineticEnergyMatrix:
     Normal pipeline products are strictly positive definite; an exactly
     zero matrix is tolerated at construction so a no-load augmentation is
     expressible. Operations that need strict definiteness check it
-    themselves (partition_inverse).
+    themselves (effective_masses).
     """
 
     matrix: np.ndarray
@@ -109,19 +111,17 @@ def augment(lam_robot: KineticEnergyMatrix, lam_obj: KineticEnergyMatrix) -> Kin
     return KineticEnergyMatrix(lam_robot.matrix + lam_obj.matrix)
 
 
-def partition_inverse(lam_tot: KineticEnergyMatrix):
-    """Blocks of the full inverse: (top-left 3x3, top-right 3x3, bottom-right 3x3).
-
-    The top-left block equals the inverse of the Schur complement of the
-    angular block. Raises NotPositiveDefinite when the matrix is not
-    strictly positive definite.
-    """
-    m = lam_tot.matrix
-    if np.linalg.eigvalsh(m)[0] <= PD_MIN_EIG:
-        raise NotPositiveDefinite("matrix not positive definite; cannot invert")
-    inv = np.linalg.inv(m)
-    inv = (inv + inv.T) / 2.0
-    return inv[:3, :3], inv[:3, 3:], inv[3:, 3:]
+def effective_masses(lam_tot: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Effective masses (N,) of a positive-definite (N, 6, 6) stack."""
+    if np.linalg.eigvalsh(lam_tot)[:, 0].min() <= PD_MIN_EIG:
+        raise NotPositiveDefinite("augmented matrix not positive definite; "
+                                  "cannot invert")
+    # [v, 0] as one (1, 6, 1) matrix: numpy 1 and 2 broadcast it alike
+    rhs = np.concatenate([v, np.zeros(3)])[None, :, None]
+    # [L^-1]_uu v is the top half of L^-1 [v, 0]; einsum sums each dot in
+    # the order of the per-matrix products (x @ v does not)
+    x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
+    return 1.0 / np.einsum("ni,i->n", x, v)
 
 
 def effective_mass(lam_tot: KineticEnergyMatrix, v) -> EffectiveMass:
@@ -130,8 +130,8 @@ def effective_mass(lam_tot: KineticEnergyMatrix, v) -> EffectiveMass:
     Non-unit v is normalized with a warning; a zero vector is rejected.
     """
     v = unit_direction(v)
-    lam_u_inv, _, _ = partition_inverse(lam_tot)
-    return EffectiveMass(1.0 / float(v @ lam_u_inv @ v), v)
+    mass = effective_masses(lam_tot.matrix[None], v)[0]
+    return EffectiveMass(float(mass), v)
 
 
 def unit_direction(v) -> np.ndarray:

@@ -126,9 +126,9 @@ def transform_to_grasp(lam_ocom: KineticEnergyMatrix,
         [[m I3,          m skew(r)                        ],
          [m skew(r)^T,   R^T I_com R + m skew(r)^T skew(r)]]
 
-    which equals velocity_transform(r)^T @ blockdiag(m I3, R^T I_com R)
-    @ velocity_transform(r). Built block-wise so the translational block is
-    exactly m I3.
+    which equals T^T @ blockdiag(m I3, R^T I_com R) @ T with T = [[I3,
+    skew(r)], [0, I3]], the tests' oracle ``velocity_transform``. Built
+    block-wise so the translational block is exactly m I3.
     """
     rot = grasp.grasp_pose.rotation            # grasp axes -> CoM axes
     m = lam_ocom.matrix[0, 0]

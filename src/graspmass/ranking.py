@@ -23,9 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .augmented import effective_masses
 from .bodies import RigidBodyInertia, com_energy_matrix, transform_to_grasp
 from .chain import _ik, _qvec, operational_space_inertias
-from .constants import PD_MIN_EIG
 from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                      NotPositiveDefinite)
 from .spatial import Pose
@@ -166,19 +166,14 @@ def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
     # once and broadcast over the (N, 6, 6) stack
     rot = np.zeros((6, 6))
     rot[:3, :3] = rot[3:, 3:] = sweep.rotation
-    # [v, 0] as one (1, 6, 1) matrix: numpy 1 and 2 broadcast it alike
-    rhs = np.concatenate([v, np.zeros(3)])[None, :, None]
     profiles = []
     for body, grasp in zip(bodies, grasps):
         lam_gp = transform_to_grasp(com_energy_matrix(body), grasp).matrix
         lam_tot = lam_rob + np.einsum("ij,jk,lk->il", rot, lam_gp, rot)
-        if np.linalg.eigvalsh(lam_tot)[:, 0].min() <= PD_MIN_EIG:
-            raise NotPositiveDefinite(f"grasp {grasp.id}: augmented matrix "
-                                      "not positive definite; cannot invert")
-        # [Lambda^-1]_uu v is the top half of Lambda^-1 [v, 0]; einsum sums
-        # each dot in the order of the per-sample products (x @ v does not)
-        x = np.linalg.solve(lam_tot, rhs)[:, :3, 0]
-        masses = 1.0 / np.einsum("ni,i->n", x, v)
+        try:
+            masses = effective_masses(lam_tot, v)
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(f"grasp {grasp.id}: {exc}") from exc
         masses.setflags(write=False)
         profiles.append(EffectiveMassProfile(grasp.id, times, masses,
                                              sweep.near_singular))

@@ -168,22 +168,37 @@ def _vector(d, key, path, shape):
     return v
 
 
+def _point(d, key, path):
+    """A position, as ``_vector`` reads a 3-vector, whose squared length
+    is finite: norms and parallel-axis terms square it."""
+    pos = _vector(d, key, path, (3,))
+    if not math.isfinite(sum(x * x for x in pos.tolist())):
+        raise ValidationError(f"{path}.{key}" if path else key,
+                              "too large: its squared length overflows")
+    return pos
+
+
 def _pose(d, key, path) -> Pose:
     sub = _get(d, key, path)
     sub_path = f"{path}.{key}" if path else key
-    pos = _vector(sub, "position_m", sub_path, (3,))
+    pos = _point(sub, "position_m", sub_path)
     ypr = _vector(sub, "ypr_rad", sub_path, (3,))
     return Pose.from_ypr(pos, ypr)
 
 
 def _wrap(path, fn, *args):
-    """Run a constructor, converting library errors to field-level ones."""
+    """Run a constructor, converting library errors to field-level ones,
+    and so float arithmetic that overflows or turns invalid."""
     try:
-        return fn(*args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return fn(*args)
     except ValidationError:
         raise
     except (GraspmassError, ValueError, TypeError) as exc:
         raise ValidationError(path, str(exc)) from exc
+    except ArithmeticError as exc:
+        raise ValidationError(path, "values outside the range float "
+                              "arithmetic can hold") from exc
 
 
 def _parse_chain(d, path="chain") -> ChainModel:
@@ -202,7 +217,7 @@ def _parse_chain(d, path="chain") -> ChainModel:
         link_d = _get(entry, "link", jp)
         link = _wrap(f"{jp}.link", LinkInertia,
                      _number(link_d, "mass_kg", f"{jp}.link"),
-                     _vector(link_d, "com_m", f"{jp}.link", (3,)),
+                     _point(link_d, "com_m", f"{jp}.link"),
                      _vector(link_d, "inertia_kgm2", f"{jp}.link", (3, 3)))
         joints.append((spec, link))
     return _wrap(path, ChainModel, tuple(joints), base, tool)
@@ -301,10 +316,13 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     if not t_f > 0.0:
         raise ValidationError("trajectory.t_f_s", "must be positive")
     n = _wrap("trajectory.dt_s", _grid_size, t_f, dt)
+    fit = _wrap("trajectory.t_f_s", fit_quintic, start, end, t_f)
+    if not np.isfinite(fit.coeffs).all():
+        raise ValidationError("trajectory.t_f_s", "too short for the "
+                              "distance: the quintic's coefficients overflow")
     # a path that does not move has no motion direction; the chord rule
     # of the evaluation rejects it here, before any IK runs
-    _wrap("trajectory.end.position_m", motion_direction,
-          fit_quintic(start, end, t_f))
+    _wrap("trajectory.end.position_m", motion_direction, fit)
     coll = _get(d, "collision", "", dict)
     stiffness = _number(coll, "stiffness_n_per_m", "collision", 1e4)
     damping = _number(coll, "damping_ns_per_m", "collision", 0.0)

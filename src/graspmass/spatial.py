@@ -1,4 +1,4 @@
-"""3D/6D spatial algebra: rotations, poses, twists, velocity transforms.
+"""3D/6D spatial algebra: rotations, poses and twists.
 
 Conventions used across the whole library:
   * rotation matrices map local coordinates into the parent frame,
@@ -144,17 +144,4 @@ class Twist:
     def __post_init__(self):
         object.__setattr__(self, "linear", _frozen(self.linear, (3,), "linear"))
         object.__setattr__(self, "angular", _frozen(self.angular, (3,), "angular"))
-
-
-def velocity_transform(r) -> np.ndarray:
-    """Block matrix [[I, skew(r)], [0, I]] shifting a twist's reference point.
-
-    With r the vector from point B to point A (same axes), maps a twist
-    referenced at A to the twist referenced at B: v_B = v_A + r x omega.
-    Congruence runs the other way and moves a kinetic-energy matrix from
-    B to A: lam_A = T.T @ lam_B @ T.
-    """
-    t = np.eye(6)
-    t[:3, 3:] = skew(r)
-    return t
 

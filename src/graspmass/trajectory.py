@@ -18,6 +18,7 @@ stack).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,15 @@ def fit_quintic(start: Pose, end: Pose, t_f: float) -> QuinticTrajectory:
     """Solve the six boundary conditions per axis for the unique quintic."""
     if not t_f > 0.0:
         raise NonPositiveDuration(f"t_f must be positive, got {t_f}")
+    # a fifth power beyond the normal floats overflows, or underflows and
+    # leaves the boundary rows singular
+    try:
+        top = float(t_f) ** 5
+    except OverflowError:
+        top = math.inf
+    if not sys.float_info.min <= top < math.inf:
+        raise ValueError(f"t_f = {t_f!r} s: its fifth power is outside the "
+                         "float range, so no quintic fits it")
     # rows: x(0), v(0), a(0), x(t_f), v(t_f), a(t_f) against powers t^0..t^5
     a = np.zeros((6, 6))
     a[0, 0] = 1.0

@@ -12,6 +12,7 @@ from graspmass import (
     ChainModel,
     GraspCandidate,
     JointSpec,
+    KineticEnergyMatrix,
     LinkInertia,
     Pose,
     RigidBodyInertia,
@@ -59,6 +60,35 @@ def random_body(rng):
 def random_grasp(rng, reach=0.4):
     pose = Pose(rng.uniform(-reach, reach, size=3), random_rotation(rng))
     return GraspCandidate("g", pose)
+
+
+def partition_inverse(lam_tot: KineticEnergyMatrix):
+    """Blocks of the full inverse: (top-left 3x3, top-right 3x3, bottom-right 3x3).
+
+    The top-left block equals the inverse of the Schur complement of the
+    angular block, so 1/(v^T uu v) is the effective mass along a unit v:
+    an explicit-inverse oracle of the library's solve. Raises
+    NotPositiveDefinite when the matrix is not strictly positive definite.
+    """
+    m = lam_tot.matrix
+    if np.linalg.eigvalsh(m)[0] <= PD_MIN_EIG:
+        raise NotPositiveDefinite("matrix not positive definite; cannot invert")
+    inv = np.linalg.inv(m)
+    inv = (inv + inv.T) / 2.0
+    return inv[:3, :3], inv[:3, 3:], inv[3:, 3:]
+
+
+def velocity_transform(r) -> np.ndarray:
+    """Block matrix [[I, skew(r)], [0, I]] shifting a twist's reference point.
+
+    With r the vector from point B to point A (same axes), maps a twist
+    referenced at A to the twist referenced at B: v_B = v_A + r x omega.
+    Congruence runs the other way and moves a kinetic-energy matrix from
+    B to A: lam_A = T.T @ lam_B @ T.
+    """
+    t = np.eye(6)
+    t[:3, 3:] = skew(r)
+    return t
 
 
 def impulse_oracle_mass(body, grasp, v):

@@ -20,7 +20,6 @@ from graspmass import (
     fit_quintic,
     geometric_jacobian,
     mass_matrix,
-    partition_inverse,
     predict_ordering,
     rank_grasps,
     sample,
@@ -36,6 +35,7 @@ from conftest import (
     fd_jacobian,
     impulse_oracle_mass,
     link_energy,
+    partition_inverse,
     random_body,
     random_chain,
     random_grasp,

@@ -11,16 +11,17 @@ from graspmass import (
     geometric_jacobian,
     mass_matrix,
     operational_space_inertia,
-    partition_inverse,
     skew,
     transform_to_grasp,
 )
+from graspmass.augmented import effective_masses
 from graspmass.errors import NotPositiveDefinite
 
 from conftest import (
     cloud_inertia,
     euler_rate_map,
     impulse_oracle_mass,
+    partition_inverse,
     random_body,
     random_chain,
     random_grasp,
@@ -221,8 +222,9 @@ def test_effective_mass_normalizes_with_warning():
     rng = np.random.default_rng(38)
     lam = random_pd6(rng)
     v = np.array([2.0, 0.0, 0.0])
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="not unit norm") as record:
         em = effective_mass(lam, v)
+    assert record[0].filename == __file__  # points at the caller
     assert np.isclose(em.value, effective_mass(lam, v / 2.0).value, rtol=1e-12)
 
 
@@ -273,3 +275,34 @@ def test_grasp_rotation_does_not_change_free_mass_along_rotated_direction():
             transform_to_grasp(com_energy_matrix(body),
                                GraspCandidate("b", Pose(pos, rot))), rot.T @ v)
         assert np.isclose(plain.value, rotated.value, rtol=1e-10)
+
+
+def test_effective_mass_equals_the_block_inverse_oracle():
+    # the library solves against [v, 0]; the oracle inverts explicitly
+    rng = np.random.default_rng(44)
+    for _ in range(500):
+        lam = random_pd6(rng, scale=10.0 ** rng.uniform(-3.0, 3.0))
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        uu, _, _ = partition_inverse(lam)
+        want = 1.0 / float(v @ uu @ v)
+        assert abs(effective_mass(lam, v).value - want) <= 1e-12 * want
+
+
+def test_a_stack_gives_each_matrix_its_own_mass():
+    rng = np.random.default_rng(45)
+    stack = np.array([random_pd6(rng).matrix for _ in range(40)])
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    masses = effective_masses(stack, v)
+    assert masses.shape == (40,)
+    for m, got in zip(stack, masses):
+        assert got == effective_mass(KineticEnergyMatrix(m), v).value
+
+
+def test_effective_mass_rejects_a_singular_total():
+    # construction tolerates PSD, the effective mass must not
+    lam = KineticEnergyMatrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
+    with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+        effective_mass(lam, np.array([1.0, 0.0, 0.0]))
+

@@ -511,6 +511,24 @@ def test_a_grid_too_fine_to_count_names_the_step(key, value, tmp_path,
                       tmp_path / "out", "ValidationError", "trajectory.dt_s")
 
 
+@pytest.mark.parametrize("scene, edits, field", [
+    ("tensor", {("object", "handle_length_m"): 1e200}, "object"),
+    ("book", {("trajectory", "t_f_s"): 1e70, ("trajectory", "dt_s"): 1e69},
+     "trajectory.t_f_s"),
+    ("book", {("trajectory", "t_f_s"): 1e-70, ("trajectory", "dt_s"): 1e-71,
+              ("collision", "sample"): 5}, "trajectory.t_f_s")],
+    ids=["huge-handle", "t_f-1e70", "t_f-1e-70"])
+def test_values_float_arithmetic_cannot_hold_are_clean_json_errors(
+        scene, edits, field, tmp_path, capsys):
+    doc = json.loads(demo_scene_path(scene).read_text(encoding="utf-8"))
+    for (section, key), value in edits.items():
+        doc[section][key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_json_error(capsys, ["rank", write_doc(tmp_path, doc)],
+                          tmp_path / "out", "ValidationError", field)
+
+
 def test_a_dt_override_too_fine_to_count_is_a_clean_json_error(tmp_path,
                                                                capsys):
     message = assert_json_error(

@@ -32,7 +32,8 @@ from graspmass import (
 from graspmass.errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                               NotPositiveDefinite)
 
-from conftest import book_scene, direction_at, reference_sweep, tensor_scene
+from conftest import (book_scene, direction_at, partition_inverse,
+                      reference_sweep, tensor_scene)
 
 
 def profile(grasp_id, masses, flagged=()):
@@ -192,7 +193,8 @@ def test_parse_aggregator_variants():
 
 
 def test_batched_masses_match_per_sample_reference():
-    # the scalar path, one sample and one grasp at a time, is the reference
+    # the scalar path, one sample and one grasp at a time, is the reference;
+    # its last step is the explicit block inverse, not the library's solve
     scene = book_scene()
     traj = scene.fit()
     samples = sample(traj, scene.dt)
@@ -209,7 +211,9 @@ def test_batched_masses_match_per_sample_reference():
         lam_gp = transform_to_grasp(com_energy_matrix(body), grasp)
         for samp, lam, got in zip(samples, lam_rob, prof.masses):
             lam_tot = augment(lam, lam_gp.expressed_in(samp.pose.rotation))
-            want = effective_mass(lam_tot, direction_at(samp, samples)).value
+            v = direction_at(samp, samples)
+            lam_u_inv, _, _ = partition_inverse(lam_tot)
+            want = 1.0 / float(v @ lam_u_inv @ v)
             assert abs(got - want) <= 1e-12 * want
 
 
@@ -271,10 +275,11 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
                             np.zeros(len(qs), dtype=bool)))
     scene = book_scene()
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match="^grasp speck-7: augmented "
+                       "matrix not positive definite"):
         evaluate_grasps(scene.chain, speck,
-                        [GraspCandidate("g", Pose.identity())], scene.fit(),
-                        scene.dt, scene.ik_seed)
+                        [GraspCandidate("speck-7", Pose.identity())],
+                        scene.fit(), scene.dt, scene.ik_seed)
 
 
 def public_ik_chain(chain, traj, dt, seed):

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,68 @@ def test_collision_sample_accepts_integral_float():
     doc = book_dict()
     doc["collision"]["sample"] = 10.0
     assert scene_from_dict(doc).collision_sample == 10
+
+
+def strict_parse(doc):
+    """``scene_from_dict`` with every warning turned into an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return scene_from_dict(doc)
+
+
+# a duration no quintic fits: its fifth power overflows, underflows to
+# zero (a singular fit) or is subnormal, or the coefficients overflow
+@pytest.mark.parametrize("t_f, dt, sample", [
+    (1e70, 1e69, 10), (1e-70, 1e-71, 5), (1e-62, 1e-63, 10),
+    (3e-62, 3e-63, 10)],
+    ids=["overflow", "underflow", "subnormal", "coefficients"])
+def test_a_duration_no_quintic_fits_names_t_f(t_f, dt, sample):
+    doc = book_dict()
+    doc["trajectory"].update(t_f_s=t_f, dt_s=dt)
+    doc["collision"]["sample"] = sample
+    with pytest.raises(ValidationError) as exc:
+        strict_parse(doc)
+    assert exc.value.field == "trajectory.t_f_s"
+
+
+@pytest.mark.parametrize("t_f", [1e-61, 4.4e61])
+def test_extreme_durations_a_quintic_fits_still_parse(t_f):
+    doc = book_dict()
+    doc["trajectory"].update(t_f_s=t_f, dt_s=t_f / 20)
+    scene = strict_parse(doc)
+    assert np.allclose(scene.fit().position(t_f), scene.end.position)
+
+
+# finite numbers too large for the arithmetic they enter: squared in a
+# norm or an inertia, or raised to a power
+HUGE_FINITE = {
+    "handle_length": ("tensor", ("object", "handle_length_m"), "object"),
+    "cylinder_length": ("tensor", ("object", "cylinder_length_m"),
+                        "object"),
+    "dims": ("book", ("object", "dims_m", 1), "object"),
+    "axis": ("book", ("chain", "joints", 3, "axis", 2), "chain.joints[3]"),
+    "start": ("book", ("trajectory", "start", "position_m", 0),
+              "trajectory.start.position_m"),
+    "end": ("book", ("trajectory", "end", "position_m", 2),
+            "trajectory.end.position_m"),
+    "grasp": ("book", ("grasps", 1, "pose_obj", "position_m", 0),
+              "grasps[1].pose_obj.position_m"),
+    "link-com": ("book", ("chain", "joints", 5, "link", "com_m", 1),
+                 "chain.joints[5].link.com_m"),
+}
+
+
+@pytest.mark.parametrize("scene, keys, field", HUGE_FINITE.values(),
+                         ids=HUGE_FINITE)
+def test_huge_finite_values_name_their_field(scene, keys, field):
+    doc = book_dict() if scene == "book" else tensor_dict()
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = 1e200
+    with pytest.raises(ValidationError) as exc:
+        strict_parse(doc)
+    assert exc.value.field == field
 
 
 NUMBER_FIELDS = [

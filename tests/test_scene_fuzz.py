@@ -1,14 +1,19 @@
-"""Scene fuzz: each bundled scene with one key deleted, at every depth.
+"""Scene fuzz: each bundled scene with one key deleted, at every depth,
+and with one number set to NaN, inf, -1, 0 or 1e200.
 
 Every mutant must parse, or fail with a ParseError, or fail with a
-ValidationError whose field is the deleted key's path or one of its
-ancestors. Documents that once escaped as a bare exception or failed
-late (a lone surrogate in a name, a grid too fine to count, values JSON
-cannot encode) ride along with the field they must name.
+ValidationError whose field is the mutated key's path or one of its
+ancestors, without a warning. Documents that once escaped as a bare
+exception or failed late (a lone surrogate in a name, a grid too fine to
+count, values JSON cannot encode) ride along with the field they must
+name.
 """
 
 import copy
 import json
+import math
+import numbers
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +77,47 @@ def test_deleting_any_key_of_the_bundled_scenes_names_its_path():
             if got not in allowed:
                 bad.append((name, field(keys), got))
     assert count == 299
+    assert not bad
+
+
+def numeric_leaves(node, keys=()):
+    """The key path of every number under ``node``; the first joint and
+    the first grasp stand for their siblings."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_leaves(value, keys + (key,))
+    elif isinstance(node, list):
+        first_only = keys[-1:] in (("joints",), ("grasps",))
+        for k, value in enumerate(node[:1] if first_only else node):
+            yield from numeric_leaves(value, keys + (k,))
+    elif isinstance(node, numbers.Real) and not isinstance(node, bool):
+        yield keys
+
+
+# checks of one value against another that name the other: the end
+# orientation must give the start one, and t_f/dt must count the grid
+PARTNERS = {"trajectory.start.ypr_rad": "trajectory.end.ypr_rad",
+            "trajectory.t_f_s": "trajectory.dt_s"}
+
+
+def test_setting_any_number_of_the_bundled_scenes_names_its_path():
+    bad, count = [], 0
+    for name in ("book", "tensor"):
+        doc = scene_dict(name)
+        for keys in numeric_leaves(doc):
+            allowed = {None, "ParseError"}
+            allowed.update(field(keys[:n]) for n in range(1, len(keys) + 1))
+            allowed.update([PARTNERS[f] for f in allowed if f in PARTNERS])
+            for value in (math.nan, math.inf, -1.0, 0.0, 1e200):
+                count += 1
+                mutant = copy.deepcopy(doc)
+                set_in(keys, value)(mutant)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = outcome(mutant)
+                if got not in allowed:
+                    bad.append((name, field(keys), value, got))
+    assert count == 760
     assert not bad
 
 

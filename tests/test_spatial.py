@@ -9,11 +9,11 @@ from graspmass import (
     rotation_log,
     rotation_ypr,
     skew,
-    velocity_transform,
 )
 from graspmass.spatial import rotation_x, rotation_y, rotation_z
 
-from conftest import euler_rate_map, random_rotation, reference_rotation_log
+from conftest import (euler_rate_map, random_rotation, reference_rotation_log,
+                      velocity_transform)
 
 
 def test_skew_matches_cross_product():
