@@ -17,13 +17,16 @@ couple. That asymmetry is the whole reason grasp choice matters.
 import numpy as np
 
 from graspmass import (GraspCandidate, Pose, build_cuboid, com_energy_matrix,
-                       effective_mass, evaluate_grasps, motion_direction,
-                       parse_scene, transform_to_grasp)
+                       effective_mass, motion_direction, parse_scene, score,
+                       transform_to_grasp)
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("book"))
 traj = scene.fit()
 book = build_cuboid(0.34, (0.22, 0.15, 0.015))
+# the arm's part of the evaluation is the scene's; each grasp below only
+# scores on it
+sweep = scene.evaluated(scene.dt)[0]
 
 # direction of travel (the path's chord, the same at every sample), in
 # grasp axes
@@ -41,8 +44,7 @@ for y in np.linspace(-0.10, 0.10, 9):
                                                np.eye(3)))
     lam_gp = transform_to_grasp(com_energy_matrix(book), grasp)
     free = effective_mass(lam_gp, v_grasp).value
-    profile = evaluate_grasps(scene.chain, book, [grasp], traj, scene.dt,
-                              scene.ik_seed)[0]
+    profile = score(sweep, [book], [grasp])[0]
     total = profile.masses[k - 1]
     print(f"{y:>14.3f} {free:>18.4f} {total:>20.4f}")
 

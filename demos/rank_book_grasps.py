@@ -8,8 +8,8 @@ aggregates, approach speed, and the simulated peak contact forces.
 
 import numpy as np
 
-from graspmass import (ImpactScenario, evaluate_grasps, parse_scene,
-                       predict_ordering, rank_grasps, simulate_impact)
+from graspmass import (ImpactScenario, parse_scene, predict_ordering,
+                       rank_grasps, simulate_impact)
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("book"))
@@ -21,8 +21,7 @@ print(f"move: {np.round(traj.position(0.0), 3)} -> "
       f"{np.round(traj.position(traj.t_f), 3)} over {traj.t_f} s")
 print()
 
-profiles = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
-                           scene.dt, scene.ik_seed)
+profiles = scene.evaluated(scene.dt)[1]
 report = rank_grasps(profiles, "max")
 
 print("ranking by worst-case effective mass (safest first):")

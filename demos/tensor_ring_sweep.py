@@ -11,11 +11,10 @@ grip, and how the inertia tensor is shaped.
 
 import numpy as np
 
-from graspmass import evaluate_grasps, parse_scene, rank_grasps
+from graspmass import parse_scene, rank_grasps
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("tensor"))
-traj = scene.fit()
 
 masses = sorted({round(b.mass, 9) for b in scene.bodies})
 print(f"scene: {scene.name}, {len(scene.grasps)} ring layouts, "
@@ -23,8 +22,7 @@ print(f"scene: {scene.name}, {len(scene.grasps)} ring layouts, "
       f"({len(masses)} distinct total mass value(s))")
 print()
 
-profiles = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
-                           scene.dt, scene.ik_seed)
+profiles = scene.evaluated(scene.dt)[1]
 report = rank_grasps(profiles, "max")
 
 # com relative to the grip point, in object axes

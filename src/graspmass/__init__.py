@@ -13,14 +13,13 @@ from .augmented import (EffectiveMass, KineticEnergyMatrix, augment,
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object, com_energy_matrix,
                      transform_to_grasp)
-from .chain import (ChainModel, JointSpec, JointState, LinkInertia,
-                    forward_kinematics, geometric_jacobian,
-                    inverse_kinematics, mass_matrix,
+from .chain import (ChainModel, JointSpec, LinkInertia, forward_kinematics,
+                    geometric_jacobian, inverse_kinematics, mass_matrix,
                     operational_space_inertia, operational_space_inertias)
 from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
                      predict_ordering, simulate_impact)
-from .ranking import (Aggregator, EffectiveMassProfile, RankingReport,
-                      evaluate_grasps, parse_aggregator, rank_grasps)
+from .ranking import (Aggregator, EffectiveMassProfile, RankingReport, Sweep,
+                      parse_aggregator, rank_grasps, score, sweep)
 from .scene import Scene, parse_scene, scene_from_dict, write_scene
 from .spatial import (Pose, Twist, pose_compose, pose_inverse,
                       rotation_axis_angle, rotation_log, rotation_ypr, skew)
@@ -36,14 +35,14 @@ __all__ = [
     "RigidBodyInertia", "GraspCandidate", "TensorObjectConfig",
     "com_energy_matrix", "transform_to_grasp",
     "build_tensor_object", "build_cuboid",
-    "LinkInertia", "JointSpec", "ChainModel", "JointState",
+    "LinkInertia", "JointSpec", "ChainModel",
     "forward_kinematics", "geometric_jacobian", "mass_matrix",
     "operational_space_inertia", "operational_space_inertias",
     "inverse_kinematics",
     "QuinticTrajectory", "TrajectorySample", "fit_quintic", "sample",
     "motion_direction",
-    "EffectiveMassProfile", "RankingReport", "Aggregator",
-    "parse_aggregator", "evaluate_grasps", "rank_grasps",
+    "EffectiveMassProfile", "RankingReport", "Aggregator", "Sweep",
+    "sweep", "score", "parse_aggregator", "rank_grasps",
     "ImpactScenario", "ForceTrace", "ImpactOrdering", "simulate_impact",
     "predict_ordering",
     "Scene", "parse_scene", "scene_from_dict", "write_scene",

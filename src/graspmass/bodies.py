@@ -103,10 +103,6 @@ class TensorObjectConfig:
                 raise RingOutOfRange(f"arm ring {k} at {pos[k]} outside "
                                      f"[0, {self.cylinder_length}]")
 
-    @property
-    def total_mass(self) -> float:
-        return 5.0 * self.cylinder_mass + 5.0 * self.ring_mass
-
 
 def com_energy_matrix(body: RigidBodyInertia) -> KineticEnergyMatrix:
     """Kinetic-energy matrix at the CoM in CoM axes: blockdiag(m I3, I_com)."""

@@ -144,21 +144,6 @@ class ChainModel:
     def dof(self) -> int:
         return len(self.joints)
 
-    def limits_array(self) -> np.ndarray:
-        return np.column_stack((self._arrays.lower, self._arrays.upper))
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    q: np.ndarray
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float).copy()
-        if q.ndim != 1:
-            raise DimensionMismatch("q must be a 1-D vector")
-        q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-
 
 def _qstack(model: ChainModel, qs) -> np.ndarray:
     """Joint values of S configurations as a validated (S, n) stack."""
@@ -173,7 +158,7 @@ def _qstack(model: ChainModel, qs) -> np.ndarray:
 
 def _qvec(model: ChainModel, q) -> np.ndarray:
     """One configuration as a validated (n,) vector."""
-    v = np.asarray(q.q if isinstance(q, JointState) else q, dtype=float)
+    v = np.asarray(q, dtype=float)
     if v.shape != (model.dof,):
         raise DimensionMismatch(f"expected {model.dof} joint values, got {v.shape}")
     return _qstack(model, v[None])[0]
@@ -357,18 +342,21 @@ def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertia
                              _checked(_frame_pass(model, _qstack(model, qs))))
 
 
-def inverse_kinematics(model: ChainModel, target: Pose, seed) -> JointState:
+def inverse_kinematics(model: ChainModel, target: Pose, seed) -> np.ndarray:
     """Damped least squares with step clamping and joint-limit clipping.
 
-    Returns once position and orientation residuals are inside tolerance;
-    if the target equals FK(seed) the seed comes back unchanged. After the
-    iteration budget, raises with the best configuration seen. The
-    end-effector rotation at the solution must be orthonormal.
+    Returns the (n,) joint values, read-only, once position and
+    orientation residuals are inside tolerance; if the target equals
+    FK(seed) the seed's values come back. After the iteration budget,
+    raises with the best configuration seen (``best_q``, the same kind
+    of vector). The end-effector rotation at the solution must be
+    orthonormal.
     """
     q, frames = _ik(model, target.position, target.rotation,
                     _qvec(model, seed))
     _checked(frames)
-    return JointState(q)
+    q.setflags(write=False)
+    return q
 
 
 def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
@@ -410,7 +398,8 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
             dq *= IK_STEP_CLAMP / step
         q = np.minimum(np.maximum(q + dq, lower), upper)
         frames = None
+    best_q.setflags(write=False)
     raise IkDidNotConverge(
         f"no convergence after {IK_MAX_ITERS} iterations "
         f"(position {best_pos:.3e} m, rotation {best_rot:.3e} rad)",
-        best_q=JointState(best_q), pos_err=best_pos, rot_err=best_rot)
+        best_q=best_q, pos_err=best_pos, rot_err=best_rot)

@@ -34,7 +34,8 @@ import numpy as np
 
 from . import __version__
 from .constants import MIN_APPROACH_SPEED
-from .errors import GraspmassError, IkDidNotConverge, ValidationError
+from .errors import (DampingOutOfRange, GraspmassError, IkDidNotConverge,
+                     ValidationError)
 from .impact import predict_ordering
 from .ranking import parse_aggregator, rank_grasps
 from .scene import Scene, file_stem, parse_scene
@@ -163,8 +164,11 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     sweep, profiles = scene.evaluated(dt)
     k = scene.collision_sample_at(dt)
     speed = _collision_speed(scene, sweep.times, k, dt)
-    ordering = predict_ordering(profiles, k, speed, scene.stiffness,
-                                scene.damping)
+    try:
+        ordering = predict_ordering(profiles, k, speed, scene.stiffness,
+                                    scene.damping)
+    except DampingOutOfRange as exc:
+        raise ValidationError("collision.damping_ns_per_m", str(exc)) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for gid, trace in zip(ordering.grasp_ids, ordering.traces):

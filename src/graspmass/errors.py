@@ -48,6 +48,11 @@ class RingOutOfRange(GraspmassError):
     """A tensor-object ring sits outside its cylinder."""
 
 
+class DampingOutOfRange(GraspmassError):
+    """A contact damping too large for the effective mass: the contact
+    model squares their ratio, which would overflow."""
+
+
 class EmptyInput(GraspmassError):
     """An operation requiring at least one element got none."""
 

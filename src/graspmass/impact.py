@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import DampingOutOfRange, EmptyInput
 
 TRACE_POINTS = 2000
 
@@ -47,6 +47,13 @@ class ImpactScenario:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0.0 <= self.contact_damping < math.inf:
             raise ValueError("contact_damping must be finite and >= 0")
+        # plain floats: numpy scalars would warn on overflow, not give inf
+        ratio = float(self.contact_damping) / float(self.effective_mass)
+        if not ratio * ratio < math.inf:
+            raise DampingOutOfRange(
+                f"{self.contact_damping:g} N s/m is too large for an "
+                f"effective mass of {self.effective_mass:g} kg: the contact "
+                "model squares their ratio")
         if self.duration is None:
             object.__setattr__(self, "duration", 1.25 * math.pi * math.sqrt(
                 self.effective_mass / self.contact_stiffness))

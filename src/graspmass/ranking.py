@@ -7,13 +7,14 @@ it its converged frame pass), then the task-space inertia of all the
 converged joint values in one batched call
 (``operational_space_inertias``), with one near-singular flag per
 sample, and the motion direction: the path's chord, the same at every
-sample (``_sweep``). Each grasp then rotates its object matrix into
+sample (``sweep``). Each grasp then rotates its object matrix into
 base axes once (the held orientation is the same at every sample),
 adds it to the arm's at every sample and gets all its effective masses
-from one batched solve (``_score``). ``evaluate_grasps`` is the two in
-turn; a ``Scene`` keeps one entry per ``dt`` holding both results, so
-only the first command on a scene and ``dt`` pays for them. Grasps are
-ranked ascending by profile aggregate (safest first).
+from one batched solve (``score``). A ``Scene`` keeps one entry per
+``dt`` holding both results (``Scene.evaluated``), so only the first
+command on a scene and ``dt`` pays for them; a custom grasp list is
+``score`` on that scene's sweep, which costs no IK. Grasps are ranked
+ascending by profile aggregate (safest first).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .augmented import effective_masses
-from .bodies import RigidBodyInertia, com_energy_matrix, transform_to_grasp
+from .bodies import com_energy_matrix, transform_to_grasp
 from .chain import _ik, _qvec, operational_space_inertias
 from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                      NotPositiveDefinite)
@@ -124,26 +125,7 @@ class RankingReport:
     notes: tuple[str, ...] = ()
 
 
-def evaluate_grasps(chain, bodies, grasps, traj, dt,
-                    q_seed) -> list[EffectiveMassProfile]:
-    """Effective-mass profiles of grasps along the sampled trajectory.
-
-    ``bodies`` is one RigidBodyInertia shared by all grasps, or a sequence
-    aligned with ``grasps``; results keep the input order. IK is warm-
-    started sample to sample, once for all grasps; on failure the error
-    carries the sample index (0 = grasp pose at t=0). The collision
-    direction at every sample is the motion direction
-    (``motion_direction``).
-    """
-    grasps = list(grasps)
-    bodies = ([bodies] * len(grasps) if isinstance(bodies, RigidBodyInertia)
-              else list(bodies))
-    if len(bodies) != len(grasps):
-        raise LengthMismatch("one body per grasp required")
-    return _score(_sweep(chain, traj, dt, q_seed), bodies, grasps)
-
-
-class _Sweep(NamedTuple):
+class Sweep(NamedTuple):
     """The grasp-independent part of an evaluation, arrays read-only: the
     held rotation (3, 3), the sampling grid's times (N,) (``_grid``), the
     arm's task-space inertia (N, 6, 6) in base axes, the unit motion
@@ -156,10 +138,13 @@ class _Sweep(NamedTuple):
     near_singular: np.ndarray
 
 
-def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
+def score(sweep: Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
     """Per-grasp part: each grasp's object matrix, rotated into base axes
     once, added to the arm's at every sample, and all its effective masses
-    from one batched solve. ``bodies`` is aligned with ``grasps``."""
+    from one batched solve. ``bodies`` is a sequence aligned with
+    ``grasps``, one body per grasp; results keep the input order."""
+    if len(bodies) != len(grasps):
+        raise LengthMismatch("one body per grasp required")
     times, lam_rob, v = sweep.times, sweep.lam_rob, sweep.direction
     # blockdiag(R, R) with the held rotation: grasp axes -> base axes; the
     # rotation is the same at every sample, so each object term is built
@@ -180,14 +165,15 @@ def _score(sweep: _Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
     return profiles
 
 
-def _sweep(chain, traj, dt, q_seed) -> _Sweep:
+def sweep(chain, traj, dt, q_seed) -> Sweep:
     """Grasp-independent pass over the sampling grid of ``traj`` at ``dt``.
 
     IK runs sample by sample, each solve warm-started from the previous
     solution and handed its converged frame pass, so it skips the pass at
     its seed; the start pose (sample 0) seeds sample 1 the same way. The
     task-space inertia of all N solutions is then one batched call on the
-    (N, n) stack of their joint values."""
+    (N, n) stack of their joint values. A failed solve raises
+    ``IkDidNotConverge`` carrying its sample index (0 = the start pose)."""
     times, positions = _grid(traj, dt)
     rotation = traj.start_rotation
     start = Pose(traj.position(0.0), rotation)
@@ -201,7 +187,7 @@ def _sweep(chain, traj, dt, q_seed) -> _Sweep:
     direction = motion_direction(traj)
     for a in (times, direction):
         a.setflags(write=False)
-    return _Sweep(rotation, times, osi.matrices, direction, osi.near_singular)
+    return Sweep(rotation, times, osi.matrices, direction, osi.near_singular)
 
 
 def _solve_ik(chain, position, rotation, q, frames, index):

@@ -14,11 +14,11 @@ tensor rig's ring positions, which rebuilds the object for that grasp
 (same physical grip, different mass distribution).
 
 A ``Scene`` keeps one evaluation entry per sampling step: the arm's
-sweep (``ranking._sweep``, the part of an evaluation that no grasp
+sweep (``ranking.sweep``, the part of an evaluation that no grasp
 changes) and the profiles of all its grasps scored on it
-(``ranking._score``), built together and kept only when both succeed.
+(``ranking.score``), built together and kept only when both succeed.
 So every command run on one ``Scene`` computes each at most once per
-``dt``.
+``dt``, and any other grasp list is ``ranking.score`` on that sweep.
 
 Grasp ids name artifact files (``file_stem``); two ids with the same
 stem are rejected at parse, so one grasp's file cannot overwrite
@@ -39,7 +39,7 @@ import numpy as np
 from . import ranking
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object)
-from .chain import ChainModel, JointSpec, JointState, LinkInertia
+from .chain import ChainModel, JointSpec, LinkInertia
 from .constants import ORTHONORMAL_TOL
 from .errors import GraspmassError, ParseError, ValidationError
 from .spatial import Pose, pose_compose, pose_inverse
@@ -67,7 +67,7 @@ class Scene:
     collision_time: float  # the collision instant, s; every grid keeps it
     stiffness: float
     damping: float
-    ik_seed: JointState
+    ik_seed: np.ndarray  # (n,), read-only
     spec_json: str
     digest: str
     # dt -> (the arm's sweep, the profiles of all grasps); a copy made by
@@ -84,15 +84,15 @@ class Scene:
         return fit_quintic(self.start, self.end, self.t_f)
 
     def evaluated(self, dt: float) -> tuple[
-            ranking._Sweep, tuple[ranking.EffectiveMassProfile, ...]]:
+            ranking.Sweep, tuple[ranking.EffectiveMassProfile, ...]]:
         """The arm's sweep along the fitted trajectory at ``dt`` and the
         profile of every grasp on it, in scene order: computed on the
         first call per ``dt`` and shared by every later one. Nothing is
         kept unless both the sweep and the scoring succeed."""
         entry = self._evaluations.get(dt)
         if entry is None:
-            sweep = ranking._sweep(self.chain, self.fit(), dt, self.ik_seed)
-            profiles = ranking._score(sweep, self.bodies, self.grasps)
+            sweep = ranking.sweep(self.chain, self.fit(), dt, self.ik_seed)
+            profiles = ranking.score(sweep, self.bodies, self.grasps)
             entry = self._evaluations[dt] = (sweep, tuple(profiles))
         return entry
 
@@ -343,8 +343,8 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
             raise ValidationError("collision.time_s", "must lie in (0, t_f]")
     else:
         raise ValidationError("collision", "needs 'sample' or 'time_s'")
-    seed = _vector(d, "ik_seed_rad", "", (chain.dof,))
-    ik_seed = _wrap("ik_seed_rad", JointState, seed)
+    ik_seed = _vector(d, "ik_seed_rad", "", (chain.dof,))
+    ik_seed.setflags(write=False)
     return Scene(name=name, chain=chain, object=base_object, grasps=grasps,
                  bodies=bodies, start=start, end=end, t_f=t_f, dt=dt,
                  collision_time=time_s, stiffness=stiffness,

@@ -317,7 +317,7 @@ def integrate_contact(scenario):
 
 
 def reference_score(sweep, bodies, grasps):
-    """Effective masses of each grasp along a ``ranking._Sweep``, with the
+    """Effective masses of each grasp along a ``ranking.Sweep``, with the
     object term rotated into base axes sample by sample: one
     blockdiag(R, R) per sample, stacked. The library builds the term once
     per grasp; the arithmetic is the same, so the masses must be equal."""
@@ -395,7 +395,7 @@ def reference_frame_pass(model, qs):
 def reference_ik(model, target_pos, target_rot, q, frames=None):
     """Damped least squares from q; the converged q and its frame pass.
     ``frames`` is the pass at q, reused unless the limits move q."""
-    lower, upper = model.limits_array().T
+    lower, upper = np.array([joint.limits for joint, _ in model.joints]).T
     seed, q = q, np.clip(q, lower, upper)
     if frames is not None and not np.array_equal(q, seed):
         frames = None

@@ -16,7 +16,6 @@ from graspmass import (
     Pose,
     com_energy_matrix,
     effective_mass,
-    evaluate_grasps,
     fit_quintic,
     geometric_jacobian,
     mass_matrix,
@@ -155,8 +154,7 @@ def test_acceptance_6_book_ordering():
     t0 = time.perf_counter()
     scene = book_scene()
     traj = scene.fit()
-    profiles = evaluate_grasps(scene.chain, scene.bodies, scene.grasps,
-                               traj, scene.dt, scene.ik_seed)
+    profiles = scene.evaluated(scene.dt)[1]
     k = scene.collision_sample
     by_mass = rank_grasps(profiles, Aggregator("at_sample", k))
     samples = sample(traj, scene.dt)

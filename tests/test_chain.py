@@ -6,7 +6,6 @@ import pytest
 from graspmass import (
     ChainModel,
     JointSpec,
-    JointState,
     LinkInertia,
     Pose,
     forward_kinematics,
@@ -49,7 +48,7 @@ def test_frame_pass_equals_pose_composition_exactly():
         model = random_chain(rng, dof)
         for _ in range(4):
             q = rng.uniform(-np.pi, np.pi, size=dof)
-            ee = forward_kinematics(model, JointState(q))
+            ee = forward_kinematics(model, q)
             want = naive_ee_pose(model, q)
             assert isinstance(ee, Pose)
             assert np.array_equal(ee.position, want.position)
@@ -87,7 +86,7 @@ def test_frame_pass_of_one_configuration_is_its_row_of_the_stack(scene):
     from graspmass.chain import _frame_pass, _jacobian
     chain = scene().chain
     rng = np.random.default_rng(57)
-    lower, upper = chain.limits_array().T
+    lower, upper = np.array([joint.limits for joint, _ in chain.joints]).T
     qs = rng.uniform(lower, upper, size=(9, chain.dof))
     stack = _frame_pass(chain, qs)
     jacobians = _jacobian(stack)
@@ -196,7 +195,7 @@ def test_non_finite_joint_values_raise(fn, bad):
     with pytest.raises(ValueError, match="finite"):
         fn(model, q)
     with pytest.raises(ValueError, match="finite"):
-        fn(model, JointState(q))
+        fn(model, q.tolist())
 
 
 def test_pendulum_mass_matrix():
@@ -305,14 +304,26 @@ def test_wrong_q_length_raises():
     with pytest.raises(DimensionMismatch):
         forward_kinematics(model, np.zeros(5))
     with pytest.raises(DimensionMismatch):
-        mass_matrix(model, JointState(np.zeros(3)))
+        mass_matrix(model, np.zeros(3))
 
 
 def test_ik_fixed_point():
     scene = book_scene()
     target = forward_kinematics(scene.chain, scene.ik_seed)
-    state = inverse_kinematics(scene.chain, target, scene.ik_seed)
-    assert np.allclose(state.q, scene.ik_seed.q, atol=1e-6)
+    q = inverse_kinematics(scene.chain, target, scene.ik_seed)
+    assert np.allclose(q, scene.ik_seed, atol=1e-6)
+
+
+def test_ik_returns_a_read_only_joint_vector():
+    scene = book_scene()
+    assert scene.ik_seed.shape == (scene.chain.dof,)
+    assert not scene.ik_seed.flags.writeable
+    seed = np.array(scene.ik_seed)
+    q = inverse_kinematics(scene.chain,
+                           forward_kinematics(scene.chain, seed), seed)
+    assert q.shape == (scene.chain.dof,)
+    assert not q.flags.writeable
+    assert seed.flags.writeable  # the caller's seed is left as it was
 
 
 def test_ik_recovers_perturbed_pose():
@@ -320,9 +331,9 @@ def test_ik_recovers_perturbed_pose():
     rng = np.random.default_rng(17)
     for _ in range(10):
         dq = rng.uniform(-0.05, 0.05, size=scene.chain.dof)
-        target = forward_kinematics(scene.chain, scene.ik_seed.q + dq)
-        state = inverse_kinematics(scene.chain, target, scene.ik_seed)
-        reached = forward_kinematics(scene.chain, state)
+        target = forward_kinematics(scene.chain, scene.ik_seed + dq)
+        q = inverse_kinematics(scene.chain, target, scene.ik_seed)
+        reached = forward_kinematics(scene.chain, q)
         assert np.linalg.norm(reached.position - target.position) < 1e-4
         assert np.abs(reached.rotation - target.rotation).max() < 1e-3
 
@@ -330,10 +341,10 @@ def test_ik_recovers_perturbed_pose():
 def test_ik_respects_joint_limits():
     scene = book_scene()
     target = forward_kinematics(scene.chain, scene.ik_seed)
-    state = inverse_kinematics(scene.chain, target, scene.ik_seed)
-    limits = scene.chain.limits_array()
-    assert np.all(state.q >= limits[:, 0] - 1e-12)
-    assert np.all(state.q <= limits[:, 1] + 1e-12)
+    q = inverse_kinematics(scene.chain, target, scene.ik_seed)
+    limits = np.array([joint.limits for joint, _ in scene.chain.joints])
+    assert np.all(q >= limits[:, 0] - 1e-12)
+    assert np.all(q <= limits[:, 1] + 1e-12)
 
 
 def test_ik_unreachable_reports_best_effort():
@@ -343,5 +354,6 @@ def test_ik_unreachable_reports_best_effort():
         inverse_kinematics(scene.chain, target, scene.ik_seed)
     err = exc.value
     assert err.best_q is not None
-    assert len(err.best_q.q) == scene.chain.dof
+    assert err.best_q.shape == (scene.chain.dof,)
+    assert not err.best_q.flags.writeable
     assert err.pos_err > 1.0

@@ -217,14 +217,14 @@ def test_demo_book_end_to_end(tmp_path, capsys):
 def test_demo_evaluates_once_and_matches_the_commands(tmp_path, capsys,
                                                       monkeypatch):
     import graspmass.ranking as ranking
-    sweep = ranking._sweep
+    sweep = ranking.sweep
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(ranking, "_sweep", counted)
+    monkeypatch.setattr(ranking, "sweep", counted)
     demo, alone = tmp_path / "demo", tmp_path / "alone"
     code, _, _ = run(capsys, "demo", "book", "--out-dir", str(demo))
     assert code == 0
@@ -527,6 +527,18 @@ def test_values_float_arithmetic_cannot_hold_are_clean_json_errors(
         warnings.simplefilter("error")
         assert_json_error(capsys, ["rank", write_doc(tmp_path, doc)],
                           tmp_path / "out", "ValidationError", field)
+
+
+def test_a_damping_the_contact_model_cannot_square_names_its_field(
+        tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["collision"]["damping_ns_per_m"] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = assert_json_error(
+            capsys, ["simulate-impact", write_doc(tmp_path, doc)],
+            tmp_path / "out", "ValidationError", "collision.damping_ns_per_m")
+    assert "1e+200 N s/m is too large for an effective mass of" in message
 
 
 def test_a_dt_override_too_fine_to_count_is_a_clean_json_error(tmp_path,

@@ -16,7 +16,6 @@ from graspmass import (
     build_cuboid,
     com_energy_matrix,
     effective_mass,
-    evaluate_grasps,
     fit_quintic,
     forward_kinematics,
     geometric_jacobian,
@@ -27,6 +26,8 @@ from graspmass import (
     parse_aggregator,
     rank_grasps,
     sample,
+    score,
+    sweep,
     transform_to_grasp,
 )
 from graspmass.errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
@@ -46,8 +47,8 @@ def profile(grasp_id, masses, flagged=()):
 def test_profiles_have_expected_shape():
     scene = book_scene()
     traj = scene.fit()
-    prof = evaluate_grasps(scene.chain, scene.bodies[0], scene.grasps[:1],
-                           traj, scene.dt, scene.ik_seed)[0]
+    prof = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed),
+                 scene.bodies[:1], scene.grasps[:1])[0]
     assert len(prof) == 20
     assert prof.grasp_id == scene.grasps[0].id
     assert np.all(prof.masses > 0.0)
@@ -62,8 +63,8 @@ def test_tiny_object_reduces_to_robot_alone():
     traj = scene.fit()
     crumb = RigidBodyInertia(1e-9, Pose.identity(), 1e-12 * np.eye(3))
     grasp = GraspCandidate("crumb", Pose.identity())
-    prof = evaluate_grasps(scene.chain, crumb, [grasp], traj, scene.dt,
-                           scene.ik_seed)[0]
+    prof = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed), [crumb],
+                 [grasp])[0]
     samples = sample(traj, scene.dt)
     for samp, got in zip(samples, prof.masses):
         # robot-only reference, computed directly
@@ -79,22 +80,21 @@ def test_object_mass_scaling_is_monotone():
     traj = scene.fit()
     base = build_cuboid(0.34, (0.15, 0.22, 0.015))
     grasp = scene.grasps[2]
-    prev = evaluate_grasps(scene.chain, base, [grasp], traj, scene.dt,
-                           scene.ik_seed)[0].masses
+    arm = sweep(scene.chain, traj, scene.dt, scene.ik_seed)
+    prev = score(arm, [base], [grasp])[0].masses
     for alpha in (1.5, 2.0, 5.0):
         scaled = RigidBodyInertia(alpha * base.mass, base.com_pose,
                                   alpha * base.inertia)
-        cur = evaluate_grasps(scene.chain, scaled, [grasp], traj, scene.dt,
-                              scene.ik_seed)[0].masses
+        cur = score(arm, [scaled], [grasp])[0].masses
         assert np.all(cur >= prev - 1e-10)
         prev = cur
 
 
-def test_evaluate_grasps_is_deterministic():
+def test_sweep_and_score_are_deterministic():
     scene = book_scene()
     traj = scene.fit()
-    runs = [evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
-                            scene.dt, scene.ik_seed)
+    runs = [score(sweep(scene.chain, traj, scene.dt, scene.ik_seed),
+                  scene.bodies, scene.grasps)
             for _ in range(3)]
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
@@ -103,12 +103,14 @@ def test_evaluate_grasps_is_deterministic():
             assert np.array_equal(a.times, b.times)
 
 
-def test_evaluate_grasps_body_list_must_align():
+def test_score_body_list_must_align():
+    # zip would silently drop the grasps (or bodies) past the shorter list
     scene = book_scene()
-    traj = scene.fit()
-    with pytest.raises(LengthMismatch):
-        evaluate_grasps(scene.chain, scene.bodies[:2], scene.grasps, traj,
-                        scene.dt, scene.ik_seed)
+    arm = scene.evaluated(scene.dt)[0]
+    for bodies, grasps in ((scene.bodies[:2], scene.grasps),
+                           (scene.bodies, scene.grasps[:2])):
+        with pytest.raises(LengthMismatch, match="one body per grasp"):
+            score(arm, bodies, grasps)
 
 
 def test_ik_failure_names_the_sample():
@@ -117,8 +119,7 @@ def test_ik_failure_names_the_sample():
     far = Pose(np.array([4.0, 0.0, 0.03]), scene.start.rotation)
     traj = fit_quintic(start, far, 2.0)
     with pytest.raises(IkDidNotConverge) as exc:
-        evaluate_grasps(scene.chain, scene.bodies[0], scene.grasps[:1], traj,
-                        scene.dt, scene.ik_seed)
+        sweep(scene.chain, traj, scene.dt, scene.ik_seed)
     assert exc.value.sample_index is not None
     assert exc.value.sample_index >= 1
     assert "sample" in str(exc.value)
@@ -198,8 +199,8 @@ def test_batched_masses_match_per_sample_reference():
     scene = book_scene()
     traj = scene.fit()
     samples = sample(traj, scene.dt)
-    profiles = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
-                               scene.dt, scene.ik_seed)
+    profiles = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed),
+                     scene.bodies, scene.grasps)
     q = inverse_kinematics(scene.chain,
                            Pose(traj.position(0.0), traj.start_rotation),
                            scene.ik_seed)
@@ -226,9 +227,9 @@ def pitched_path(scene, pitch):
 def test_pitch_at_gimbal_lock_evaluates():
     # ZYX Euler angles are singular at pitch pi/2; the effective mass is not
     scene = book_scene()
-    at, near = (evaluate_grasps(scene.chain, scene.bodies, scene.grasps,
-                                pitched_path(scene, pitch), scene.dt,
-                                scene.ik_seed)
+    at, near = (score(sweep(scene.chain, pitched_path(scene, pitch),
+                            scene.dt, scene.ik_seed),
+                      scene.bodies, scene.grasps)
                 for pitch in (np.pi / 2, np.pi / 2 - 1e-3))
     for a, b in zip(at, near):
         assert np.all(np.isfinite(a.masses))
@@ -241,11 +242,9 @@ def test_profiles_do_not_depend_on_grasp_order():
     pairs = list(zip(scene.grasps, scene.bodies))
     random.Random(7).shuffle(pairs)
     grasps, bodies = zip(*pairs)
-    ref = {p.grasp_id: p for p in evaluate_grasps(
-        scene.chain, scene.bodies, scene.grasps, traj, scene.dt,
-        scene.ik_seed)}
-    shuffled = evaluate_grasps(scene.chain, bodies, grasps, traj, scene.dt,
-                               scene.ik_seed)
+    arm = sweep(scene.chain, traj, scene.dt, scene.ik_seed)
+    ref = {p.grasp_id: p for p in score(arm, scene.bodies, scene.grasps)}
+    shuffled = score(arm, bodies, grasps)
     assert [p.grasp_id for p in shuffled] == [g.id for g in grasps]
     for p in shuffled:
         assert np.array_equal(p.masses, ref[p.grasp_id].masses)
@@ -256,11 +255,10 @@ def test_profiles_do_not_depend_on_grasp_order():
 def test_single_grasp_equals_its_row_of_the_batch():
     scene = tensor_scene()
     traj = scene.fit()
-    batch = evaluate_grasps(scene.chain, scene.bodies, scene.grasps, traj,
-                            scene.dt, scene.ik_seed)
+    arm = sweep(scene.chain, traj, scene.dt, scene.ik_seed)
+    batch = score(arm, scene.bodies, scene.grasps)
     k = 13
-    one = evaluate_grasps(scene.chain, scene.bodies[k], scene.grasps[k:k + 1],
-                          traj, scene.dt, scene.ik_seed)[0]
+    one = score(arm, scene.bodies[k:k + 1], scene.grasps[k:k + 1])[0]
     assert one.grasp_id == batch[k].grasp_id
     assert np.allclose(one.masses, batch[k].masses, rtol=1e-12, atol=0.0)
 
@@ -277,9 +275,8 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
     with pytest.raises(NotPositiveDefinite, match="^grasp speck-7: augmented "
                        "matrix not positive definite"):
-        evaluate_grasps(scene.chain, speck,
-                        [GraspCandidate("speck-7", Pose.identity())],
-                        scene.fit(), scene.dt, scene.ik_seed)
+        score(sweep(scene.chain, scene.fit(), scene.dt, scene.ik_seed),
+              [speck], [GraspCandidate("speck-7", Pose.identity())])
 
 
 def public_ik_chain(chain, traj, dt, seed):
@@ -290,13 +287,13 @@ def public_ik_chain(chain, traj, dt, seed):
     qs = []
     for samp in sample(traj, dt):
         q = inverse_kinematics(chain, samp.pose, q)
-        qs.append(q.q)
+        qs.append(q)
     return np.array(qs)
 
 
 def out_of_limits_seed(scene):
-    seed = scene.ik_seed.q.copy()
-    seed[0] = scene.chain.limits_array()[0, 1] + 0.5
+    seed = scene.ik_seed.copy()
+    seed[0] = scene.chain.joints[0][0].limits[1] + 0.5
     return seed
 
 
@@ -316,7 +313,7 @@ def sweep_case(path):
 
 
 def recorded_sweep(monkeypatch, chain, traj, dt, seed):
-    """``ranking._sweep`` and the joint solution of each of its IK solves,
+    """``ranking.sweep`` and the joint solution of each of its IK solves,
     the start pose's first."""
     import graspmass.ranking as ranking
     from graspmass.chain import _ik
@@ -328,7 +325,7 @@ def recorded_sweep(monkeypatch, chain, traj, dt, seed):
         return q, frames
 
     monkeypatch.setattr(ranking, "_ik", recording_ik)
-    return ranking._sweep(chain, traj, dt, seed), solved
+    return ranking.sweep(chain, traj, dt, seed), solved
 
 
 @pytest.mark.parametrize("path", SWEEP_PATHS)
@@ -336,12 +333,12 @@ def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
     # the sweep hands each solve the previous frame pass; the joint
     # solutions and the arm's inertias must keep the bits of plain calls
     scene, traj, dt, seed = sweep_case(path)
-    sweep, solved = recorded_sweep(monkeypatch, scene.chain, traj, dt, seed)
+    arm, solved = recorded_sweep(monkeypatch, scene.chain, traj, dt, seed)
     want = public_ik_chain(scene.chain, traj, dt, seed)
-    assert len(solved) == len(sweep.times) + 1
+    assert len(solved) == len(arm.times) + 1
     assert np.array_equal(solved[1:], want)
     assert np.array_equal(
-        sweep.lam_rob, operational_space_inertias(scene.chain, want).matrices)
+        arm.lam_rob, operational_space_inertias(scene.chain, want).matrices)
 
 
 @pytest.mark.parametrize("path", SWEEP_PATHS)
@@ -349,11 +346,10 @@ def test_sweep_equals_the_reference_arithmetic(path, monkeypatch):
     # the lean IK loop and frame pass must reach the bits of numpy's own
     # norms, clipping and per-joint origins
     scene, traj, dt, seed = sweep_case(path)
-    sweep, solved = recorded_sweep(monkeypatch, scene.chain, traj, dt, seed)
-    qs, lam_rob = reference_sweep(scene.chain, traj, dt,
-                                  getattr(seed, "q", seed))
+    arm, solved = recorded_sweep(monkeypatch, scene.chain, traj, dt, seed)
+    qs, lam_rob = reference_sweep(scene.chain, traj, dt, seed)
     assert np.array_equal(solved[1:], qs)
-    assert np.array_equal(sweep.lam_rob, lam_rob)
+    assert np.array_equal(arm.lam_rob, lam_rob)
 
 
 def skewed_chain(chain):
@@ -373,7 +369,7 @@ def test_a_result_from_a_non_orthonormal_pose_is_refused(call):
     # result is checked
     scene = book_scene()
     chain = skewed_chain(scene.chain)
-    q = scene.ik_seed.q
+    q = scene.ik_seed
     calls = {
         "fk": lambda: forward_kinematics(chain, q),
         "jacobian": lambda: geometric_jacobian(chain, q),
@@ -381,9 +377,9 @@ def test_a_result_from_a_non_orthonormal_pose_is_refused(call):
         "osi": lambda: operational_space_inertia(chain, q),
         "osi_stack": lambda: operational_space_inertias(chain, [q, q]),
         "ik": lambda: inverse_kinematics(chain, scene.start, q),
-        "evaluate": lambda: evaluate_grasps(chain, scene.bodies,
-                                            scene.grasps, scene.fit(),
-                                            scene.dt, scene.ik_seed),
+        "evaluate": lambda: score(sweep(chain, scene.fit(), scene.dt,
+                                        scene.ik_seed),
+                                  scene.bodies, scene.grasps),
     }
     with pytest.raises(ValueError,
                        match="^end-effector rotation is not orthonormal$"):
@@ -408,7 +404,7 @@ def test_operational_space_inertia_checks_its_result_once(monkeypatch):
     assert isinstance(osi.matrix, KineticEnergyMatrix)
     assert osi.matrix.matrix.shape == (6, 6)
     assert not osi.matrix.matrix.flags.writeable
-    want = operational_space_inertias(scene.chain, [scene.ik_seed.q])
+    want = operational_space_inertias(scene.chain, [scene.ik_seed])
     assert np.array_equal(osi.matrix.matrix, want.matrices[0])
 
 
@@ -420,7 +416,7 @@ def test_stale_frames_are_not_reused_for_a_clipped_seed():
     target = sample(scene.fit(), scene.dt)[5].pose
     stale = _frame_pass(chain, seed)   # the pass at the unclipped seed
     q, frames = _ik(chain, target.position, target.rotation, seed, stale)
-    assert np.array_equal(q, inverse_kinematics(chain, target, seed).q)
+    assert np.array_equal(q, inverse_kinematics(chain, target, seed))
     fresh = _frame_pass(chain, q)
     assert all(np.array_equal(a, b) for a, b in zip(frames, fresh))
 
@@ -430,8 +426,8 @@ def test_start_pose_ik_failure_reports_sample_zero():
     far = Pose(np.array([4.0, 0.0, 0.03]), scene.start.rotation)
     end = Pose(np.array([4.1, 0.0, 0.03]), scene.start.rotation)
     with pytest.raises(IkDidNotConverge) as exc:
-        evaluate_grasps(scene.chain, scene.bodies, scene.grasps,
-                        fit_quintic(far, end, 2.0), scene.dt, scene.ik_seed)
+        sweep(scene.chain, fit_quintic(far, end, 2.0), scene.dt,
+              scene.ik_seed)
     assert exc.value.sample_index == 0
     assert str(exc.value).startswith("sample 0: ")
 
@@ -450,6 +446,6 @@ def test_book_at_fine_grid_makes_at_most_191_frame_passes(monkeypatch):
 
     monkeypatch.setattr(chain_module, "_frame_pass", counting)
     scene = book_scene()
-    evaluate_grasps(scene.chain, scene.bodies, scene.grasps, scene.fit(),
-                    0.01, scene.ik_seed)
+    score(sweep(scene.chain, scene.fit(), 0.01, scene.ik_seed),
+          scene.bodies, scene.grasps)
     assert len(passes) <= 191

@@ -10,7 +10,7 @@ from graspmass import (
     predict_ordering,
     simulate_impact,
 )
-from graspmass.errors import EmptyInput
+from graspmass.errors import DampingOutOfRange, EmptyInput
 
 from conftest import integrate_contact
 
@@ -184,10 +184,21 @@ def test_force_trace_rejects_non_finite_values(field, value):
 
 
 def test_overflowing_damping_rate_raises():
-    # sigma = c / 2M overflows; the trace used to carry a NaN peak
-    with np.errstate(all="ignore"):
-        with pytest.raises(ValueError, match="forces must be finite"):
-            simulate_impact(ImpactScenario(1e-300, 1.0, 1e4, 1e10))
+    # sigma = c / 2M overflows; the trace used to carry a NaN peak, and a
+    # finite c / M whose square overflows escaped as a bare OverflowError
+    for mass, damping in ((1e-300, 1e10), (1.0, 1e200), (2.0, 3e154)):
+        with pytest.raises(DampingOutOfRange, match="^.* N s/m is too large "
+                           "for an effective mass of .* kg"):
+            ImpactScenario(mass, 1.0, 1e4, damping)
+
+
+def test_the_largest_damping_the_model_squares_still_simulates():
+    # c / M = 1e154 squares to 1e308; overdamped, so the force peaks at
+    # touchdown at c v
+    trace = simulate_impact(ImpactScenario(1.0, 0.3, 1e4, 1e154))
+    assert trace.peak_time == 0.0
+    assert np.isclose(trace.peak_force, 0.3e154, rtol=1e-12)
+    assert np.isfinite(trace.forces).all()
 
 
 def profile(grasp_id, masses):

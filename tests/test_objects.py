@@ -124,7 +124,8 @@ def test_tensor_centered_rings_symmetric():
 def test_tensor_total_mass():
     cfg = mid_config()
     body = build_tensor_object(cfg)
-    assert np.isclose(cfg.total_mass, 0.43, atol=1e-12)
+    assert np.isclose(5.0 * cfg.cylinder_mass + 5.0 * cfg.ring_mass, 0.43,
+                      atol=1e-12)
     assert np.isclose(body.mass, 0.43, atol=1e-12)
 
 

@@ -429,7 +429,7 @@ def test_write_parse_round_trip(tmp_path):
     again = parse_scene(out)
     assert again.spec == scene.spec
     assert again.name == scene.name
-    assert np.allclose(again.ik_seed.q, scene.ik_seed.q)
+    assert np.allclose(again.ik_seed, scene.ik_seed)
     # identical bytes give the identical digest
     write_scene(again, tmp_path / "copy2.scene.json")
     assert (tmp_path / "copy2.scene.json").read_bytes() == out.read_bytes()

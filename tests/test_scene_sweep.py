@@ -60,13 +60,13 @@ def frame_passes(monkeypatch):
 @pytest.fixture
 def score_calls(monkeypatch):
     calls = []
-    score = ranking._score
+    score = ranking.score
 
     def counting(sweep, bodies, grasps):
         calls.append(len(grasps))
         return score(sweep, bodies, grasps)
 
-    monkeypatch.setattr(ranking, "_score", counting)
+    monkeypatch.setattr(ranking, "score", counting)
     return calls
 
 
@@ -121,7 +121,7 @@ def test_kept_profiles_equal_the_per_sample_reference(name, dt):
 
 def test_failed_scoring_is_not_kept(monkeypatch, tmp_path, frame_passes):
     scene = scene_of("book")
-    score, calls = ranking._score, []
+    score, calls = ranking.score, []
 
     def fails_once(sweep, bodies, grasps):
         calls.append(1)
@@ -129,7 +129,7 @@ def test_failed_scoring_is_not_kept(monkeypatch, tmp_path, frame_passes):
             raise NotPositiveDefinite("grasp g: not positive definite")
         return score(sweep, bodies, grasps)
 
-    monkeypatch.setattr(ranking, "_score", fails_once)
+    monkeypatch.setattr(ranking, "score", fails_once)
     with pytest.raises(NotPositiveDefinite):
         rank(scene, None, tmp_path)
     assert scene._evaluations == {}  # not even the sweep was kept

@@ -16,7 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 from graspmass import (GraspCandidate, Pose, rank_grasps,  # noqa: E402
                        rotation_ypr, scene_from_dict)
 from graspmass.cli import demo_scene_path  # noqa: E402
-from graspmass.ranking import _score  # noqa: E402
+from graspmass import score  # noqa: E402
 
 from conftest import book_scene  # noqa: E402
 
@@ -33,7 +33,7 @@ angles = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3)
 
 def masses(sweep, position, ypr):
     grasp = GraspCandidate("g", Pose.from_ypr(position, ypr))
-    return _score(sweep, [BOOK], [grasp])[0].masses
+    return score(sweep, [BOOK], [grasp])[0].masses
 
 
 @PROPERTY

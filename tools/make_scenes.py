@@ -110,8 +110,8 @@ def build_chain_model():
 def solve_seed():
     chain = build_chain_model()
     start = Pose(np.asarray(START_POS), rotation_z(YPR[0]))
-    state = inverse_kinematics(chain, start, IK_GUESS)
-    return [round(float(v), 6) for v in state.q]
+    q = inverse_kinematics(chain, start, IK_GUESS)
+    return [round(float(v), 6) for v in q]
 
 
 def _pose_dict(position, ypr=(0.0, 0.0, 0.0)):
