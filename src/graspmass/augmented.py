@@ -12,6 +12,13 @@ v. It must be computed from the inverse's top-left block (the inverse of
 the Schur complement L_u - L_uw L_w^-1 L_uw^T), never from L_u alone.
 ``effective_masses`` computes it for a stack, by solves with no explicit
 inverse; the pipeline and ``effective_mass`` both call it.
+
+Definiteness is checked by Cholesky, never by eigenvalues: a stack is
+positive semidefinite within the floor when m + PD_MIN_EIG I factors
+(``checked_energy_matrices``) and strictly positive definite when
+L - PD_MIN_EIG I factors (``effective_masses``). Cholesky reads one
+triangle only and factors NaN without failing, so both test that every
+entry is finite first.
 """
 
 from __future__ import annotations
@@ -24,17 +31,32 @@ import numpy as np
 from .constants import PD_MIN_EIG, SYMMETRY_TOL, UNIT_NORM_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
 
+_EYE6 = np.eye(6)
+
+
+def _factors(m: np.ndarray) -> bool:
+    """True when Cholesky factors every matrix of the stack."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def checked_energy_matrices(m: np.ndarray) -> np.ndarray:
     """Symmetrized copy of a 6x6 matrix or an (..., 6, 6) stack.
 
-    Raises unless every matrix is symmetric within SYMMETRY_TOL and its
-    smallest eigenvalue is at least -PD_MIN_EIG.
+    Raises unless every entry is finite, every matrix is symmetric within
+    SYMMETRY_TOL and m + PD_MIN_EIG I factors, i.e. no eigenvalue is
+    below -PD_MIN_EIG.
     """
+    if not np.isfinite(m).all():
+        raise ValueError("kinetic-energy matrix must be finite")
     m_t = np.swapaxes(m, -1, -2)
-    if np.abs(m - m_t).max() > SYMMETRY_TOL:
+    if (np.abs(m - m_t) > SYMMETRY_TOL).any():
         raise ValueError("kinetic-energy matrix must be symmetric")
     m = (m + m_t) / 2.0
-    if np.linalg.eigvalsh(m)[..., 0].min() < -PD_MIN_EIG:
+    if not _factors(m + PD_MIN_EIG * _EYE6):
         raise NotPositiveDefinite("kinetic-energy matrix has negative eigenvalue")
     return m
 
@@ -112,8 +134,13 @@ def augment(lam_robot: KineticEnergyMatrix, lam_obj: KineticEnergyMatrix) -> Kin
 
 
 def effective_masses(lam_tot: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Effective masses (N,) of a positive-definite (N, 6, 6) stack."""
-    if np.linalg.eigvalsh(lam_tot)[:, 0].min() <= PD_MIN_EIG:
+    """Effective masses (N,) of a positive-definite (N, 6, 6) stack.
+
+    Raises unless every entry is finite and L - PD_MIN_EIG I factors for
+    every L, i.e. every eigenvalue is above PD_MIN_EIG."""
+    if not np.isfinite(lam_tot).all():
+        raise ValueError("augmented matrix must be finite")
+    if not _factors(lam_tot - PD_MIN_EIG * _EYE6):
         raise NotPositiveDefinite("augmented matrix not positive definite; "
                                   "cannot invert")
     # [v, 0] as one (1, 6, 1) matrix: numpy 1 and 2 broadcast it alike

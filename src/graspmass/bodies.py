@@ -1,9 +1,14 @@
 """Rigid-object inertial models and the grasp-frame transform chain.
 
-Pipeline for one object and one grasp, all pure congruences:
+Pipeline for G objects held at G grasps, all pure congruences, each
+step one (G, 6, 6) stack checked once (``checked_energy_matrices``):
 
-  com_energy_matrix   blockdiag(m I3, I_com) at the CoM, CoM axes
-  transform_to_grasp  re-expressed at the grasp origin, grasp axes
+  blockdiag(m I3, I_com) at the CoM, CoM axes
+  re-expressed at the grasp origin, grasp axes (parallel-axis form)
+
+``grasp_energy_matrices`` runs both steps on every grasp of a scene at
+once; ``com_energy_matrix`` and ``transform_to_grasp`` are the same
+steps on a stack of one, so the congruence has one implementation.
 
 Builders for the two demo objects (a cuboid and a cross-shaped rig of five
 cylinders with one sliding ring each) live here as well.
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented import KineticEnergyMatrix
+from .augmented import KineticEnergyMatrix, checked_energy_matrices
 from .constants import SYMMETRY_TOL
 from .errors import NotPositiveDefinite, RingOutOfRange
 from .spatial import Pose, skew
@@ -27,13 +32,15 @@ TRIANGLE_TOL = 1e-9
 def check_inertia_tensor(inertia: np.ndarray, name: str = "inertia") -> np.ndarray:
     """Validate a 3x3 inertia tensor about a body's CoM.
 
-    Symmetric, positive definite, and principal moments satisfying the
-    triangle inequalities (each moment at most the sum of the other two),
-    which every physical mass distribution obeys.
+    Finite, symmetric, positive definite, and principal moments satisfying
+    the triangle inequalities (each moment at most the sum of the other
+    two), which every physical mass distribution obeys.
     """
     i = np.array(inertia, dtype=float)
     if i.shape != (3, 3):
         raise ValueError(f"{name} must be 3x3")
+    if not np.isfinite(i).all():
+        raise ValueError(f"{name} must be finite")
     if np.abs(i - i.T).max() > SYMMETRY_TOL:
         raise ValueError(f"{name} must be symmetric")
     i = (i + i.T) / 2.0
@@ -104,41 +111,75 @@ class TensorObjectConfig:
                                      f"[0, {self.cylinder_length}]")
 
 
+def _com_matrices(masses: np.ndarray, inertias: np.ndarray) -> np.ndarray:
+    """Checked, read-only (G, 6, 6) stack of blockdiag(m I3, I_com)."""
+    out = np.zeros((len(masses), 6, 6))
+    out[:, :3, :3] = masses[:, None, None] * np.eye(3)
+    out[:, 3:, 3:] = inertias
+    out = checked_energy_matrices(out)
+    out.setflags(write=False)
+    return out
+
+
+def _at_grasps(lam_ocom: np.ndarray, rotations: np.ndarray,
+               positions: np.ndarray) -> np.ndarray:
+    """Checked, read-only (G, 6, 6) stack: each CoM matrix re-expressed at
+    its grasp origin, in grasp axes (``transform_to_grasp``)."""
+    rot_t = rotations.swapaxes(1, 2)           # CoM axes -> grasp axes
+    m = lam_ocom[:, :1, :1]                    # (G, 1, 1) masses
+    # the grasp origin's offset from the CoM, in grasp axes
+    r = (rot_t @ positions[:, :, None])[:, :, 0]
+    s = skew(r)
+    s_t = s.swapaxes(1, 2)
+    ww = rot_t @ lam_ocom[:, 3:, 3:] @ rotations + m * (s_t @ s)
+    out = np.zeros(lam_ocom.shape)
+    out[:, :3, :3] = m * np.eye(3)
+    out[:, :3, 3:] = m * s
+    out[:, 3:, :3] = m * s_t
+    out[:, 3:, 3:] = (ww + ww.swapaxes(1, 2)) / 2.0
+    out = checked_energy_matrices(out)
+    out.setflags(write=False)
+    return out
+
+
+def grasp_energy_matrices(bodies, grasps) -> np.ndarray:
+    """Object terms of G grasps as one read-only (G, 6, 6) stack: body k's
+    energy matrix at grasp k's origin, in its axes. ``bodies`` and
+    ``grasps`` are aligned sequences of equal length."""
+    # reshape keeps the stack axes when there are no grasps
+    masses = np.array([b.mass for b in bodies], dtype=float)
+    inertias = np.array([b.inertia for b in bodies]).reshape(-1, 3, 3)
+    poses = [g.grasp_pose for g in grasps]
+    rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
+    positions = np.array([p.position for p in poses]).reshape(-1, 3)
+    return _at_grasps(_com_matrices(masses, inertias), rotations, positions)
+
+
 def com_energy_matrix(body: RigidBodyInertia) -> KineticEnergyMatrix:
     """Kinetic-energy matrix at the CoM in CoM axes: blockdiag(m I3, I_com)."""
-    m = np.zeros((6, 6))
-    m[:3, :3] = body.mass * np.eye(3)
-    m[3:, 3:] = body.inertia
-    return KineticEnergyMatrix(m)
+    return KineticEnergyMatrix._of_checked(_com_matrices(
+        np.array([body.mass], dtype=float), body.inertia[None])[0])
 
 
 def transform_to_grasp(lam_ocom: KineticEnergyMatrix,
                        grasp: GraspCandidate) -> KineticEnergyMatrix:
     """Re-express a CoM energy matrix at the grasp origin, in grasp axes.
 
-    With r the grasp origin's offset from the CoM (grasp axes), the blocks
-    come out in parallel-axis form:
+    With R the grasp rotation (grasp axes -> CoM axes) and r the grasp
+    origin's offset from the CoM (grasp axes), the blocks come out in
+    parallel-axis form:
 
         [[m I3,          m skew(r)                        ],
          [m skew(r)^T,   R^T I_com R + m skew(r)^T skew(r)]]
 
     which equals T^T @ blockdiag(m I3, R^T I_com R) @ T with T = [[I3,
     skew(r)], [0, I3]], the tests' oracle ``velocity_transform``. Built
-    block-wise so the translational block is exactly m I3.
+    block-wise so the translational block is exactly m I3; this is the
+    stacked step of ``grasp_energy_matrices`` on a stack of one.
     """
-    rot = grasp.grasp_pose.rotation            # grasp axes -> CoM axes
-    m = lam_ocom.matrix[0, 0]
-    i_com = lam_ocom.ww
-    r = rot.T @ grasp.grasp_pose.position      # CoM -> grasp origin, grasp axes
-    s = skew(r)
-    i_rot = rot.T @ i_com @ rot
-    ww = i_rot + m * (s.T @ s)
-    out = np.zeros((6, 6))
-    out[:3, :3] = m * np.eye(3)
-    out[:3, 3:] = m * s
-    out[3:, :3] = m * s.T
-    out[3:, 3:] = (ww + ww.T) / 2.0
-    return KineticEnergyMatrix(out)
+    pose = grasp.grasp_pose
+    return KineticEnergyMatrix._of_checked(_at_grasps(
+        lam_ocom.matrix[None], pose.rotation[None], pose.position[None])[0])
 
 
 def _axisymmetric_inertia(axial: float, perp: float, axis: np.ndarray) -> np.ndarray:

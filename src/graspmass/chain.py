@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .augmented import KineticEnergyMatrix, checked_energy_matrices
+from .augmented import _EYE6, KineticEnergyMatrix, checked_energy_matrices
 from .bodies import check_inertia_tensor
 from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         IK_STEP_CLAMP, JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
@@ -58,7 +58,6 @@ from .errors import DimensionMismatch, IkDidNotConverge
 from .spatial import Pose, _check_rotation, _frozen, rotation_log, skew
 
 _EYE3 = np.eye(3)
-_EYE6 = np.eye(6)
 _IK_DAMPING_EYE6 = IK_DAMPING**2 * _EYE6
 
 

@@ -7,10 +7,12 @@ it its converged frame pass), then the task-space inertia of all the
 converged joint values in one batched call
 (``operational_space_inertias``), with one near-singular flag per
 sample, and the motion direction: the path's chord, the same at every
-sample (``sweep``). Each grasp then rotates its object matrix into
-base axes once (the held orientation is the same at every sample),
-adds it to the arm's at every sample and gets all its effective masses
-from one batched solve (``score``). A ``Scene`` keeps one entry per
+sample (``sweep``). The object terms of all grasps are then built as
+one stack (``bodies.grasp_energy_matrices``) and rotated into base axes
+by one einsum (the held orientation is the same at every sample); each
+grasp adds its term to the arm's at every sample and gets all its
+effective masses from one Cholesky check and one batched solve
+(``score``). A ``Scene`` keeps one entry per
 ``dt`` holding both results (``Scene.evaluated``), so only the first
 command on a scene and ``dt`` pays for them; a custom grasp list is
 ``score`` on that scene's sweep, which costs no IK. Grasps are ranked
@@ -25,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .augmented import effective_masses
-from .bodies import com_energy_matrix, transform_to_grasp
+from .bodies import grasp_energy_matrices
 from .chain import _ik, _qvec, operational_space_inertias
 from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                      NotPositiveDefinite)
@@ -139,24 +141,26 @@ class Sweep(NamedTuple):
 
 
 def score(sweep: Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
-    """Per-grasp part: each grasp's object matrix, rotated into base axes
-    once, added to the arm's at every sample, and all its effective masses
-    from one batched solve. ``bodies`` is a sequence aligned with
-    ``grasps``, one body per grasp; results keep the input order."""
+    """Per-grasp part: the object terms of all grasps built as one
+    (G, 6, 6) stack and rotated into base axes by one einsum, then each
+    added to the arm's at every sample, all its effective masses from one
+    batched solve. ``bodies`` is a sequence aligned with ``grasps``, one
+    body per grasp; results keep the input order. Only one grasp's
+    (N, 6, 6) total is held at a time."""
     if len(bodies) != len(grasps):
         raise LengthMismatch("one body per grasp required")
     times, lam_rob, v = sweep.times, sweep.lam_rob, sweep.direction
     # blockdiag(R, R) with the held rotation: grasp axes -> base axes; the
-    # rotation is the same at every sample, so each object term is built
+    # rotation is the same at every sample, so each object term is rotated
     # once and broadcast over the (N, 6, 6) stack
     rot = np.zeros((6, 6))
     rot[:3, :3] = rot[3:, 3:] = sweep.rotation
+    terms = np.einsum("ij,gjk,lk->gil", rot,
+                      grasp_energy_matrices(bodies, grasps), rot)
     profiles = []
-    for body, grasp in zip(bodies, grasps):
-        lam_gp = transform_to_grasp(com_energy_matrix(body), grasp).matrix
-        lam_tot = lam_rob + np.einsum("ij,jk,lk->il", rot, lam_gp, rot)
+    for grasp, term in zip(grasps, terms):
         try:
-            masses = effective_masses(lam_tot, v)
+            masses = effective_masses(lam_rob + term, v)
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"grasp {grasp.id}: {exc}") from exc
         masses.setflags(write=False)

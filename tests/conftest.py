@@ -34,6 +34,28 @@ from graspmass.errors import (DegenerateTrajectory, IkDidNotConverge,
 from graspmass.trajectory import _grid
 
 
+# where a non-finite entry goes: on the diagonal, below it only, above it
+# only, or in a symmetric off-diagonal pair (valid in 3x3 and 6x6)
+NON_FINITE_PLACES = {"diagonal": ((1, 1),), "lower": ((2, 0),),
+                     "upper": ((0, 2),), "pair": ((0, 2), (2, 0))}
+NON_FINITE_CASES = [(value, where) for value in (math.nan, math.inf, -math.inf)
+                    for where in NON_FINITE_PLACES]
+
+
+def poisoned(m, value, where):
+    """Copy of ``m`` with ``value`` at the places NON_FINITE_PLACES[where]."""
+    m = np.array(m, dtype=float)
+    for place in NON_FINITE_PLACES[where]:
+        m[place] = value
+    return m
+
+
+def with_lowest_eigenvalue(rng, lowest):
+    """Q diag(lowest, 1, 2, 3, 4, 5) Q^T with a random orthogonal Q."""
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    return q @ np.diag([lowest, 1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T
+
+
 def random_rotation(rng):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)

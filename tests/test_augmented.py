@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,18 +16,22 @@ from graspmass import (
     skew,
     transform_to_grasp,
 )
-from graspmass.augmented import effective_masses
+from graspmass.augmented import checked_energy_matrices, effective_masses
+from graspmass.constants import PD_MIN_EIG
 from graspmass.errors import NotPositiveDefinite
 
 from conftest import (
+    NON_FINITE_CASES,
     cloud_inertia,
     euler_rate_map,
     impulse_oracle_mass,
     partition_inverse,
+    poisoned,
     random_body,
     random_chain,
     random_grasp,
     random_rotation,
+    with_lowest_eigenvalue,
 )
 
 
@@ -306,3 +312,56 @@ def test_effective_mass_rejects_a_singular_total():
     with pytest.raises(NotPositiveDefinite, match="not positive definite"):
         effective_mass(lam, np.array([1.0, 0.0, 0.0]))
 
+
+
+@pytest.mark.parametrize("value, where", NON_FINITE_CASES)
+def test_energy_matrix_rejects_a_non_finite_entry(value, where):
+    m = poisoned(np.diag([2.0, 2, 2, 1, 1, 1]), value, where)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^kinetic-energy matrix must be finite$"):
+            KineticEnergyMatrix(m)
+
+
+@pytest.mark.parametrize("value, where", NON_FINITE_CASES)
+def test_effective_masses_rejects_a_non_finite_entry(value, where):
+    stack = np.array([np.diag([2.0, 2, 2, 1, 1, 1])] * 3)
+    stack[1] = poisoned(stack[1], value, where)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^augmented matrix must be finite$"):
+            effective_masses(stack, np.array([1.0, 0.0, 0.0]))
+
+
+def test_energy_check_tolerates_eigenvalues_down_to_minus_the_floor():
+    rng = np.random.default_rng(46)
+    stack = np.array([with_lowest_eigenvalue(rng, -0.5 * PD_MIN_EIG)
+                      for _ in range(50)])
+    checked_energy_matrices(stack)
+    zero = np.zeros((6, 6))
+    assert np.array_equal(checked_energy_matrices(zero), zero)
+
+
+@pytest.mark.parametrize("k", [0, 3, 6])
+def test_energy_check_rejects_an_eigenvalue_below_minus_the_floor(k):
+    rng = np.random.default_rng(47)
+    stack = np.array([with_lowest_eigenvalue(rng, 1.0) for _ in range(7)])
+    checked_energy_matrices(stack)
+    stack[k] = with_lowest_eigenvalue(rng, -2.0 * PD_MIN_EIG)
+    with pytest.raises(NotPositiveDefinite, match="negative eigenvalue"):
+        checked_energy_matrices(stack)
+
+
+def test_effective_masses_needs_every_eigenvalue_above_the_floor():
+    rng = np.random.default_rng(48)
+    v = np.array([0.0, 0.6, 0.8])
+    above = np.array([with_lowest_eigenvalue(rng, 2.0 * PD_MIN_EIG)
+                      for _ in range(50)])
+    assert (effective_masses(above, v) > 0.0).all()
+    for k in (0, 21, 49):
+        stack = above.copy()
+        stack[k] = with_lowest_eigenvalue(rng, 0.5 * PD_MIN_EIG)
+        with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+            effective_masses(stack, v)

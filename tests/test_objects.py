@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from graspmass import (
     transform_to_grasp,
 )
 from graspmass.bodies import check_inertia_tensor
+from graspmass.chain import LinkInertia
 from graspmass.errors import NotPositiveDefinite, RingOutOfRange
 
-from conftest import random_body, random_grasp, random_rotation
+from conftest import (NON_FINITE_CASES, poisoned, random_body, random_grasp,
+                      random_rotation)
 
 MID = np.array([0.0, 0.10, 0.10, 0.10, 0.10])
 
@@ -43,6 +47,17 @@ def test_check_inertia_tensor_rejects_triangle_violation():
     # no mass distribution gives I_zz > I_xx + I_yy
     with pytest.raises(ValueError):
         check_inertia_tensor(np.diag([1.0, 1.0, 2.5]))
+
+
+@pytest.mark.parametrize("value, where", NON_FINITE_CASES)
+def test_inertia_tensors_reject_a_non_finite_entry(value, where):
+    bad = poisoned(np.eye(3), value, where)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^inertia must be finite$"):
+            RigidBodyInertia(1.0, Pose.identity(), bad)
+        with pytest.raises(ValueError, match="^link inertia must be finite$"):
+            LinkInertia(1.0, np.zeros(3), bad)
 
 
 def test_cuboid_closed_form():

@@ -1,5 +1,7 @@
 """Scene fuzz: each bundled scene with one key deleted, at every depth,
-and with one number set to NaN, inf, -1, 0 or 1e200.
+with one number set to NaN, inf, -1, 0 or 1e200, and with a value of the
+wrong type in place of one number ("1", null, [1.0]) or of one list of
+numbers (1.0, null).
 
 Every mutant must parse, or fail with a ParseError, or fail with a
 ValidationError whose field is the mutated key's path or one of its
@@ -80,18 +82,27 @@ def test_deleting_any_key_of_the_bundled_scenes_names_its_path():
     assert not bad
 
 
-def numeric_leaves(node, keys=()):
-    """The key path of every number under ``node``; the first joint and
-    the first grasp stand for their siblings."""
-    if isinstance(node, dict):
+def is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_number_list(value):
+    return (isinstance(value, list) and bool(value)
+            and all(is_number(v) for v in value))
+
+
+def paths_to(node, wanted, keys=()):
+    """The key path of every value under ``node`` that ``wanted`` picks;
+    the first joint and the first grasp stand for their siblings."""
+    if wanted(node):
+        yield keys
+    elif isinstance(node, dict):
         for key, value in node.items():
-            yield from numeric_leaves(value, keys + (key,))
+            yield from paths_to(value, wanted, keys + (key,))
     elif isinstance(node, list):
         first_only = keys[-1:] in (("joints",), ("grasps",))
         for k, value in enumerate(node[:1] if first_only else node):
-            yield from numeric_leaves(value, keys + (k,))
-    elif isinstance(node, numbers.Real) and not isinstance(node, bool):
-        yield keys
+            yield from paths_to(value, wanted, keys + (k,))
 
 
 # checks of one value against another that name the other: the end
@@ -100,24 +111,53 @@ PARTNERS = {"trajectory.start.ypr_rad": "trajectory.end.ypr_rad",
             "trajectory.t_f_s": "trajectory.dt_s"}
 
 
+def allowed_outcomes(keys):
+    """A mutant at ``keys`` parses, is no JSON document, or names the
+    path, one of its ancestors or an ancestor's partner."""
+    allowed = {None, "ParseError"}
+    allowed.update(field(keys[:n]) for n in range(1, len(keys) + 1))
+    allowed.update([PARTNERS[f] for f in allowed if f in PARTNERS])
+    return allowed
+
+
+def mutant_escapes(doc, mutations):
+    """(path, value, outcome) of each mutation whose outcome is not
+    allowed; a warning counts as an escape."""
+    bad = []
+    for keys, value in mutations:
+        mutant = copy.deepcopy(doc)
+        set_in(keys, value)(mutant)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(mutant)
+        if got not in allowed_outcomes(keys):
+            bad.append((field(keys), value, got))
+    return bad
+
+
 def test_setting_any_number_of_the_bundled_scenes_names_its_path():
     bad, count = [], 0
     for name in ("book", "tensor"):
         doc = scene_dict(name)
-        for keys in numeric_leaves(doc):
-            allowed = {None, "ParseError"}
-            allowed.update(field(keys[:n]) for n in range(1, len(keys) + 1))
-            allowed.update([PARTNERS[f] for f in allowed if f in PARTNERS])
-            for value in (math.nan, math.inf, -1.0, 0.0, 1e200):
-                count += 1
-                mutant = copy.deepcopy(doc)
-                set_in(keys, value)(mutant)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    got = outcome(mutant)
-                if got not in allowed:
-                    bad.append((name, field(keys), value, got))
+        mutations = [(keys, value) for keys in paths_to(doc, is_number)
+                     for value in (math.nan, math.inf, -1.0, 0.0, 1e200)]
+        count += len(mutations)
+        bad += [(name,) + b for b in mutant_escapes(doc, mutations)]
     assert count == 760
+    assert not bad
+
+
+def test_a_wrong_type_in_place_of_any_number_or_list_names_its_path():
+    bad, count = [], 0
+    for name in ("book", "tensor"):
+        doc = scene_dict(name)
+        mutations = [(keys, value) for keys in paths_to(doc, is_number)
+                     for value in ("1", None, [1.0])]
+        mutations += [(keys, value) for keys in paths_to(doc, is_number_list)
+                      for value in (1.0, None)]
+        count += len(mutations)
+        bad += [(name,) + b for b in mutant_escapes(doc, mutations)]
+    assert count == 538
     assert not bad
 
 
