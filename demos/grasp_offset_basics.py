@@ -44,8 +44,7 @@ for y in np.linspace(-0.10, 0.10, 9):
                                                np.eye(3)))
     lam_gp = transform_to_grasp(com_energy_matrix(book), grasp)
     free = effective_mass(lam_gp, v_grasp).value
-    profile = score(sweep, [book], [grasp])[0]
-    total = profile.masses[k - 1]
+    total = score(sweep, [book], [grasp])[0, k - 1]
     print(f"{y:>14.3f} {free:>18.4f} {total:>20.4f}")
 
 print()

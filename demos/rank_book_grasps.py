@@ -2,14 +2,14 @@
 """End-to-end grasp ranking on the bundled book scene.
 
 Same flow as `graspmass rank` plus `graspmass simulate-impact`, but
-through the library API, so every intermediate is visible: profiles,
-aggregates, approach speed, and the simulated peak contact forces.
+through the library API, so every intermediate is visible: the mass
+table, aggregates, approach speed, and the simulated peak contact forces.
 """
 
 import numpy as np
 
-from graspmass import (ImpactScenario, parse_scene, predict_ordering,
-                       rank_grasps, simulate_impact)
+from graspmass import (Aggregator, ImpactScenario, parse_scene,
+                       predict_ordering, rank_grasps, simulate_impact)
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("book"))
@@ -21,8 +21,10 @@ print(f"move: {np.round(traj.position(0.0), 3)} -> "
       f"{np.round(traj.position(traj.t_f), 3)} over {traj.t_f} s")
 print()
 
-profiles = scene.evaluated(scene.dt)[1]
-report = rank_grasps(profiles, "max")
+# one row of effective masses per grasp, one column per sample
+sweep, masses = scene.evaluated(scene.dt)
+grasp_ids = [g.id for g in scene.grasps]
+report = rank_grasps(grasp_ids, masses, sweep.near_singular, "max")
 
 print("ranking by worst-case effective mass (safest first):")
 for gid, agg in zip(report.grasp_ids, report.aggregates):
@@ -35,25 +37,27 @@ print()
 # contact happens at a known sample; feed the masses there into the
 # spring model and check the force order tells the same story
 k = scene.collision_sample
-speed = float(np.linalg.norm(traj.velocity(profiles[0].times[k - 1])))
+speed = float(np.linalg.norm(traj.velocity(sweep.times[k - 1])))
 print(f"collision at sample {k} (t = {k * scene.dt:.1f} s), "
       f"approach speed {speed:.3f} m/s, "
       f"stiffness {scene.stiffness:.0f} N/m")
 
-ordering = predict_ordering(profiles, k, speed, scene.stiffness,
-                            scene.damping)
+ordering = predict_ordering(grasp_ids, masses[:, k - 1], speed,
+                            scene.stiffness, scene.damping)
 for gid, peak in zip(ordering.grasp_ids, ordering.peak_forces):
     print(f"  {gid:<12} peak {peak:7.2f} N")
 
-by_mass = rank_grasps(profiles, f"at-sample={k}").grasp_ids
+by_mass = rank_grasps(grasp_ids, masses, sweep.near_singular,
+                      Aggregator("at_sample", k)).grasp_ids
 agree = tuple(ordering.grasp_ids) == tuple(by_mass)
 print(f"force order matches effective-mass order at sample {k}: {agree}")
 print()
 
 # full force-time trace for the recommended grasp
-best = profiles[[p.grasp_id for p in profiles].index(report.grasp_ids[0])]
-trace = simulate_impact(ImpactScenario(float(best.masses[k - 1]), speed,
-                                       scene.stiffness, scene.damping))
-print(f"trace for {best.grasp_id}: peak {trace.peak_force:.2f} N at "
+best = report.grasp_ids[0]
+trace = simulate_impact(ImpactScenario(
+    float(masses[grasp_ids.index(best), k - 1]), speed, scene.stiffness,
+    scene.damping))
+print(f"trace for {best}: peak {trace.peak_force:.2f} N at "
       f"t = {trace.peak_time * 1e3:.2f} ms, "
       f"contact ends at t = {trace.times[-1] * 1e3:.2f} ms")

@@ -22,8 +22,9 @@ print(f"scene: {scene.name}, {len(scene.grasps)} ring layouts, "
       f"({len(masses)} distinct total mass value(s))")
 print()
 
-profiles = scene.evaluated(scene.dt)[1]
-report = rank_grasps(profiles, "max")
+sweep, masses = scene.evaluated(scene.dt)
+report = rank_grasps([g.id for g in scene.grasps], masses,
+                     sweep.near_singular, "max")
 
 # com relative to the grip point, in object axes
 offsets = {g.id: -g.grasp_pose.position for g in scene.grasps}

@@ -18,8 +18,8 @@ from .chain import (ChainModel, JointSpec, LinkInertia, forward_kinematics,
                     operational_space_inertia, operational_space_inertias)
 from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
                      predict_ordering, simulate_impact)
-from .ranking import (Aggregator, EffectiveMassProfile, RankingReport, Sweep,
-                      parse_aggregator, rank_grasps, score, sweep)
+from .ranking import (Aggregator, RankingReport, Sweep, parse_aggregator,
+                      rank_grasps, score, sweep)
 from .scene import Scene, parse_scene, scene_from_dict, write_scene
 from .spatial import (Pose, Twist, pose_compose, pose_inverse,
                       rotation_axis_angle, rotation_log, rotation_ypr, skew)
@@ -41,7 +41,7 @@ __all__ = [
     "inverse_kinematics",
     "QuinticTrajectory", "TrajectorySample", "fit_quintic", "sample",
     "motion_direction",
-    "EffectiveMassProfile", "RankingReport", "Aggregator", "Sweep",
+    "RankingReport", "Aggregator", "Sweep",
     "sweep", "score", "parse_aggregator", "rank_grasps",
     "ImpactScenario", "ForceTrace", "ImpactOrdering", "simulate_impact",
     "predict_ordering",

@@ -89,10 +89,6 @@ class KineticEnergyMatrix:
         object.__setattr__(kem, "matrix", m)
         return kem
 
-    @property
-    def ww(self) -> np.ndarray:
-        return self.matrix[3:, 3:]
-
     def expressed_in(self, rotation: np.ndarray) -> "KineticEnergyMatrix":
         """Re-express in a rotated frame.
 

@@ -38,7 +38,7 @@ its arithmetic on plain floats and small arrays (residual norms as
 hands that pass to the next solve, which then skips the pass at its
 seed, and gets the task-space inertia of all its converged joint values
 from ``operational_space_inertias``, one pass over the stack. Its flag
-array is the one that every grasp's profile carries.
+array flags the columns of every grasp's row in the mass table.
 """
 
 from __future__ import annotations

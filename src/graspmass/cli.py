@@ -3,18 +3,19 @@
 Subcommands: rank, profile, simulate-impact, demo {book,tensor}. demo
 runs rank, simulate-impact and profile (of the recommended grasp) on one
 scene. The ``Scene`` keeps one evaluation entry per sampling step, the
-arm's sweep and the profiles of all its grasps, so the first command on
-a scene computes it, even ``profile`` of one grasp, and every later
-command reads it and adds only its own output. ``simulate-impact``
-collides at the sample nearest the scene's collision instant on the
-``dt`` grid, at the trajectory's speed there; ``at-sample=K`` instead
-counts K samples on the grid in use. A failing command creates no output
-directory. A command that succeeds prints one note on stderr when the
-evaluation it read flagged near-singular samples (K of N). All outputs
-are deterministic: floats are written with 9 significant digits, no
-timestamps, and re-running on the same scene reproduces numeric CSV
-content byte for byte. Each CSV is formatted as bytes by one ``%`` over
-the whole table (``_table``) and written in one call.
+arm's sweep and the (G, N) mass table of all its grasps, so the first
+command on a scene computes it, even ``profile`` of one grasp (its row),
+and every later command reads it and adds only its own output.
+``simulate-impact`` collides at the sample nearest the scene's collision
+instant on the ``dt`` grid, at the trajectory's speed there;
+``at-sample=K`` instead counts K samples on the grid in use. A failing
+command creates no output directory. A command that succeeds prints one
+note on stderr when the evaluation it read flagged near-singular samples
+(K of N). All outputs are deterministic: floats are written with 9
+significant digits, no timestamps, and re-running on the same scene
+reproduces numeric CSV content byte for byte. Each CSV is formatted as
+bytes by one ``%`` over the whole table (``_table``) and written in one
+call.
 
 Exit codes: 0 success, 2 inverse-kinematics failure (message names the
 failing sample), 1 anything else, an output directory or artifact that
@@ -37,7 +38,7 @@ from .constants import MIN_APPROACH_SPEED
 from .errors import (DampingOutOfRange, GraspmassError, IkDidNotConverge,
                      ValidationError)
 from .impact import predict_ordering
-from .ranking import parse_aggregator, rank_grasps
+from .ranking import Aggregator, parse_aggregator, rank_grasps
 from .scene import Scene, file_stem, parse_scene
 
 SCHEMA_VERSION = 1
@@ -110,12 +111,13 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     agg = parse_aggregator(aggregator) if isinstance(aggregator, str) \
         else aggregator
     dt = scene.dt if dt is None else dt
-    _, profiles = scene.evaluated(dt)
-    report = rank_grasps(profiles, agg)
+    sweep, masses = scene.evaluated(dt)
+    grasp_ids = [g.id for g in scene.grasps]
+    report = rank_grasps(grasp_ids, masses, sweep.near_singular, agg)
     artifact = _artifact_head(scene)
     artifact.update({
         "aggregator": report.aggregator,
-        "n_samples": len(profiles[0]),
+        "n_samples": len(sweep.times),
         "ranking": [{"grasp_id": gid, "aggregate_kg": float(_fmt(val))}
                     for gid, val in zip(report.grasp_ids, report.aggregates)],
         "recommended": report.grasp_ids[0],
@@ -124,14 +126,12 @@ def cmd_rank(scene: Scene, aggregator="max", dt=None, out_dir=".") -> dict:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "ranking.json", artifact)
-    times = profiles[0].times
-    values = times.tolist()
-    for p in profiles:
-        values.append(p.grasp_id.encode("utf-8"))
-        values += p.masses.tolist()
-    columns = b",%.9g" * len(times) + b"\n"
+    values = sweep.times.tolist()
+    for gid, row in zip(grasp_ids, masses.tolist()):
+        values += [gid.encode("utf-8"), *row]
+    columns = b",%.9g" * len(sweep.times) + b"\n"
     (out / "mass_map.csv").write_bytes(_table(
-        b"grasp_id" + columns, b"%s" + columns, len(profiles), values))
+        b"grasp_id" + columns, b"%s" + columns, len(grasp_ids), values))
     return artifact
 
 
@@ -139,18 +139,18 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     """Effective-mass profile of one grasp; writes profile_<id>.csv."""
     dt = scene.dt if dt is None else dt
     idx = _resolve_grasp(scene, grasp_key)
-    _, profiles = scene.evaluated(dt)
-    profile = profiles[idx]
-    csv_name = f"profile_{file_stem(profile.grasp_id)}.csv"
+    sweep, masses = scene.evaluated(dt)
+    grasp_id, row = scene.grasps[idx].id, masses[idx]
+    csv_name = f"profile_{file_stem(grasp_id)}.csv"
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / csv_name).write_bytes(_pairs(b"t_s,effective_mass_kg\n",
-                                        profile.times, profile.masses))
+                                        sweep.times, row))
     artifact = _artifact_head(scene)
-    artifact.update({"grasp_id": profile.grasp_id, "csv": csv_name,
-                     "n_samples": len(profile),
-                     "max_kg": float(_fmt(profile.masses.max())),
-                     "mean_kg": float(_fmt(profile.masses.mean()))})
+    artifact.update({"grasp_id": grasp_id, "csv": csv_name,
+                     "n_samples": len(row),
+                     "max_kg": float(_fmt(row.max())),
+                     "mean_kg": float(_fmt(row.mean()))})
     return artifact
 
 
@@ -161,12 +161,13 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     peak-force ordering and min/median/max highlights.
     """
     dt = scene.dt if dt is None else dt
-    sweep, profiles = scene.evaluated(dt)
+    sweep, masses = scene.evaluated(dt)
+    grasp_ids = [g.id for g in scene.grasps]
     k = scene.collision_sample_at(dt)
     speed = _collision_speed(scene, sweep.times, k, dt)
     try:
-        ordering = predict_ordering(profiles, k, speed, scene.stiffness,
-                                    scene.damping)
+        ordering = predict_ordering(grasp_ids, masses[:, k - 1], speed,
+                                    scene.stiffness, scene.damping)
     except DampingOutOfRange as exc:
         raise ValidationError("collision.damping_ns_per_m", str(exc)) from exc
     out = Path(out_dir)
@@ -176,7 +177,8 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
             _pairs(b"t_s,force_n\n", trace.times, trace.forces))
     by_peak = list(ordering.grasp_ids)
     peaks = dict(zip(by_peak, ordering.peak_forces))
-    mass_order = list(rank_grasps(profiles, f"at-sample={k}").grasp_ids)
+    mass_order = list(rank_grasps(grasp_ids, masses, sweep.near_singular,
+                                  Aggregator("at_sample", k)).grasp_ids)
     artifact = _artifact_head(scene)
     artifact.update({
         "collision_sample": k,
@@ -269,7 +271,7 @@ def _run(args) -> dict:
     demo = args.command == "demo"
     scene = parse_scene(demo_scene_path(args.which) if demo else args.scene)
     if demo:
-        # the three commands share the scene's sweep and profiles
+        # the three commands share the scene's sweep and mass table
         rank_art = cmd_rank(scene, args.aggregator, args.dt, args.out_dir)
         impact_art = cmd_simulate_impact(scene, args.dt, args.out_dir)
         cmd_profile(scene, rank_art["recommended"], args.dt, args.out_dir)

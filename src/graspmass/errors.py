@@ -58,7 +58,7 @@ class EmptyInput(GraspmassError):
 
 
 class LengthMismatch(GraspmassError):
-    """Profiles (or series) that must have equal length do not."""
+    """Arrays (or series) whose lengths must agree do not."""
 
 
 class ParseError(GraspmassError):

@@ -11,6 +11,9 @@ Haddadin et al., "Requirements for safe robots" (IJRR 2009) and
 ISO/TS 15066. With sigma = c / 2M and d = sqrt(sigma^2 - k/M), imaginary
 when underdamped, x(t) = v e^(-sigma t) sinh(d t) / d in every damping
 regime (v t e^(-sigma t) at critical damping).
+
+``predict_ordering`` runs one contact per grasp at one column of the
+(G, N) mass table (``ranking.score``): the collision instant's.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DampingOutOfRange, EmptyInput
+from .errors import DampingOutOfRange, EmptyInput, LengthMismatch
 
 TRACE_POINTS = 2000
 
@@ -133,25 +136,24 @@ class ImpactOrdering:
     traces: tuple[ForceTrace, ...]
 
 
-def predict_ordering(profiles, collision_sample: int, speed: float,
-                     stiffness: float, damping: float = 0.0) -> ImpactOrdering:
+def predict_ordering(grasp_ids, masses, speed: float, stiffness: float,
+                     damping: float = 0.0) -> ImpactOrdering:
     """Simulate one impact per grasp at its effective mass there.
 
-    ``collision_sample`` is 1-based, matching trajectory sample indices.
+    ``masses`` (G,) holds each grasp's effective mass at the collision
+    instant, entry g for ``grasp_ids[g]``: one column of the mass table.
     Ties in peak force break on grasp id.
     """
-    profiles = list(profiles)
-    if not profiles:
-        raise EmptyInput("no profiles")
+    grasp_ids = tuple(grasp_ids)
+    if not grasp_ids:
+        raise EmptyInput("no grasps")
+    if np.shape(masses) != (len(grasp_ids),):
+        raise LengthMismatch("one effective mass per grasp required")
     scored = []
-    for p in profiles:
-        if not 1 <= collision_sample <= len(p):
-            raise ValueError(f"collision sample {collision_sample} out of "
-                             f"range (profile has {len(p)})")
+    for gid, mass in zip(grasp_ids, masses):
         trace = simulate_impact(ImpactScenario(
-            effective_mass=float(p.masses[collision_sample - 1]),
-            approach_speed=speed, contact_stiffness=stiffness,
-            contact_damping=damping))
-        scored.append((trace.peak_force, p.grasp_id, trace))
+            effective_mass=float(mass), approach_speed=speed,
+            contact_stiffness=stiffness, contact_damping=damping))
+        scored.append((trace.peak_force, gid, trace))
     peaks, grasp_ids, traces = zip(*sorted(scored, key=lambda item: item[:2]))
     return ImpactOrdering(grasp_ids, peaks, traces)

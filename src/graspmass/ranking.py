@@ -1,4 +1,4 @@
-"""Effective-mass profiles along a trajectory and grasp ranking.
+"""Effective masses as one grasps x samples table, and grasp ranking.
 
 The arm's energy matrix depends on the trajectory alone, so one sweep
 per trajectory computes it from the sampling grid, read as arrays:
@@ -10,13 +10,13 @@ sample, and the motion direction: the path's chord, the same at every
 sample (``sweep``). The object terms of all grasps are then built as
 one stack (``bodies.grasp_energy_matrices``) and rotated into base axes
 by one einsum (the held orientation is the same at every sample); each
-grasp adds its term to the arm's at every sample and gets all its
-effective masses from one Cholesky check and one batched solve
-(``score``). A ``Scene`` keeps one entry per
-``dt`` holding both results (``Scene.evaluated``), so only the first
-command on a scene and ``dt`` pays for them; a custom grasp list is
-``score`` on that scene's sweep, which costs no IK. Grasps are ranked
-ascending by profile aggregate (safest first).
+grasp adds its term to the arm's at every sample and gets its row of
+the (G, N) mass table from one Cholesky check and one batched solve
+(``score``); its columns' times and flags are the sweep's. A ``Scene``
+keeps one entry per ``dt`` holding both (``Scene.evaluated``), so only
+the first command on a scene and ``dt`` pays for them; a custom grasp
+list is ``score`` on that scene's sweep, which costs no IK. Grasps are
+ranked ascending by the aggregate of their row (safest first).
 """
 
 from __future__ import annotations
@@ -31,43 +31,12 @@ from .bodies import grasp_energy_matrices
 from .chain import _ik, _qvec, operational_space_inertias
 from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                      NotPositiveDefinite)
-from .spatial import Pose
 from .trajectory import _grid, motion_direction
-
-
-@dataclass(frozen=True, eq=False)
-class EffectiveMassProfile:
-    """Effective mass of one grasp at each trajectory sample."""
-
-    grasp_id: str
-    times: np.ndarray
-    masses: np.ndarray
-    near_singular: np.ndarray  # bool, one per sample: damped arm inertia
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        near = np.asarray(self.near_singular, dtype=bool)
-        if times.shape != masses.shape or times.ndim != 1:
-            raise LengthMismatch("times and masses must be equal-length vectors")
-        if near.shape != times.shape:
-            raise LengthMismatch("one near-singular flag per sample required")
-        if not (masses > 0.0).all():
-            raise ValueError("effective masses must be positive")
-        for name, a in (("times", times), ("masses", masses),
-                        ("near_singular", near)):
-            if a.flags.writeable:  # maybe the caller's own array
-                a = a.copy()
-                a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True)
 class Aggregator:
-    """Profile-to-scalar rule: worst case, average, or a fixed sample."""
+    """Row-to-scalar rule: worst case, average, or a fixed sample."""
 
     kind: str
     k: int | None = None
@@ -82,26 +51,25 @@ class Aggregator:
     def name(self) -> str:
         return f"at-sample={self.k}" if self.kind == "at_sample" else self.kind
 
-    def __call__(self, profile: EffectiveMassProfile) -> tuple[float, str | None]:
-        """Aggregate value plus an optional per-grasp note."""
-        flagged = profile.near_singular
+    def __call__(self, masses: np.ndarray,
+                 near_singular: np.ndarray) -> tuple[np.ndarray, str | None]:
+        """Each row's aggregate and an optional note shared by all rows."""
         if self.kind == "mean":
-            return float(profile.masses.mean()), None
+            return masses.mean(axis=1), None
         if self.kind == "at_sample":
-            if self.k > len(profile):
+            if self.k > len(near_singular):
                 raise ValueError(f"sample {self.k} out of range "
-                                 f"(profile has {len(profile)})")
-            note = (f"{profile.grasp_id}: collision sample {self.k} is "
-                    "near singular" if flagged[self.k - 1] else None)
-            return float(profile.masses[self.k - 1]), note
+                                 f"(grid has {len(near_singular)})")
+            note = (f"collision sample {self.k} is near singular"
+                    if near_singular[self.k - 1] else None)
+            return masses[:, self.k - 1], note
         # max: damped near-singular values must not fake the worst case
-        if flagged.all():
-            return float(profile.masses.max()), (
-                f"{profile.grasp_id}: all samples near singular; "
-                "max taken over damped values")
-        note = (f"{profile.grasp_id}: excluded {int(flagged.sum())} "
-                "near-singular sample(s) from max" if flagged.any() else None)
-        return float(profile.masses[~flagged].max()), note
+        if near_singular.all():
+            return masses.max(axis=1), ("all samples near singular; "
+                                        "max taken over damped values")
+        note = (f"excluded {int(near_singular.sum())} near-singular "
+                "sample(s) from max" if near_singular.any() else None)
+        return masses[:, ~near_singular].max(axis=1), note
 
 
 def parse_aggregator(text: str) -> Aggregator:
@@ -140,16 +108,15 @@ class Sweep(NamedTuple):
     near_singular: np.ndarray
 
 
-def score(sweep: Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
-    """Per-grasp part: the object terms of all grasps built as one
-    (G, 6, 6) stack and rotated into base axes by one einsum, then each
-    added to the arm's at every sample, all its effective masses from one
-    batched solve. ``bodies`` is a sequence aligned with ``grasps``, one
-    body per grasp; results keep the input order. Only one grasp's
-    (N, 6, 6) total is held at a time."""
+def score(sweep: Sweep, bodies, grasps) -> np.ndarray:
+    """Per-grasp part: the read-only (G, N) effective masses, row g for
+    ``grasps[g]`` at every sample of ``sweep``. The object terms of all
+    grasps are built as one (G, 6, 6) stack and rotated into base axes by
+    one einsum, then each is added to the arm's at every sample, its row
+    from one batched solve. ``bodies`` aligns with ``grasps``, one body per
+    grasp; only one grasp's (N, 6, 6) total is held at a time."""
     if len(bodies) != len(grasps):
         raise LengthMismatch("one body per grasp required")
-    times, lam_rob, v = sweep.times, sweep.lam_rob, sweep.direction
     # blockdiag(R, R) with the held rotation: grasp axes -> base axes; the
     # rotation is the same at every sample, so each object term is rotated
     # once and broadcast over the (N, 6, 6) stack
@@ -157,16 +124,14 @@ def score(sweep: Sweep, bodies, grasps) -> list[EffectiveMassProfile]:
     rot[:3, :3] = rot[3:, 3:] = sweep.rotation
     terms = np.einsum("ij,gjk,lk->gil", rot,
                       grasp_energy_matrices(bodies, grasps), rot)
-    profiles = []
-    for grasp, term in zip(grasps, terms):
+    masses = np.empty((len(grasps), len(sweep.times)))
+    for row, grasp, term in zip(masses, grasps, terms):
         try:
-            masses = effective_masses(lam_rob + term, v)
+            row[:] = effective_masses(sweep.lam_rob + term, sweep.direction)
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"grasp {grasp.id}: {exc}") from exc
-        masses.setflags(write=False)
-        profiles.append(EffectiveMassProfile(grasp.id, times, masses,
-                                             sweep.near_singular))
-    return profiles
+    masses.setflags(write=False)
+    return masses
 
 
 def sweep(chain, traj, dt, q_seed) -> Sweep:
@@ -180,8 +145,7 @@ def sweep(chain, traj, dt, q_seed) -> Sweep:
     ``IkDidNotConverge`` carrying its sample index (0 = the start pose)."""
     times, positions = _grid(traj, dt)
     rotation = traj.start_rotation
-    start = Pose(traj.position(0.0), rotation)
-    q, frames = _solve_ik(chain, start.position, rotation,
+    q, frames = _solve_ik(chain, traj.position(0.0), rotation,
                           _qvec(chain, q_seed), None, 0)
     qs = np.empty((len(positions), chain.dof))
     for row, position in enumerate(positions):
@@ -203,21 +167,21 @@ def _solve_ik(chain, position, rotation, q, frames, index):
                                sample_index=index) from exc
 
 
-def rank_grasps(profiles, aggregator="max") -> RankingReport:
-    """Order profiles ascending by aggregate; ties break on grasp id."""
+def rank_grasps(grasp_ids, masses, near_singular,
+                aggregator="max") -> RankingReport:
+    """Order the rows of a (G, N) mass table (row g for ``grasp_ids[g]``)
+    ascending by aggregate; ties break on grasp id."""
     if isinstance(aggregator, str):
         aggregator = parse_aggregator(aggregator)
-    profiles = list(profiles)
-    if not profiles:
-        raise EmptyInput("no profiles to rank")
-    n = len(profiles[0])
-    if any(len(p) != n for p in profiles):
-        raise LengthMismatch("profiles must have equal length")
-    scored, notes = [], []
-    for p in profiles:
-        value, note = aggregator(p)
-        scored.append((value, p.grasp_id))
-        if note:
-            notes.append(note)
-    aggregates, grasp_ids = zip(*sorted(scored))
-    return RankingReport(grasp_ids, aggregates, aggregator.name, tuple(notes))
+    grasp_ids = tuple(grasp_ids)
+    if not grasp_ids:
+        raise EmptyInput("no grasps to rank")
+    masses = np.asarray(masses, dtype=float)
+    near_singular = np.asarray(near_singular, dtype=bool)
+    if masses.shape != (len(grasp_ids), len(near_singular)):
+        raise LengthMismatch(f"mass table {masses.shape} for {len(grasp_ids)} "
+                             f"grasp(s) and {len(near_singular)} sample(s)")
+    values, note = aggregator(masses, near_singular)
+    notes = tuple(f"{gid}: {note}" for gid in grasp_ids) if note else ()
+    aggregates, grasp_ids = zip(*sorted(zip(values.tolist(), grasp_ids)))
+    return RankingReport(grasp_ids, aggregates, aggregator.name, notes)

@@ -14,9 +14,10 @@ tensor rig's ring positions, which rebuilds the object for that grasp
 (same physical grip, different mass distribution).
 
 A ``Scene`` keeps one evaluation entry per sampling step: the arm's
-sweep (``ranking.sweep``, the part of an evaluation that no grasp
-changes) and the profiles of all its grasps scored on it
-(``ranking.score``), built together and kept only when both succeed.
+sweep (``ranking.sweep``, the part that no grasp changes, times and
+near-singular flags included) and the (G, N) effective masses of its
+grasps on it (``ranking.score``, row g for ``grasps[g]``), built
+together and kept only when both succeed.
 So every command run on one ``Scene`` computes each at most once per
 ``dt``, and any other grasp list is ``ranking.score`` on that sweep.
 
@@ -70,7 +71,7 @@ class Scene:
     ik_seed: np.ndarray  # (n,), read-only
     spec_json: str
     digest: str
-    # dt -> (the arm's sweep, the profiles of all grasps); a copy made by
+    # dt -> (the arm's sweep, the (G, N) mass table); a copy made by
     # dataclasses.replace starts empty
     _evaluations: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
@@ -83,17 +84,17 @@ class Scene:
     def fit(self) -> QuinticTrajectory:
         return fit_quintic(self.start, self.end, self.t_f)
 
-    def evaluated(self, dt: float) -> tuple[
-            ranking.Sweep, tuple[ranking.EffectiveMassProfile, ...]]:
+    def evaluated(self, dt: float) -> tuple[ranking.Sweep, np.ndarray]:
         """The arm's sweep along the fitted trajectory at ``dt`` and the
-        profile of every grasp on it, in scene order: computed on the
-        first call per ``dt`` and shared by every later one. Nothing is
-        kept unless both the sweep and the scoring succeed."""
+        (G, N) effective masses of the grasps on it, row g for
+        ``grasps[g]``: computed on the first call per ``dt`` and shared by
+        every later one. Nothing is kept unless both the sweep and the
+        scoring succeed."""
         entry = self._evaluations.get(dt)
         if entry is None:
             sweep = ranking.sweep(self.chain, self.fit(), dt, self.ik_seed)
-            profiles = ranking.score(sweep, self.bodies, self.grasps)
-            entry = self._evaluations[dt] = (sweep, tuple(profiles))
+            masses = ranking.score(sweep, self.bodies, self.grasps)
+            entry = self._evaluations[dt] = (sweep, masses)
         return entry
 
     def collision_sample_at(self, dt: float) -> int:

@@ -154,13 +154,15 @@ def test_acceptance_6_book_ordering():
     t0 = time.perf_counter()
     scene = book_scene()
     traj = scene.fit()
-    profiles = scene.evaluated(scene.dt)[1]
+    arm, masses = scene.evaluated(scene.dt)
+    grasp_ids = [g.id for g in scene.grasps]
     k = scene.collision_sample
-    by_mass = rank_grasps(profiles, Aggregator("at_sample", k))
+    by_mass = rank_grasps(grasp_ids, masses, arm.near_singular,
+                          Aggregator("at_sample", k))
     samples = sample(traj, scene.dt)
     speed = float(np.linalg.norm(samples[k - 1].velocity.linear))
-    ordering = predict_ordering(profiles, k, speed, scene.stiffness,
-                                scene.damping)
+    ordering = predict_ordering(grasp_ids, masses[:, k - 1], speed,
+                                scene.stiffness, scene.damping)
     agree = tuple(by_mass.grasp_ids) == tuple(ordering.grasp_ids)
     ratio = ordering.peak_forces[-1] / ordering.peak_forces[0]
     ok = agree and ratio > 1.05

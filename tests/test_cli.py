@@ -295,30 +295,46 @@ def artifacts_digest(out_dir):
     return h.hexdigest()
 
 
-# every file that `demo` writes, at the scene's dt and at a --dt override:
-# the traces, the profile, mass_map.csv and both JSON artifacts
+# every file that `demo` writes, at the scene's dt and at two --dt
+# overrides (0.01 gives 200 samples, so the Cholesky check and solve run
+# on a long stack): the traces, the profile, mass_map.csv and both JSON
+# artifacts; then the sha256 of what it prints
 PINNED_DEMO_SHA256 = [
     ("book", None,
-     "e11111ee27cdff587747e9c8dd42bf356cabbd715e990400f0f9477c92f33b43"),
+     "e11111ee27cdff587747e9c8dd42bf356cabbd715e990400f0f9477c92f33b43",
+     "24733abfb60243bd445c843b02873a9fd2cb22ba8f7baa79f9386123c2b18f87"),
     ("book", "0.05",
-     "115a7edde6bb64818b95eea38feeba6b2a06338422cd118472a91b1fca8c988a"),
+     "115a7edde6bb64818b95eea38feeba6b2a06338422cd118472a91b1fca8c988a",
+     "a4ddefa40b22150859d5f91b2da376a0841a67f8233f574a6824bbcea22f26ea"),
+    ("book", "0.01",
+     "316d89741dfa43cf960852b6e3cab67c6dbe26c32c0a76143d00ea9b11dc8ecb",
+     "52d96e54989cb0c9180507a7defdb3af5a6514cb22322f7d12c00da440e7f86e"),
     ("tensor", None,
-     "b2eed5b1450eeece751080f71dc82cc27bfddeb87b31d4418478e63b9366f62a"),
+     "b2eed5b1450eeece751080f71dc82cc27bfddeb87b31d4418478e63b9366f62a",
+     "d03f78fbc7ee94ce56dc8dd9972763103875603fbc72f6f181e4b12a3f0b1891"),
     ("tensor", "0.05",
-     "5801aaa9959a0df4dcb940eb7ddba781be620a42f2de9752d4ea302dd7414746"),
+     "5801aaa9959a0df4dcb940eb7ddba781be620a42f2de9752d4ea302dd7414746",
+     "7273195811224c30a75d18d44ac939ee2b1551d615eb17f272e10ad7d535d674"),
+    ("tensor", "0.01",
+     "5e4e182c9aebad7dc91a6557ba939a4ea7d32100768b727b64cdfb4466e77e7e",
+     "4a61a5ad85f8d1d849a165060689fe6cc38ad7129069fdf84e0a3c2d24cfeae2"),
 ]
 
 
-@pytest.mark.parametrize("which, dt, digest", PINNED_DEMO_SHA256,
-                         ids=["book", "book-dt0.05", "tensor",
-                              "tensor-dt0.05"])
-def test_demo_artifacts_match_pinned_digest(which, dt, digest, tmp_path,
-                                            capsys):
+@pytest.mark.parametrize("which, dt, digest, stdout_digest",
+                         PINNED_DEMO_SHA256,
+                         ids=["book", "book-dt0.05", "book-dt0.01", "tensor",
+                              "tensor-dt0.05", "tensor-dt0.01"])
+def test_demo_artifacts_match_pinned_digest(which, dt, digest, stdout_digest,
+                                            tmp_path, capsys):
     extra = [] if dt is None else ["--dt", dt]
-    code, _, _ = run(capsys, "demo", which, "--out-dir", str(tmp_path),
-                     *extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # a new warning fails the run
+        code, out, _ = run(capsys, "demo", which, "--out-dir",
+                           str(tmp_path), *extra)
     assert code == 0
     assert artifacts_digest(tmp_path) == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 def test_fractional_collision_sample_is_a_clean_error(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from graspmass import (
     Aggregator,
     ChainModel,
-    EffectiveMassProfile,
     GraspCandidate,
     JointSpec,
     KineticEnergyMatrix,
@@ -37,25 +36,23 @@ from conftest import (book_scene, direction_at, partition_inverse,
                       reference_sweep, tensor_scene)
 
 
-def profile(grasp_id, masses, flagged=()):
-    masses = np.asarray(masses, dtype=float)
-    times = np.arange(1, len(masses) + 1) * 0.1
-    near_singular = [i in flagged for i in range(len(masses))]
-    return EffectiveMassProfile(grasp_id, times, masses, near_singular)
+def flags(n, flagged=()):
+    """``n`` near-singular flags, set at the indices in ``flagged``."""
+    return np.array([i in flagged for i in range(n)])
 
 
 def test_profiles_have_expected_shape():
     scene = book_scene()
     traj = scene.fit()
-    prof = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed),
-                 scene.bodies[:1], scene.grasps[:1])[0]
-    assert len(prof) == 20
-    assert prof.grasp_id == scene.grasps[0].id
-    assert np.all(prof.masses > 0.0)
-    assert np.isclose(prof.times[0], 0.1)
-    assert np.isclose(prof.times[-1], 2.0)
-    assert prof.near_singular.dtype == bool
-    assert not prof.near_singular.any()
+    arm = sweep(scene.chain, traj, scene.dt, scene.ik_seed)
+    masses = score(arm, scene.bodies[:1], scene.grasps[:1])
+    assert masses.shape == (1, 20)
+    assert masses.dtype == float
+    assert np.all(masses > 0.0)
+    assert np.isclose(arm.times[0], 0.1)
+    assert np.isclose(arm.times[-1], 2.0)
+    assert arm.near_singular.dtype == bool
+    assert not arm.near_singular.any()
 
 
 def test_tiny_object_reduces_to_robot_alone():
@@ -63,10 +60,10 @@ def test_tiny_object_reduces_to_robot_alone():
     traj = scene.fit()
     crumb = RigidBodyInertia(1e-9, Pose.identity(), 1e-12 * np.eye(3))
     grasp = GraspCandidate("crumb", Pose.identity())
-    prof = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed), [crumb],
-                 [grasp])[0]
+    row = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed), [crumb],
+                [grasp])[0]
     samples = sample(traj, scene.dt)
-    for samp, got in zip(samples, prof.masses):
+    for samp, got in zip(samples, row):
         # robot-only reference, computed directly
         from graspmass import inverse_kinematics
         state = inverse_kinematics(scene.chain, samp.pose, scene.ik_seed)
@@ -81,11 +78,11 @@ def test_object_mass_scaling_is_monotone():
     base = build_cuboid(0.34, (0.15, 0.22, 0.015))
     grasp = scene.grasps[2]
     arm = sweep(scene.chain, traj, scene.dt, scene.ik_seed)
-    prev = score(arm, [base], [grasp])[0].masses
+    prev = score(arm, [base], [grasp])[0]
     for alpha in (1.5, 2.0, 5.0):
         scaled = RigidBodyInertia(alpha * base.mass, base.com_pose,
                                   alpha * base.inertia)
-        cur = score(arm, [scaled], [grasp])[0].masses
+        cur = score(arm, [scaled], [grasp])[0]
         assert np.all(cur >= prev - 1e-10)
         prev = cur
 
@@ -93,14 +90,12 @@ def test_object_mass_scaling_is_monotone():
 def test_sweep_and_score_are_deterministic():
     scene = book_scene()
     traj = scene.fit()
-    runs = [score(sweep(scene.chain, traj, scene.dt, scene.ik_seed),
-                  scene.bodies, scene.grasps)
+    arms = [sweep(scene.chain, traj, scene.dt, scene.ik_seed)
             for _ in range(3)]
-    for other in runs[1:]:
-        for a, b in zip(runs[0], other):
-            assert a.grasp_id == b.grasp_id
-            assert np.array_equal(a.masses, b.masses)
-            assert np.array_equal(a.times, b.times)
+    tables = [score(arm, scene.bodies, scene.grasps) for arm in arms]
+    for arm, masses in zip(arms[1:], tables[1:]):
+        assert np.array_equal(masses, tables[0])
+        assert np.array_equal(arm.times, arms[0].times)
 
 
 def test_score_body_list_must_align():
@@ -125,24 +120,10 @@ def test_ik_failure_names_the_sample():
     assert "sample" in str(exc.value)
 
 
-def test_profile_leaves_the_callers_arrays_writable():
-    times = np.array([0.1, 0.2])
-    masses = np.array([1.0, 2.0])
-    near = np.array([False, False])
-    prof = EffectiveMassProfile("g", times, masses, near)
-    times[0], masses[0], near[0] = 0.05, 3.0, True
-    assert prof.times.tolist() == [0.1, 0.2]
-    assert prof.masses.tolist() == [1.0, 2.0]
-    assert prof.near_singular.tolist() == [False, False]
-    for a in (prof.times, prof.masses, prof.near_singular):
-        with pytest.raises(ValueError):
-            a[0] = 0.0
-
-
 def test_rank_grasps_sorts_ascending_with_id_tiebreak():
-    profiles = [profile("b", [2.0, 1.0]), profile("a", [2.0, 1.0]),
-                profile("c", [0.5, 0.4])]
-    report = rank_grasps(profiles, aggregator="max")
+    masses = np.array([[2.0, 1.0], [2.0, 1.0], [0.5, 0.4]])
+    report = rank_grasps(["b", "a", "c"], masses, flags(2),
+                         aggregator="max")
     assert report.grasp_ids == ("c", "a", "b")
     assert report.aggregates == (0.5, 2.0, 2.0)
     assert report.aggregator == "max"
@@ -150,35 +131,76 @@ def test_rank_grasps_sorts_ascending_with_id_tiebreak():
 
 def test_rank_grasps_rejects_empty_and_duplicates():
     with pytest.raises(EmptyInput):
-        rank_grasps([])
+        rank_grasps([], np.empty((0, 2)), flags(2))
+
+
+@pytest.mark.parametrize("ids, shape, n", [
+    (["a", "b"], (3, 2), 2),        # a grasp without its id
+    (["a", "b", "c"], (2, 2), 2),   # an id without its row
+    (["a", "b"], (2, 3), 2),        # a sample without its flag
+    (["a", "b"], (2, 2), 3),        # a flag without its sample
+    (["a", "b"], (2,), 2),          # not a table
+], ids=["extra-row", "missing-row", "extra-column", "missing-column",
+        "vector"])
+def test_rank_grasps_refuses_a_misaligned_table(ids, shape, n):
+    # zip would silently drop the grasps past the shorter of ids and rows
+    with pytest.raises(LengthMismatch):
+        rank_grasps(ids, np.ones(shape), flags(n))
 
 
 def test_mean_aggregator_uses_all_samples():
     agg = Aggregator("mean")
-    value, note = agg(profile("g", [1.0, 2.0, 6.0], flagged=(2,)))
-    assert np.isclose(value, 3.0)
+    values, note = agg(np.array([[1.0, 2.0, 6.0]]), flags(3, (2,)))
+    assert np.isclose(values[0], 3.0)
     assert note is None
+
+
+@pytest.mark.parametrize("name, dt", [("book", None), ("book", 0.01),
+                                      ("tensor", None)],
+                         ids=["book", "book-dt-0.01", "tensor"])
+def test_mean_aggregate_is_each_rows_own_mean(name, dt):
+    scene = tensor_scene() if name == "tensor" else book_scene()
+    arm, masses = scene.evaluated(scene.dt if dt is None else dt)
+    ids = [g.id for g in scene.grasps]
+    report = rank_grasps(ids, masses, arm.near_singular, "mean")
+    got = dict(zip(report.grasp_ids, report.aggregates))
+    for gid, row in zip(ids, masses):
+        assert got[gid] == float(row.mean())
 
 
 def test_at_sample_aggregator_picks_and_flags():
     agg = Aggregator("at_sample", k=2)
-    value, note = agg(profile("g", [1.0, 2.0, 6.0]))
-    assert value == 2.0 and note is None
-    value, note = agg(profile("g", [1.0, 2.0, 6.0], flagged=(1,)))
-    assert value == 2.0
+    masses = np.array([[1.0, 2.0, 6.0]])
+    values, note = agg(masses, flags(3))
+    assert values[0] == 2.0 and note is None
+    values, note = agg(masses, flags(3, (1,)))
+    assert values[0] == 2.0
     assert "near singular" in note
     with pytest.raises(ValueError):
-        agg(profile("g", [1.0]))
+        agg(np.array([[1.0]]), flags(1))
 
 
 def test_max_aggregator_skips_near_singular_samples():
     agg = Aggregator("max")
-    value, note = agg(profile("g", [1.0, 2.0, 9.0], flagged=(2,)))
-    assert value == 2.0
+    masses = np.array([[1.0, 2.0, 9.0]])
+    values, note = agg(masses, flags(3, (2,)))
+    assert values[0] == 2.0
     assert "excluded 1" in note
-    value, note = agg(profile("g", [1.0, 2.0, 9.0], flagged=(0, 1, 2)))
-    assert value == 9.0
+    values, note = agg(masses, flags(3, (0, 1, 2)))
+    assert values[0] == 9.0
     assert "all samples near singular" in note
+
+
+def test_ranking_notes_name_every_grasp_in_input_order():
+    masses = np.array([[3.0, 2.0, 9.0], [1.0, 2.0, 9.0]])
+    report = rank_grasps(["b", "a"], masses, flags(3, (2,)))
+    assert report.grasp_ids == ("a", "b")
+    assert report.notes == (
+        "b: excluded 1 near-singular sample(s) from max",
+        "a: excluded 1 near-singular sample(s) from max")
+    report = rank_grasps(["b", "a"], masses, flags(3, (1,)), "at-sample=2")
+    assert report.notes == ("b: collision sample 2 is near singular",
+                            "a: collision sample 2 is near singular")
 
 
 def test_parse_aggregator_variants():
@@ -199,8 +221,8 @@ def test_batched_masses_match_per_sample_reference():
     scene = book_scene()
     traj = scene.fit()
     samples = sample(traj, scene.dt)
-    profiles = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed),
-                     scene.bodies, scene.grasps)
+    masses = score(sweep(scene.chain, traj, scene.dt, scene.ik_seed),
+                   scene.bodies, scene.grasps)
     q = inverse_kinematics(scene.chain,
                            Pose(traj.position(0.0), traj.start_rotation),
                            scene.ik_seed)
@@ -208,9 +230,9 @@ def test_batched_masses_match_per_sample_reference():
     for samp in samples:
         q = inverse_kinematics(scene.chain, samp.pose, q)
         lam_rob.append(operational_space_inertia(scene.chain, q).matrix)
-    for prof, body, grasp in zip(profiles, scene.bodies, scene.grasps):
+    for row, body, grasp in zip(masses, scene.bodies, scene.grasps):
         lam_gp = transform_to_grasp(com_energy_matrix(body), grasp)
-        for samp, lam, got in zip(samples, lam_rob, prof.masses):
+        for samp, lam, got in zip(samples, lam_rob, row):
             lam_tot = augment(lam, lam_gp.expressed_in(samp.pose.rotation))
             v = direction_at(samp, samples)
             lam_u_inv, _, _ = partition_inverse(lam_tot)
@@ -231,9 +253,8 @@ def test_pitch_at_gimbal_lock_evaluates():
                             scene.dt, scene.ik_seed),
                       scene.bodies, scene.grasps)
                 for pitch in (np.pi / 2, np.pi / 2 - 1e-3))
-    for a, b in zip(at, near):
-        assert np.all(np.isfinite(a.masses))
-        assert np.allclose(a.masses, b.masses, rtol=1e-3, atol=0.0)
+    assert np.all(np.isfinite(at))
+    assert np.allclose(at, near, rtol=1e-3, atol=0.0)
 
 
 def test_profiles_do_not_depend_on_grasp_order():
@@ -243,13 +264,12 @@ def test_profiles_do_not_depend_on_grasp_order():
     random.Random(7).shuffle(pairs)
     grasps, bodies = zip(*pairs)
     arm = sweep(scene.chain, traj, scene.dt, scene.ik_seed)
-    ref = {p.grasp_id: p for p in score(arm, scene.bodies, scene.grasps)}
+    ref = dict(zip((g.id for g in scene.grasps),
+                   score(arm, scene.bodies, scene.grasps)))
     shuffled = score(arm, bodies, grasps)
-    assert [p.grasp_id for p in shuffled] == [g.id for g in grasps]
-    for p in shuffled:
-        assert np.array_equal(p.masses, ref[p.grasp_id].masses)
-        assert np.array_equal(p.near_singular,
-                              ref[p.grasp_id].near_singular)
+    assert shuffled.shape == (len(grasps), len(arm.times))
+    for grasp, row in zip(grasps, shuffled):
+        assert np.array_equal(row, ref[grasp.id])
 
 
 def test_single_grasp_equals_its_row_of_the_batch():
@@ -257,9 +277,8 @@ def test_single_grasp_equals_its_row_of_the_batch():
         arm = sweep(scene.chain, scene.fit(), scene.dt, scene.ik_seed)
         batch = score(arm, scene.bodies, scene.grasps)
         for k, row in enumerate(batch):
-            one = score(arm, scene.bodies[k:k + 1], scene.grasps[k:k + 1])[0]
-            assert one.grasp_id == row.grasp_id
-            assert np.array_equal(one.masses, row.masses)
+            one = score(arm, scene.bodies[k:k + 1], scene.grasps[k:k + 1])
+            assert np.array_equal(one, row[None])
 
 
 def test_non_positive_definite_total_is_rejected(monkeypatch):

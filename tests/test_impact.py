@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from graspmass import (
-    EffectiveMassProfile,
     ForceTrace,
     ImpactScenario,
     predict_ordering,
     simulate_impact,
 )
-from graspmass.errors import DampingOutOfRange, EmptyInput
+from graspmass.errors import DampingOutOfRange, EmptyInput, LengthMismatch
 
 from conftest import integrate_contact
 
@@ -201,19 +200,10 @@ def test_the_largest_damping_the_model_squares_still_simulates():
     assert np.isfinite(trace.forces).all()
 
 
-def profile(grasp_id, masses):
-    masses = np.asarray(masses, dtype=float)
-    times = np.arange(1, len(masses) + 1) * 0.1
-    return EffectiveMassProfile(grasp_id, times, masses,
-                                ("clean",) * len(masses))
-
-
 def test_predict_ordering_follows_effective_mass():
-    profiles = [profile("light", [1.0, 0.9, 0.8]),
-                profile("heavy", [1.0, 2.5, 0.8]),
-                profile("middle", [1.0, 1.4, 0.8])]
-    ordering = predict_ordering(profiles, collision_sample=2, speed=0.5,
-                                stiffness=1e4)
+    masses = np.array([[1.0, 0.9, 0.8], [1.0, 2.5, 0.8], [1.0, 1.4, 0.8]])
+    ordering = predict_ordering(["light", "heavy", "middle"], masses[:, 1],
+                                speed=0.5, stiffness=1e4)
     assert ordering.grasp_ids == ("light", "middle", "heavy")
     peaks = np.array(ordering.peak_forces)
     assert np.all(np.diff(peaks) > 0.0)
@@ -222,8 +212,8 @@ def test_predict_ordering_follows_effective_mass():
 
 
 def test_predict_ordering_carries_each_grasps_trace():
-    profiles = [profile("heavy", [2.5, 1.0]), profile("light", [0.9, 1.0])]
-    ordering = predict_ordering(profiles, collision_sample=1, speed=0.5,
+    masses = np.array([[2.5, 1.0], [0.9, 1.0]])
+    ordering = predict_ordering(["heavy", "light"], masses[:, 0], speed=0.5,
                                 stiffness=1e4, damping=20.0)
     assert len(ordering.traces) == 2
     for gid, peak, trace in zip(ordering.grasp_ids, ordering.peak_forces,
@@ -236,15 +226,24 @@ def test_predict_ordering_carries_each_grasps_trace():
 
 
 def test_predict_ordering_ties_break_by_id():
-    profiles = [profile("b", [1.0]), profile("a", [1.0])]
-    ordering = predict_ordering(profiles, collision_sample=1, speed=0.5,
-                                stiffness=1e4)
+    ordering = predict_ordering(["b", "a"], np.array([1.0, 1.0]),
+                                speed=0.5, stiffness=1e4)
     assert ordering.grasp_ids == ("a", "b")
 
 
 def test_predict_ordering_validates_input():
     with pytest.raises(EmptyInput):
-        predict_ordering([], collision_sample=1, speed=0.5, stiffness=1e4)
+        predict_ordering([], np.empty(0), speed=0.5, stiffness=1e4)
     with pytest.raises(ValueError):
-        predict_ordering([profile("a", [1.0])], collision_sample=2,
-                         speed=0.5, stiffness=1e4)
+        predict_ordering(["a"], np.array([0.0]), speed=0.5, stiffness=1e4)
+
+
+@pytest.mark.parametrize("ids, masses", [
+    (["a", "b"], np.ones(3)),        # a mass without its grasp
+    (["a", "b", "c"], np.ones(2)),   # a grasp without its mass
+    (["a", "b"], np.ones((2, 2))),   # the whole table, not one column
+], ids=["extra-mass", "missing-mass", "table"])
+def test_predict_ordering_refuses_a_misaligned_column(ids, masses):
+    # zip would silently drop the grasps past the shorter of the two
+    with pytest.raises(LengthMismatch):
+        predict_ordering(ids, masses, speed=0.5, stiffness=1e4)

@@ -1,4 +1,4 @@
-"""The arm's sweep and the grasps' profiles are kept in one entry per
+"""The arm's sweep and the grasps' mass table are kept in one entry per
 Scene and dt and shared by the commands."""
 
 import dataclasses
@@ -110,13 +110,9 @@ def test_only_the_first_command_scores(case, order, tmp_path, score_calls):
 @pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
 def test_kept_profiles_equal_the_per_sample_reference(name, dt):
     scene = scene_of(name)
-    sweep, profiles = scene.evaluated(scene.dt if dt is None else dt)
+    sweep, masses = scene.evaluated(scene.dt if dt is None else dt)
     want = reference_score(sweep, scene.bodies, scene.grasps)
-    assert [p.grasp_id for p in profiles] == [g.id for g in scene.grasps]
-    for profile, masses in zip(profiles, want):
-        assert np.array_equal(profile.masses, masses)
-        assert profile.times is sweep.times
-        assert profile.near_singular is sweep.near_singular
+    assert np.array_equal(masses, np.stack(want))
 
 
 def test_failed_scoring_is_not_kept(monkeypatch, tmp_path, frame_passes):
@@ -137,7 +133,7 @@ def test_failed_scoring_is_not_kept(monkeypatch, tmp_path, frame_passes):
     rank(scene, None, tmp_path)
     assert len(frame_passes) > before
     assert len(calls) == 2
-    assert len(scene._evaluations[scene.dt][1]) == len(scene.grasps)
+    assert scene._evaluations[scene.dt][1].shape == (len(scene.grasps), 20)
     before = len(frame_passes)
     impact(scene, None, tmp_path)
     assert len(calls) == 2  # the retry was kept
@@ -221,15 +217,14 @@ def test_cli_exits_two_on_each_ik_failure(argv, tmp_path, capsys):
 @pytest.mark.parametrize("name, dt", CASES, ids=CASE_IDS)
 def test_cached_arrays_reject_writes(name, dt):
     scene = scene_of(name)
-    sweep, profiles = scene.evaluated(scene.dt if dt is None else dt)
+    sweep, masses = scene.evaluated(scene.dt if dt is None else dt)
     arrays = [sweep.rotation, sweep.times, sweep.lam_rob, sweep.direction,
-              sweep.near_singular]
-    for p in profiles:
-        arrays += [p.times, p.masses, p.near_singular]
+              sweep.near_singular, masses]
     for a in arrays:
         assert isinstance(a, np.ndarray)
         with pytest.raises(ValueError):
             a[0] = 0.0
     assert sweep.near_singular.dtype == bool
     assert sweep.near_singular.shape == sweep.times.shape
-    assert isinstance(profiles, tuple)
+    assert masses.dtype == float
+    assert masses.shape == (len(scene.grasps), len(sweep.times))
