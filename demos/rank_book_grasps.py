@@ -8,8 +8,7 @@ table, aggregates, approach speed, and the simulated peak contact forces.
 
 import numpy as np
 
-from graspmass import (Aggregator, ImpactScenario, parse_scene,
-                       predict_ordering, rank_grasps, simulate_impact)
+from graspmass import Aggregator, parse_scene, predict_ordering, rank_grasps
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("book"))
@@ -36,9 +35,8 @@ print()
 
 # contact happens at a known sample; feed the masses there into the
 # spring model and check the force order tells the same story
-k = scene.collision_sample
-speed = float(np.linalg.norm(traj.velocity(sweep.times[k - 1])))
-print(f"collision at sample {k} (t = {k * scene.dt:.1f} s), "
+k, t, speed = scene.collision(scene.dt)
+print(f"collision at sample {k} (t = {t:.1f} s), "
       f"approach speed {speed:.3f} m/s, "
       f"stiffness {scene.stiffness:.0f} N/m")
 
@@ -55,9 +53,7 @@ print()
 
 # full force-time trace for the recommended grasp
 best = report.grasp_ids[0]
-trace = simulate_impact(ImpactScenario(
-    float(masses[grasp_ids.index(best), k - 1]), speed, scene.stiffness,
-    scene.damping))
+trace = ordering.traces[ordering.grasp_ids.index(best)]
 print(f"trace for {best}: peak {trace.peak_force:.2f} N at "
       f"t = {trace.peak_time * 1e3:.2f} ms, "
       f"contact ends at t = {trace.times[-1] * 1e3:.2f} ms")

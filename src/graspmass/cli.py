@@ -7,7 +7,8 @@ arm's sweep and the (G, N) mass table of all its grasps, so the first
 command on a scene computes it, even ``profile`` of one grasp (its row),
 and every later command reads it and adds only its own output.
 ``simulate-impact`` collides at the sample nearest the scene's collision
-instant on the ``dt`` grid, at the trajectory's speed there;
+instant on the ``dt`` grid, at the trajectory's speed there, both from
+``Scene.collision``;
 ``at-sample=K`` instead counts K samples on the grid in use. A failing
 command creates no output directory. A command that succeeds prints one
 note on stderr when the evaluation it read flagged near-singular samples
@@ -34,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .constants import MIN_APPROACH_SPEED
 from .errors import (DampingOutOfRange, GraspmassError, IkDidNotConverge,
                      ValidationError)
 from .impact import predict_ordering
@@ -78,22 +78,6 @@ def _resolve_grasp(scene: Scene, key: str) -> int:
         return idx
     raise ValidationError("grasp", f"no grasp {key!r} in scene "
                           f"(ids: {', '.join(g.id for g in scene.grasps)})")
-
-
-def _collision_speed(scene: Scene, times: np.ndarray, k: int,
-                     dt: float) -> float:
-    """Approach speed: |velocity| of the trajectory at ``times[k - 1]``,
-    the collision sample's instant on the grid at ``dt``."""
-    t = times[k - 1]
-    velocity = scene.fit().velocity(t)
-    if not np.isfinite(velocity).all():
-        raise ValueError("trajectory samples must be finite")
-    speed = float(np.linalg.norm(velocity))
-    if speed <= MIN_APPROACH_SPEED:
-        raise ValidationError("collision", (
-            f"approach speed is zero at t = {t:g} s "
-            f"(sample {k} of {len(times)} at dt {dt:g})"))
-    return speed
 
 
 def _write_json(path: Path, artifact: dict) -> None:
@@ -163,8 +147,7 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
     dt = scene.dt if dt is None else dt
     sweep, masses = scene.evaluated(dt)
     grasp_ids = [g.id for g in scene.grasps]
-    k = scene.collision_sample_at(dt)
-    speed = _collision_speed(scene, sweep.times, k, dt)
+    k, _, speed = scene.collision(dt)
     try:
         ordering = predict_ordering(grasp_ids, masses[:, k - 1], speed,
                                     scene.stiffness, scene.damping)

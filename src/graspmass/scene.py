@@ -4,9 +4,14 @@ A scene is one JSON document holding the chain, the object (a builder
 spec: cuboid, tensor rig, or raw inertia), grasp candidates, the
 trajectory endpoints (the end orientation must equal the start one,
 which the trajectory holds, and the end position must differ from the
-start one), the collision setup, and the IK seed. The collision is one
-instant, given as a time or as a sample of the scene's own grid; every
-grid collides at its sample nearest it (``Scene.collision_sample_at``).
+start one), the collision setup, and the IK seed. Every object of the
+document admits only the keys its reader reads (``_known``), so a
+misspelt key is an error naming it rather than a silent default. The
+collision is one instant, given as a time or as a sample of the scene's
+own grid, not both; every grid collides at its sample nearest it
+(``Scene.collision_sample_at``), and ``Scene.collision(dt)`` gives that
+sample, its grid time and the approach speed there, the one place the
+speed is read.
 Units are explicit in field names (mass_kg, length_m, ypr_rad). Grasp
 poses are given in the object frame; the parser re-expresses them
 relative to the object's CoM frame. A grasp entry may override the
@@ -21,6 +26,7 @@ together and kept only when both succeed.
 So every command run on one ``Scene`` computes each at most once per
 ``dt``, and any other grasp list is ``ranking.score`` on that sweep.
 
+The scene name and grasp ids are JSON strings, an id a non-empty one.
 Grasp ids name artifact files (``file_stem``); two ids with the same
 stem are rejected at parse, so one grasp's file cannot overwrite
 another's.
@@ -41,7 +47,7 @@ from . import ranking
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object)
 from .chain import ChainModel, JointSpec, LinkInertia
-from .constants import ORTHONORMAL_TOL
+from .constants import MIN_APPROACH_SPEED, ORTHONORMAL_TOL
 from .errors import GraspmassError, ParseError, ValidationError
 from .spatial import Pose, pose_compose, pose_inverse
 from .trajectory import (QuinticTrajectory, _grid_size, fit_quintic,
@@ -102,6 +108,23 @@ class Scene:
         n = _grid_size(self.t_f, dt)
         return max(1, round(self.collision_time / (self.t_f / n)))
 
+    def collision(self, dt: float) -> tuple[int, float, float]:
+        """The collision on the grid at ``dt``: its sample k, that
+        sample's time t_f k / N (``Sweep.times[k - 1]``) and the approach
+        speed |velocity| there, which must not be zero."""
+        k = self.collision_sample_at(dt)
+        n = _grid_size(self.t_f, dt)
+        t = self.t_f * k / n
+        velocity = self.fit().velocity(t)
+        if not np.isfinite(velocity).all():
+            raise ValueError("trajectory samples must be finite")
+        speed = float(np.linalg.norm(velocity))
+        if speed <= MIN_APPROACH_SPEED:
+            raise ValidationError("collision", (
+                f"approach speed is zero at t = {t:g} s "
+                f"(sample {k} of {n} at dt {dt:g})"))
+        return k, t, speed
+
     @property
     def collision_sample(self) -> int:  # on the scene's own grid
         return self.collision_sample_at(self.dt)
@@ -117,12 +140,25 @@ def file_stem(grasp_id: str) -> str:
 
 
 def _text(value, where) -> str:
-    """``value`` as text; JSON admits a lone surrogate ("\\ud800"), which
-    UTF-8 cannot encode, so no artifact could be written with it."""
-    text = str(value)
-    if any("\ud800" <= c <= "\udfff" for c in text):
-        raise ValidationError(where, f"{text!r} is not valid UTF-8 text")
-    return text
+    """``value``, which must be a JSON string; JSON admits a lone
+    surrogate ("\\ud800"), which UTF-8 cannot encode, so no artifact
+    could be written with it."""
+    if not isinstance(value, str):
+        raise ValidationError(where, f"expected a string, got {value!r}")
+    if any("\ud800" <= c <= "\udfff" for c in value):
+        raise ValidationError(where, f"{value!r} is not valid UTF-8 text")
+    return value
+
+
+def _known(d, path, *keys):
+    """Refuse a key of the object ``d`` that its reader, which reads
+    ``keys``, would pass over: a misspelt optional key would otherwise
+    take its default without a word."""
+    if isinstance(d, dict):
+        for key in d:
+            if key not in keys:
+                raise ValidationError(f"{path}.{key}" if path else key,
+                                      "unknown field")
 
 
 def _get(d, key, path, kind=None):
@@ -182,6 +218,7 @@ def _point(d, key, path):
 def _pose(d, key, path) -> Pose:
     sub = _get(d, key, path)
     sub_path = f"{path}.{key}" if path else key
+    _known(sub, sub_path, "position_m", "ypr_rad")
     pos = _point(sub, "position_m", sub_path)
     ypr = _vector(sub, "ypr_rad", sub_path, (3,))
     return Pose.from_ypr(pos, ypr)
@@ -203,6 +240,7 @@ def _wrap(path, fn, *args):
 
 
 def _parse_chain(d, path="chain") -> ChainModel:
+    _known(d, path, "base_pose", "tool_transform", "joints")
     base = _pose(d, "base_pose", path)
     tool = _pose(d, "tool_transform", path)
     joints = []
@@ -211,11 +249,13 @@ def _parse_chain(d, path="chain") -> ChainModel:
         raise ValidationError(f"{path}.joints", "chain needs at least one joint")
     for k, entry in enumerate(entries):
         jp = f"{path}.joints[{k}]"
+        _known(entry, jp, "origin", "axis", "limits_rad", "link")
         origin = _pose(entry, "origin", jp)
         axis = _vector(entry, "axis", jp, (3,))
         limits = _vector(entry, "limits_rad", jp, (2,))
         spec = _wrap(jp, JointSpec, origin, axis, (limits[0], limits[1]))
         link_d = _get(entry, "link", jp)
+        _known(link_d, f"{jp}.link", "mass_kg", "com_m", "inertia_kgm2")
         link = _wrap(f"{jp}.link", LinkInertia,
                      _number(link_d, "mass_kg", f"{jp}.link"),
                      _point(link_d, "com_m", f"{jp}.link"),
@@ -227,12 +267,17 @@ def _parse_chain(d, path="chain") -> ChainModel:
 def _build_object(d, path="object") -> RigidBodyInertia:
     kind = _get(d, "type", path, str)
     if kind == "cuboid":
+        _known(d, path, "type", "mass_kg", "dims_m")
         return _wrap(path, build_cuboid, _number(d, "mass_kg", path),
                      _vector(d, "dims_m", path, (3,)))
     if kind == "tensor":
+        _known(d, path, "type", "handle_length_m", "cylinder_length_m",
+               "cylinder_mass_kg", "ring_mass_kg", "ring_positions_m",
+               "cylinder_radius_m", "ring_radius_m")
         cfg = _tensor_config(d, path)
         return _wrap(path, build_tensor_object, cfg)
     if kind == "inertia":
+        _known(d, path, "type", "mass_kg", "com_pose", "inertia_kgm2")
         com_pose = _pose(d, "com_pose", path)
         return _wrap(path, RigidBodyInertia, _number(d, "mass_kg", path),
                      com_pose, _vector(d, "inertia_kgm2", path, (3, 3)))
@@ -261,7 +306,10 @@ def _parse_grasps(d, obj_spec, base_object, path="grasps"):
     grasps, bodies, stems = [], [], {}  # file stem -> grasp id
     for k, entry in enumerate(entries):
         gp = f"{path}[{k}]"
+        _known(entry, gp, "id", "pose_obj", "ring_positions_m")
         gid = _text(_get(entry, "id", gp), f"{gp}.id")
+        if not gid:
+            raise ValidationError(f"{gp}.id", "must not be empty")
         stem = file_stem(gid)
         if stem in stems:
             other = stems[stem]
@@ -295,6 +343,8 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
             json.dumps(d, sort_keys=True).encode()).hexdigest()
     except (TypeError, ValueError) as exc:
         raise ParseError(f"scene document is not JSON: {exc}") from exc
+    _known(d, "", "schema_version", "name", "chain", "object", "grasps",
+           "trajectory", "collision", "ik_seed_rad")
     version = d.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValidationError("schema_version", f"unsupported version {version}")
@@ -304,6 +354,7 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     base_object = _build_object(obj_spec)
     grasps, bodies = _parse_grasps(d, obj_spec, base_object)
     traj = _get(d, "trajectory", "", dict)
+    _known(traj, "trajectory", "start", "end", "t_f_s", "dt_s")
     start = _pose(traj, "start", "trajectory")
     end = _pose(traj, "end", "trajectory")
     # the trajectory holds the start orientation; a different end one
@@ -325,12 +376,17 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     # of the evaluation rejects it here, before any IK runs
     _wrap("trajectory.end.position_m", motion_direction, fit)
     coll = _get(d, "collision", "", dict)
+    _known(coll, "collision", "sample", "time_s", "stiffness_n_per_m",
+           "damping_ns_per_m")
     stiffness = _number(coll, "stiffness_n_per_m", "collision", 1e4)
     damping = _number(coll, "damping_ns_per_m", "collision", 0.0)
     if not stiffness > 0.0:
         raise ValidationError("collision.stiffness_n_per_m", "must be positive")
     if damping < 0.0:
         raise ValidationError("collision.damping_ns_per_m", "must be >= 0")
+    if "sample" in coll and "time_s" in coll:
+        raise ValidationError("collision", "give 'sample' or 'time_s', "
+                              "not both")
     if "sample" in coll:
         sample_idx = _number(coll, "sample", "collision")
         # 10.7 must not truncate to 10

@@ -333,6 +333,72 @@ def test_collision_sample_names_one_instant_on_every_grid():
         == [10, 20, 50, 1]
 
 
+@pytest.mark.parametrize("dt", [None, 0.05, 0.01])
+@pytest.mark.parametrize("make", [book_scene, tensor_scene],
+                         ids=["book", "tensor"])
+def test_collision_gives_the_sample_its_grid_time_and_speed(make, dt):
+    scene = make()
+    dt = scene.dt if dt is None else dt
+    sweep = scene.evaluated(dt)[0]
+    k = scene.collision_sample_at(dt)
+    t = sweep.times[k - 1]
+    speed = float(np.linalg.norm(scene.fit().velocity(t)))
+    got = scene.collision(dt)
+    assert [type(x) for x in got] == [int, float, float]
+    assert got[0] == k and got[1] == t and got[2] == speed
+
+
+def test_a_collision_where_the_path_is_at_rest_is_refused():
+    with pytest.raises(ValidationError) as exc:
+        book_scene().collision(2.0)   # one sample, at t_f
+    assert str(exc.value) == ("collision: approach speed is zero at t = 2 s "
+                              "(sample 1 of 1 at dt 2)")
+
+
+def test_collision_takes_sample_or_time_not_both():
+    doc = book_dict()
+    doc["collision"]["time_s"] = 1.5
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert exc.value.field == "collision"
+    assert "not both" in str(exc.value)
+
+
+# (scene, the object's key path, a key its reader does not read): the
+# first three once took their defaults without a word
+MISSPELT_KEYS = [
+    ("book", ("collision",), "stifness_n_per_m"),
+    ("tensor", ("object",), "ring_radius"),
+    ("tensor", ("grasps", 3), "ring_position_m"),
+    ("book", ("object",), "ring_positions_m"),   # a tensor key on a cuboid
+    ("inertia", ("object",), "dims_m"),   # a cuboid key on a raw inertia
+]
+
+
+@pytest.mark.parametrize("scene, keys, key", MISSPELT_KEYS,
+                         ids=[field_path(k + (key,))
+                              for _, k, key in MISSPELT_KEYS])
+def test_an_unknown_key_is_an_error_naming_it(scene, keys, key):
+    doc = {"book": book_dict, "tensor": tensor_dict,
+           "inertia": inertia_object_dict}[scene]()
+    target = doc
+    for part in keys:
+        target = target[part]
+    target[key] = 0.5
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert str(exc.value) == f"{field_path(keys + (key,))}: unknown field"
+
+
+def test_an_empty_grasp_id_is_refused():
+    # it would name the artifacts impact_.csv and profile_.csv
+    doc = book_dict()
+    doc["grasps"][1]["id"] = ""
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert str(exc.value) == "grasps[1].id: must not be empty"
+
+
 @pytest.mark.parametrize("dt", [0.3, 0.7, 2.0])
 def test_n_samples_and_the_collision_bound_follow_the_grid(dt):
     doc = book_dict()

@@ -1,11 +1,13 @@
 """Scene fuzz: each bundled scene with one key deleted, at every depth,
 with one number set to NaN, inf, -1, 0 or 1e200, and with a value of the
-wrong type in place of one number ("1", null, [1.0]) or of one list of
-numbers (1.0, null).
+wrong type in place of one number ("1", null, [1.0]), of one list of
+numbers (1.0, null) or of one string (null, 7, true, [], {}), and with an
+unknown key added to one object.
 
 Every mutant must parse, or fail with a ParseError, or fail with a
 ValidationError whose field is the mutated key's path or one of its
-ancestors, without a warning. Documents that once escaped as a bare
+ancestors, without a warning; a string or unknown-key mutant must fail
+naming its own path. Documents that once escaped as a bare
 exception or failed late (a lone surrogate in a name, a grid too fine to
 count, values JSON cannot encode) ride along with the field they must
 name.
@@ -158,6 +160,48 @@ def test_a_wrong_type_in_place_of_any_number_or_list_names_its_path():
         count += len(mutations)
         bad += [(name,) + b for b in mutant_escapes(doc, mutations)]
     assert count == 538
+    assert not bad
+
+
+def test_a_wrong_type_in_place_of_any_text_names_its_path():
+    bad, count = [], 0
+    for name in ("book", "tensor"):
+        doc = scene_dict(name)
+        for keys in paths_to(doc, lambda v: isinstance(v, str)):
+            for value in (None, 7, True, [], {}):
+                count += 1
+                mutant = copy.deepcopy(doc)
+                set_in(keys, value)(mutant)
+                got = outcome(mutant)
+                if got != field(keys):
+                    bad.append((name, field(keys), value, got))
+    assert count == 30   # name, object.type and grasps[0].id per scene
+    assert not bad
+
+
+def object_paths(node, keys=()):
+    """The key path of every JSON object under ``node``, itself included."""
+    if isinstance(node, dict):
+        yield keys
+        for key, value in node.items():
+            yield from object_paths(value, keys + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from object_paths(value, keys + (k,))
+
+
+def test_an_unknown_key_in_any_object_of_the_bundled_scenes_names_it():
+    bad, count = [], 0
+    for name in ("book", "tensor"):
+        doc = scene_dict(name)
+        for keys in object_paths(doc):
+            count += 1
+            mutant = copy.deepcopy(doc)
+            set_in(keys + ("unknown",), 1.0)(mutant)
+            got = outcome(mutant)
+            if got != field(keys + ("unknown",)):
+                bad.append((name, field(keys), got))
+    assert count == 106   # 36 objects in book, 70 in tensor
     assert not bad
 
 
