@@ -20,7 +20,7 @@ from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
                      predict_ordering, simulate_impact)
 from .ranking import (Aggregator, RankingReport, Sweep, parse_aggregator,
                       rank_grasps, score, sweep)
-from .scene import Scene, parse_scene, scene_from_dict, write_scene
+from .scene import Scene, parse_scene, scene_from_dict
 from .spatial import (Pose, Twist, pose_compose, pose_inverse,
                       rotation_axis_angle, rotation_log, rotation_ypr, skew)
 from .trajectory import (QuinticTrajectory, TrajectorySample, fit_quintic,
@@ -45,5 +45,5 @@ __all__ = [
     "sweep", "score", "parse_aggregator", "rank_grasps",
     "ImpactScenario", "ForceTrace", "ImpactOrdering", "simulate_impact",
     "predict_ordering",
-    "Scene", "parse_scene", "scene_from_dict", "write_scene",
+    "Scene", "parse_scene", "scene_from_dict",
 ]

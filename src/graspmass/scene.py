@@ -1,28 +1,29 @@
-"""Scene-file ingestion and persistence.
+"""Scene-file ingestion: a JSON document in, the evaluation's model out.
 
 A scene is one JSON document holding the chain, the object (a builder
 spec: cuboid, tensor rig, or raw inertia), grasp candidates, the
 trajectory endpoints (the end orientation must equal the start one,
 which the trajectory holds, and the end position must differ from the
-start one), the collision setup, and the IK seed. Every object of the
-document admits only the keys its reader reads (``_known``), so a
-misspelt key is an error naming it rather than a silent default. The
-collision is one instant, given as a time or as a sample of the scene's
-own grid, not both; every grid collides at its sample nearest it
-(``Scene.collision_sample_at``), and ``Scene.collision(dt)`` gives that
-sample, its grid time and the approach speed there, the one place the
-speed is read.
+start one), the collision setup, and the IK seed. Each part has one
+reader, which refuses a non-object and any key it does not read
+(``_object``), so a misspelt key cannot take its default silently.
+Numbers are JSON numbers, inside lists too, and messages quote values
+as JSON. The collision is one instant, given as a time or as a sample
+of the scene's own grid, not both; every grid collides at its sample
+nearest it (``Scene.collision_sample_at``), and ``Scene.collision(dt)``
+gives that sample, its grid time and the approach speed there, the one
+place the speed is read.
 Units are explicit in field names (mass_kg, length_m, ypr_rad). Grasp
 poses are given in the object frame; the parser re-expresses them
 relative to the object's CoM frame. A grasp entry may override the
 tensor rig's ring positions, which rebuilds the object for that grasp
 (same physical grip, different mass distribution).
 
-A ``Scene`` keeps one evaluation entry per sampling step: the arm's
-sweep (``ranking.sweep``, the part that no grasp changes, times and
-near-singular flags included) and the (G, N) effective masses of its
-grasps on it (``ranking.score``, row g for ``grasps[g]``), built
-together and kept only when both succeed.
+A ``Scene`` holds the model, not the document, and keeps one evaluation
+entry per sampling step: the arm's sweep (``ranking.sweep``, the part
+that no grasp changes, times and near-singular flags included) and the
+(G, N) effective masses of its grasps on it (``ranking.score``, row g
+for ``grasps[g]``), built together and kept only when both succeed.
 So every command run on one ``Scene`` computes each at most once per
 ``dt``, and any other grasp list is ``ranking.score`` on that sweep.
 
@@ -38,8 +39,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -58,13 +58,11 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """Validated scene plus the document it came from, kept as JSON text
-    (``spec_json``); ``spec`` parses a fresh dict from it on every read,
-    so no caller can change what ``write_scene`` writes."""
+    """Validated scene: the model the evaluation reads, and the digest
+    of the document it came from."""
 
     name: str
     chain: ChainModel
-    object: RigidBodyInertia
     grasps: tuple[GraspCandidate, ...]
     bodies: tuple[RigidBodyInertia, ...]  # per grasp, aligned with grasps
     start: Pose
@@ -75,17 +73,11 @@ class Scene:
     stiffness: float
     damping: float
     ik_seed: np.ndarray  # (n,), read-only
-    spec_json: str
     digest: str
     # dt -> (the arm's sweep, the (G, N) mass table); a copy made by
     # dataclasses.replace starts empty
     _evaluations: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
-
-    @property
-    def spec(self) -> dict:
-        """A fresh copy of the scene document."""
-        return json.loads(self.spec_json)
 
     def fit(self) -> QuinticTrajectory:
         return fit_quintic(self.start, self.end, self.t_f)
@@ -139,36 +131,62 @@ def file_stem(grasp_id: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in grasp_id)
 
 
+def _at(path, key):
+    return f"{path}.{key}" if path else key
+
+
 def _text(value, where) -> str:
     """``value``, which must be a JSON string; JSON admits a lone
     surrogate ("\\ud800"), which UTF-8 cannot encode, so no artifact
     could be written with it."""
     if not isinstance(value, str):
-        raise ValidationError(where, f"expected a string, got {value!r}")
+        raise ValidationError(where, "expected a string, got "
+                              + json.dumps(value))
     if any("\ud800" <= c <= "\udfff" for c in value):
-        raise ValidationError(where, f"{value!r} is not valid UTF-8 text")
+        raise ValidationError(where, json.dumps(value)
+                              + " is not valid UTF-8 text")
     return value
 
 
-def _known(d, path, *keys):
-    """Refuse a key of the object ``d`` that its reader, which reads
-    ``keys``, would pass over: a misspelt optional key would otherwise
+def _object(value, where, *keys) -> dict:
+    """``value``, which must be a JSON object and, when ``keys`` are
+    given, hold no other key: a misspelt optional key would otherwise
     take its default without a word."""
-    if isinstance(d, dict):
-        for key in d:
-            if key not in keys:
-                raise ValidationError(f"{path}.{key}" if path else key,
-                                      "unknown field")
-
-
-def _get(d, key, path, kind=None):
-    if not isinstance(d, dict) or key not in d:
-        raise ValidationError(f"{path}.{key}" if path else key, "missing field")
-    value = d[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ValidationError(f"{path}.{key}" if path else key,
-                              f"expected {getattr(kind, '__name__', kind)}")
+    if not isinstance(value, dict):
+        raise ValidationError(where, "expected an object, got "
+                              + json.dumps(value))
+    for key in value if keys else ():
+        if key not in keys:
+            raise ValidationError(_at(where, key), "unknown field")
     return value
+
+
+def _get(d, key, path):
+    if key not in d:
+        raise ValidationError(_at(path, key), "missing field")
+    return d[key]
+
+
+def _list(d, key, path, empty) -> list:
+    """The JSON list at ``key``; ``empty`` says why it needs an entry."""
+    value = _get(d, key, path)
+    if not isinstance(value, list):
+        raise ValidationError(_at(path, key), "expected a list, got "
+                              + json.dumps(value))
+    if not value:
+        raise ValidationError(_at(path, key), empty)
+    return value
+
+
+def _real(value) -> float:
+    """A JSON number (not a bool) as a float, an integer beyond float
+    range as inf, anything else as NaN: only a finite number is finite."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
+    return math.nan
 
 
 def _number(d, key, path, default=None):
@@ -176,33 +194,34 @@ def _number(d, key, path, default=None):
     if default is not None and key not in d:
         return default
     value = _get(d, key, path)
-    # bool is an int subclass; strings, null and lists are not numbers
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:  # an integer literal beyond float range
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ValidationError(f"{path}.{key}" if path else key,
-                          f"expected a finite number, got {value!r}")
+    number = _real(value)
+    if not math.isfinite(number):
+        raise ValidationError(_at(path, key), "expected a finite number, "
+                              "got " + json.dumps(value))
+    return number
+
+
+def _flatten(node, shape, flat) -> bool:
+    """Append the numbers of nested lists ``node`` of ``shape`` to
+    ``flat``, each as ``_real`` reads it; False unless all fit and are
+    finite."""
+    if not shape:
+        flat.append(_real(node))
+        return math.isfinite(flat[-1])
+    return (isinstance(node, list) and len(node) == shape[0]
+            and all(_flatten(row, shape[1:], flat) for row in node))
 
 
 def _vector(d, key, path, shape):
-    """An array of ``shape`` of finite numbers, as ``_number`` requires of
-    a scalar."""
-    where = f"{path}.{key}" if path else key
-    expected = f"expected {'x'.join(map(str, shape))} numbers"
-    try:
-        v = np.asarray(_get(d, key, path), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(where, expected) from exc
-    if v.shape != shape:
-        raise ValidationError(where, expected)
-    if not np.isfinite(v).all():
-        raise ValidationError(where, f"expected finite numbers, got "
-                              f"{v.tolist()}")
-    return v
+    """An array of ``shape`` given as nested JSON lists, each element a
+    finite number as ``_number`` requires of a scalar."""
+    value = _get(d, key, path)
+    flat = []
+    if not _flatten(value, shape, flat):
+        raise ValidationError(_at(path, key), "expected "
+                              f"{'x'.join(map(str, shape))} finite numbers, "
+                              "got " + json.dumps(value))
+    return np.array(flat).reshape(shape)
 
 
 def _point(d, key, path):
@@ -210,26 +229,25 @@ def _point(d, key, path):
     is finite: norms and parallel-axis terms square it."""
     pos = _vector(d, key, path, (3,))
     if not math.isfinite(sum(x * x for x in pos.tolist())):
-        raise ValidationError(f"{path}.{key}" if path else key,
+        raise ValidationError(_at(path, key),
                               "too large: its squared length overflows")
     return pos
 
 
 def _pose(d, key, path) -> Pose:
-    sub = _get(d, key, path)
-    sub_path = f"{path}.{key}" if path else key
-    _known(sub, sub_path, "position_m", "ypr_rad")
-    pos = _point(sub, "position_m", sub_path)
-    ypr = _vector(sub, "ypr_rad", sub_path, (3,))
+    where = _at(path, key)
+    sub = _object(_get(d, key, path), where, "position_m", "ypr_rad")
+    pos = _point(sub, "position_m", where)
+    ypr = _vector(sub, "ypr_rad", where, (3,))
     return Pose.from_ypr(pos, ypr)
 
 
-def _wrap(path, fn, *args):
+def _wrap(path, fn, *args, **kwargs):
     """Run a constructor, converting library errors to field-level ones,
     and so float arithmetic that overflows or turns invalid."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return fn(*args)
+            return fn(*args, **kwargs)
     except ValidationError:
         raise
     except (GraspmassError, ValueError, TypeError) as exc:
@@ -239,74 +257,69 @@ def _wrap(path, fn, *args):
                               "arithmetic can hold") from exc
 
 
-def _parse_chain(d, path="chain") -> ChainModel:
-    _known(d, path, "base_pose", "tool_transform", "joints")
+def _parse_chain(value, path="chain") -> ChainModel:
+    d = _object(value, path, "base_pose", "tool_transform", "joints")
     base = _pose(d, "base_pose", path)
     tool = _pose(d, "tool_transform", path)
     joints = []
-    entries = _get(d, "joints", path, list)
-    if not entries:
-        raise ValidationError(f"{path}.joints", "chain needs at least one joint")
+    entries = _list(d, "joints", path, "chain needs at least one joint")
     for k, entry in enumerate(entries):
         jp = f"{path}.joints[{k}]"
-        _known(entry, jp, "origin", "axis", "limits_rad", "link")
+        entry = _object(entry, jp, "origin", "axis", "limits_rad", "link")
         origin = _pose(entry, "origin", jp)
         axis = _vector(entry, "axis", jp, (3,))
         limits = _vector(entry, "limits_rad", jp, (2,))
         spec = _wrap(jp, JointSpec, origin, axis, (limits[0], limits[1]))
-        link_d = _get(entry, "link", jp)
-        _known(link_d, f"{jp}.link", "mass_kg", "com_m", "inertia_kgm2")
-        link = _wrap(f"{jp}.link", LinkInertia,
-                     _number(link_d, "mass_kg", f"{jp}.link"),
-                     _point(link_d, "com_m", f"{jp}.link"),
-                     _vector(link_d, "inertia_kgm2", f"{jp}.link", (3, 3)))
+        lp = f"{jp}.link"
+        link_d = _object(_get(entry, "link", jp), lp, "mass_kg", "com_m",
+                         "inertia_kgm2")
+        link = _wrap(lp, LinkInertia, _number(link_d, "mass_kg", lp),
+                     _point(link_d, "com_m", lp),
+                     _vector(link_d, "inertia_kgm2", lp, (3, 3)))
         joints.append((spec, link))
     return _wrap(path, ChainModel, tuple(joints), base, tool)
 
 
-def _build_object(d, path="object") -> RigidBodyInertia:
-    kind = _get(d, "type", path, str)
+def _build_object(value, path="object"):
+    """The object's body, and for a tensor rig its config, which ring
+    overrides copy (None for any other type)."""
+    d = _object(value, path)
+    kind = _text(_get(d, "type", path), f"{path}.type")
     if kind == "cuboid":
-        _known(d, path, "type", "mass_kg", "dims_m")
+        _object(d, path, "type", "mass_kg", "dims_m")
         return _wrap(path, build_cuboid, _number(d, "mass_kg", path),
-                     _vector(d, "dims_m", path, (3,)))
+                     _vector(d, "dims_m", path, (3,))), None
     if kind == "tensor":
-        _known(d, path, "type", "handle_length_m", "cylinder_length_m",
-               "cylinder_mass_kg", "ring_mass_kg", "ring_positions_m",
-               "cylinder_radius_m", "ring_radius_m")
-        cfg = _tensor_config(d, path)
-        return _wrap(path, build_tensor_object, cfg)
+        _object(d, path, "type", "handle_length_m", "cylinder_length_m",
+                "cylinder_mass_kg", "ring_mass_kg", "ring_positions_m",
+                "cylinder_radius_m", "ring_radius_m")
+        cfg = _wrap(path, TensorObjectConfig,
+                    handle_length=_number(d, "handle_length_m", path),
+                    cylinder_length=_number(d, "cylinder_length_m", path),
+                    cylinder_mass=_number(d, "cylinder_mass_kg", path),
+                    ring_mass=_number(d, "ring_mass_kg", path),
+                    ring_positions=_vector(d, "ring_positions_m", path, (5,)),
+                    cylinder_radius=_number(
+                        d, "cylinder_radius_m", path,
+                        TensorObjectConfig.cylinder_radius),
+                    ring_radius=_number(d, "ring_radius_m", path,
+                                        TensorObjectConfig.ring_radius))
+        return _wrap(path, build_tensor_object, cfg), cfg
     if kind == "inertia":
-        _known(d, path, "type", "mass_kg", "com_pose", "inertia_kgm2")
+        _object(d, path, "type", "mass_kg", "com_pose", "inertia_kgm2")
         com_pose = _pose(d, "com_pose", path)
         return _wrap(path, RigidBodyInertia, _number(d, "mass_kg", path),
-                     com_pose, _vector(d, "inertia_kgm2", path, (3, 3)))
-    raise ValidationError(f"{path}.type", f"unknown object type {kind!r}")
+                     com_pose, _vector(d, "inertia_kgm2", path, (3, 3))), None
+    raise ValidationError(f"{path}.type",
+                          "unknown object type " + json.dumps(kind))
 
 
-def _tensor_config(d, path, ring_positions=None) -> TensorObjectConfig:
-    if ring_positions is None:
-        ring_positions = _vector(d, "ring_positions_m", path, (5,))
-    return _wrap(path, lambda: TensorObjectConfig(
-        handle_length=_number(d, "handle_length_m", path),
-        cylinder_length=_number(d, "cylinder_length_m", path),
-        cylinder_mass=_number(d, "cylinder_mass_kg", path),
-        ring_mass=_number(d, "ring_mass_kg", path),
-        ring_positions=ring_positions,
-        cylinder_radius=_number(d, "cylinder_radius_m", path,
-                                TensorObjectConfig.cylinder_radius),
-        ring_radius=_number(d, "ring_radius_m", path,
-                            TensorObjectConfig.ring_radius)))
-
-
-def _parse_grasps(d, obj_spec, base_object, path="grasps"):
-    entries = _get(d, "grasps", "", list)
-    if not entries:
-        raise ValidationError(path, "at least one grasp required")
+def _parse_grasps(d, base_object, tensor, path="grasps"):
+    entries = _list(d, "grasps", "", "at least one grasp required")
     grasps, bodies, stems = [], [], {}  # file stem -> grasp id
     for k, entry in enumerate(entries):
         gp = f"{path}[{k}]"
-        _known(entry, gp, "id", "pose_obj", "ring_positions_m")
+        entry = _object(entry, gp, "id", "pose_obj", "ring_positions_m")
         gid = _text(_get(entry, "id", gp), f"{gp}.id")
         if not gid:
             raise ValidationError(f"{gp}.id", "must not be empty")
@@ -314,16 +327,17 @@ def _parse_grasps(d, obj_spec, base_object, path="grasps"):
         if stem in stems:
             other = stems[stem]
             raise ValidationError(f"{gp}.id", (
-                f"duplicate grasp id {gid!r}" if other == gid else
-                f"grasp id {gid!r} gives the file names of grasp {other!r}"))
+                f"duplicate grasp id {json.dumps(gid)}" if other == gid else
+                f"grasp id {json.dumps(gid)} gives the file names of grasp "
+                f"{json.dumps(other)}"))
         stems[stem] = gid
         body = base_object
         if "ring_positions_m" in entry:
-            if obj_spec.get("type") != "tensor":
+            if tensor is None:
                 raise ValidationError(f"{gp}.ring_positions_m",
                                       "ring override needs a tensor object")
-            cfg = _tensor_config(obj_spec, gp,
-                                 _vector(entry, "ring_positions_m", gp, (5,)))
+            rings = _vector(entry, "ring_positions_m", gp, (5,))
+            cfg = _wrap(gp, replace, tensor, ring_positions=rings)
             body = _wrap(gp, build_tensor_object, cfg)
         pose_obj = _pose(entry, "pose_obj", gp)
         # grasp pose is stored object-frame; candidates are CoM-relative
@@ -338,23 +352,22 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     if not isinstance(d, dict):
         raise ParseError("scene document must be a JSON object")
     try:  # a set, an ndarray or a cycle has no JSON text
-        spec_json = json.dumps(d)
-        digest = digest or hashlib.sha256(
-            json.dumps(d, sort_keys=True).encode()).hexdigest()
+        text = json.dumps(d, sort_keys=True)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"scene document is not JSON: {exc}") from exc
-    _known(d, "", "schema_version", "name", "chain", "object", "grasps",
-           "trajectory", "collision", "ik_seed_rad")
+    _object(d, "", "schema_version", "name", "chain", "object", "grasps",
+            "trajectory", "collision", "ik_seed_rad")
     version = d.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValidationError("schema_version", f"unsupported version {version}")
+    # true == 1 == 1.0 in Python, but only the integer names a version
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError("schema_version", f"expected the integer "
+                              f"{SCHEMA_VERSION}, got {json.dumps(version)}")
     name = _text(d.get("name", "scene"), "name")
-    chain = _parse_chain(_get(d, "chain", "", dict))
-    obj_spec = _get(d, "object", "", dict)
-    base_object = _build_object(obj_spec)
-    grasps, bodies = _parse_grasps(d, obj_spec, base_object)
-    traj = _get(d, "trajectory", "", dict)
-    _known(traj, "trajectory", "start", "end", "t_f_s", "dt_s")
+    chain = _parse_chain(_get(d, "chain", ""))
+    base_object, tensor = _build_object(_get(d, "object", ""))
+    grasps, bodies = _parse_grasps(d, base_object, tensor)
+    traj = _object(_get(d, "trajectory", ""), "trajectory", "start", "end",
+                   "t_f_s", "dt_s")
     start = _pose(traj, "start", "trajectory")
     end = _pose(traj, "end", "trajectory")
     # the trajectory holds the start orientation; a different end one
@@ -375,9 +388,8 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     # a path that does not move has no motion direction; the chord rule
     # of the evaluation rejects it here, before any IK runs
     _wrap("trajectory.end.position_m", motion_direction, fit)
-    coll = _get(d, "collision", "", dict)
-    _known(coll, "collision", "sample", "time_s", "stiffness_n_per_m",
-           "damping_ns_per_m")
+    coll = _object(_get(d, "collision", ""), "collision", "sample", "time_s",
+                   "stiffness_n_per_m", "damping_ns_per_m")
     stiffness = _number(coll, "stiffness_n_per_m", "collision", 1e4)
     damping = _number(coll, "damping_ns_per_m", "collision", 0.0)
     if not stiffness > 0.0:
@@ -392,7 +404,8 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
         # 10.7 must not truncate to 10
         if not sample_idx.is_integer() or not 1 <= sample_idx <= n:
             raise ValidationError("collision.sample", "expected an integer "
-                                  f"in 1..{n}, got {sample_idx!r}")
+                                  f"in 1..{n}, got "
+                                  + json.dumps(coll["sample"]))
         time_s = t_f * sample_idx / n
     elif "time_s" in coll:
         time_s = _number(coll, "time_s", "collision")
@@ -402,11 +415,11 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
         raise ValidationError("collision", "needs 'sample' or 'time_s'")
     ik_seed = _vector(d, "ik_seed_rad", "", (chain.dof,))
     ik_seed.setflags(write=False)
-    return Scene(name=name, chain=chain, object=base_object, grasps=grasps,
-                 bodies=bodies, start=start, end=end, t_f=t_f, dt=dt,
+    return Scene(name=name, chain=chain, grasps=grasps, bodies=bodies,
+                 start=start, end=end, t_f=t_f, dt=dt,
                  collision_time=time_s, stiffness=stiffness,
-                 damping=damping, ik_seed=ik_seed, spec_json=spec_json,
-                 digest=digest)
+                 damping=damping, ik_seed=ik_seed,
+                 digest=digest or hashlib.sha256(text.encode()).hexdigest())
 
 
 def parse_scene(path) -> Scene:
@@ -418,12 +431,6 @@ def parse_scene(path) -> Scene:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         d = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or a 4301-digit int
         raise ParseError(f"{path}: {exc}") from exc
     return scene_from_dict(d, digest=hashlib.sha256(raw).hexdigest())
-
-
-def write_scene(scene: Scene, path) -> None:
-    """Persist the declarative form; parse(write(scene)) reproduces it."""
-    Path(path).write_text(json.dumps(scene.spec, indent=2) + "\n",
-                          encoding="utf-8")

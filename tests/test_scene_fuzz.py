@@ -1,13 +1,16 @@
 """Scene fuzz: each bundled scene with one key deleted, at every depth,
 with one number set to NaN, inf, -1, 0 or 1e200, and with a value of the
-wrong type in place of one number ("1", null, [1.0]), of one list of
-numbers (1.0, null) or of one string (null, 7, true, [], {}), and with an
-unknown key added to one object.
+wrong type in place of one number ("1", null, [1.0], true, false), of
+one list of numbers (1.0, null, "1", {}), of one object other than the
+root ([]) or of one string (null, 7, true, [], {}), and with an unknown
+key added to one object.
 
-Every mutant must parse, or fail with a ParseError, or fail with a
-ValidationError whose field is the mutated key's path or one of its
-ancestors, without a warning; a string or unknown-key mutant must fail
-naming its own path. Documents that once escaped as a bare
+A deleted key or a set number may parse, or fail with a ParseError, or
+fail with a ValidationError whose field is the mutated key's path or one
+of its ancestors, without a warning. A wrong type must fail with a
+ValidationError naming its path or an ancestor (a misread value is no
+parse), and a string or unknown-key mutant must name its own path.
+Documents that once escaped as a bare
 exception or failed late (a lone surrogate in a name, a grid too fine to
 count, values JSON cannot encode) ride along with the field they must
 name.
@@ -113,16 +116,18 @@ PARTNERS = {"trajectory.start.ypr_rad": "trajectory.end.ypr_rad",
             "trajectory.t_f_s": "trajectory.dt_s"}
 
 
-def allowed_outcomes(keys):
-    """A mutant at ``keys`` parses, is no JSON document, or names the
-    path, one of its ancestors or an ancestor's partner."""
-    allowed = {None, "ParseError"}
-    allowed.update(field(keys[:n]) for n in range(1, len(keys) + 1))
-    allowed.update([PARTNERS[f] for f in allowed if f in PARTNERS])
+def allowed_outcomes(keys, wrong_type):
+    """A mutant at ``keys`` names the path or one of its ancestors; a
+    value of the right type may also parse, make no JSON document, or
+    name an ancestor's partner."""
+    allowed = {field(keys[:n]) for n in range(1, len(keys) + 1)}
+    if not wrong_type:
+        allowed.update([PARTNERS[f] for f in allowed if f in PARTNERS])
+        allowed.update([None, "ParseError"])
     return allowed
 
 
-def mutant_escapes(doc, mutations):
+def mutant_escapes(doc, mutations, wrong_type=False):
     """(path, value, outcome) of each mutation whose outcome is not
     allowed; a warning counts as an escape."""
     bad = []
@@ -132,7 +137,7 @@ def mutant_escapes(doc, mutations):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = outcome(mutant)
-        if got not in allowed_outcomes(keys):
+        if got not in allowed_outcomes(keys, wrong_type):
             bad.append((field(keys), value, got))
     return bad
 
@@ -158,8 +163,29 @@ def test_a_wrong_type_in_place_of_any_number_or_list_names_its_path():
         mutations += [(keys, value) for keys in paths_to(doc, is_number_list)
                       for value in (1.0, None)]
         count += len(mutations)
-        bad += [(name,) + b for b in mutant_escapes(doc, mutations)]
+        bad += [(name,) + b for b in mutant_escapes(doc, mutations, True)]
     assert count == 538
+    assert not bad
+
+
+def test_a_bool_a_text_or_a_container_in_place_of_any_value_names_its_path():
+    # a bool once read as 1.0 or 0.0, and a list where an object belongs
+    # as the object's missing child
+    bad, counts = [], dict.fromkeys(("bool", "list", "object"), 0)
+    for name in ("book", "tensor"):
+        doc = scene_dict(name)
+        groups = {
+            "bool": [(keys, value) for keys in paths_to(doc, is_number)
+                     for value in (True, False)],
+            "list": [(keys, value) for keys in paths_to(doc, is_number_list)
+                     for value in ("1", {})],
+            "object": [(keys, []) for keys in object_paths(doc) if keys],
+        }
+        for group, mutations in groups.items():
+            counts[group] += len(mutations)
+            bad += [(name,) + b
+                    for b in mutant_escapes(doc, mutations, True)]
+    assert counts == {"bool": 304, "list": 82, "object": 104}
     assert not bad
 
 

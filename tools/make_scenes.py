@@ -16,8 +16,7 @@ import pathlib
 
 import numpy as np
 
-from graspmass import inverse_kinematics, scene_from_dict, write_scene
-from graspmass.chain import ChainModel, JointSpec, LinkInertia
+from graspmass import inverse_kinematics, scene_from_dict
 from graspmass.spatial import Pose, rotation_z
 
 OUT_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "graspmass" / "scenes"
@@ -91,23 +90,9 @@ def chain_dict():
     }
 
 
-def build_chain_model():
-    joints = []
-    for entry in chain_dict()["joints"]:
-        origin = Pose(np.asarray(entry["origin"]["position_m"]), np.eye(3))
-        link = entry["link"]
-        joints.append((
-            JointSpec(origin, np.asarray(entry["axis"]),
-                      tuple(entry["limits_rad"])),
-            LinkInertia(link["mass_kg"], np.asarray(link["com_m"]),
-                        np.asarray(link["inertia_kgm2"])),
-        ))
-    return ChainModel(tuple(joints), Pose.identity(),
-                      Pose(np.asarray(TOOL, dtype=float), np.eye(3)))
-
-
 def solve_seed():
-    chain = build_chain_model()
+    # the chain as the parser reads it, so the seed fits the written scenes
+    chain = scene_from_dict(book_scene(IK_GUESS.tolist())).chain
     start = Pose(np.asarray(START_POS), rotation_z(YPR[0]))
     q = inverse_kinematics(chain, start, IK_GUESS)
     return [round(float(v), 6) for v in q]
@@ -189,7 +174,7 @@ def main():
         assert scene.n_samples == round(T_F / DT)
         scene.collision(scene.dt)  # raises unless the path moves there
         path = OUT_DIR / f"{scene.name}.scene.json"
-        write_scene(scene, path)
+        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {path} ({len(scene.grasps)} grasps, "
               f"{scene.n_samples} samples, t_f {scene.t_f})")
 
