@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graspmass import cli, parse_scene
+from graspmass import (ImpactScenario, cli, parse_scene, scene_from_dict,
+                       simulate_impact)
+from graspmass._g9 import CHUNK_ROWS, format_pairs
 from graspmass.cli import demo_scene_path, main
 
 
@@ -69,6 +71,35 @@ def test_profile_by_index_and_id(tmp_path, capsys):
     csv = (tmp_path / by_index["csv"]).read_text().strip().splitlines()
     assert csv[0] == "t_s,effective_mass_kg"
     assert len(csv) == 21
+
+
+@pytest.mark.parametrize("key", [" 1 ", " 1", "+1", "-0", "\u0661", "01",
+                                 "1" * 5000],
+                         ids=["spaces", "leading-space", "plus", "minus-zero",
+                              "arabic-indic-one", "leading-zero",
+                              "past-int-digit-limit"])
+def test_profile_index_is_ascii_digits_only(key, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "profile", book_path(), key, "--json",
+                       "--out-dir", str(out_dir))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"].startswith("grasp: ")
+    assert not out_dir.exists()
+
+
+def test_profile_looks_up_ids_before_indices(tmp_path, capsys):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    for grasp, gid in zip(doc["grasps"], ["2", "0", "+1"]):
+        grasp["id"] = gid
+    path = tmp_path / "numbered.scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for key, want in (("0", "0"), ("2", "2"), ("+1", "+1"), ("1", "0")):
+        code, out, _ = run(capsys, "profile", str(path), key, "--json",
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert json.loads(out)["grasp_id"] == want
 
 
 def test_profile_with_dt_equal_to_duration(tmp_path, capsys):
@@ -241,15 +272,69 @@ def test_demo_evaluates_once_and_matches_the_commands(tmp_path, capsys,
         assert (demo / name).read_bytes() == (alone / name).read_bytes()
 
 
-def test_pairs_formats_each_value_like_fmt():
+def ulp_neighbours(values, steps=(1, 2)):
+    """``values`` and the doubles ``steps`` ulps above and below each."""
+    out = [values]
+    for direction in (np.inf, -np.inf):
+        near = values
+        for step in range(1, max(steps) + 1):
+            near = np.nextafter(near, direction)
+            if step in steps:
+                out.append(near)
+    return np.concatenate(out)
+
+
+def pairs_cases():
+    """Cells where %.9g text is easy to get wrong, then bulk ones."""
     rng = np.random.default_rng(0)
-    xs = np.concatenate([
-        rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, 64),
-        [0.0, -0.0, 1.0, 1e16, 123456789.5, 5e-324]])
-    ys = 3.0 * xs[::-1]
-    want = "".join(f"{cli._fmt(x)},{cli._fmt(y)}\n" for x, y in zip(xs, ys))
-    assert cli._pairs(b"x,y\n", xs, ys) == b"x,y\n" + want.encode()
-    assert cli._pairs(b"x,y\n", xs[:0], ys[:0]) == b"x,y\n"
+    edges = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+         -2.2250738585072009e-308, np.inf, -np.inf, np.nan],
+        ulp_neighbours(np.array([float(f"1e{k}") for k in range(-6, 11)])),
+        ulp_neighbours(np.array([123456789.5, 999999999.5]), steps=(1,)),
+        ulp_neighbours(np.array([1e-4, 1e9]), steps=(1,)),
+    ])
+    # every bit pattern is a double: the whole exponent range, both signs
+    bits = rng.integers(-2**63, 2**63 - 1, 100_000).view(float)
+    in_range = 10.0 ** rng.uniform(-5.0, 10.0, 40_000)
+    digits = rng.integers(10**8, 10**9, 20_000)
+    nine_digit = digits * 10.0 ** rng.integers(-13, 1, 20_000)
+    ties = (digits + 0.5) * 10.0 ** rng.integers(-12, 1, 20_000)
+    places = 10.0 ** rng.integers(0, 9, 20_000)
+    short = np.rint(rng.uniform(0.0, 1e4, 20_000) * places) / places
+    steps = rng.integers(1, 2001, 20_000) * rng.uniform(1e-6, 1e-2)
+    return np.concatenate([edges, np.abs(bits[:50_000]), in_range, nine_digit,
+                           ties, short, steps, bits, -in_range[:1000], edges])
+
+
+def test_pairs_formats_each_value_like_fmt():
+    cells = pairs_cases()
+    cells = np.append(cells, [1.0] * (len(cells) % 2)).reshape(-1, 2)
+    lines = [f"{cli._fmt(x)},{cli._fmt(y)}\n".encode() for x, y in cells]
+    # below the cutover (% over the table), at it, and above one chunk
+    for rows in (cli._FAST_ROWS - 1, cli._FAST_ROWS, 2 * CHUNK_ROWS + 1):
+        for start in range(0, len(cells), rows):
+            part = cells[start:start + rows]
+            want = b"x,y\n" + b"".join(lines[start:start + rows])
+            assert cli._pairs(b"x,y\n", part[:, 0], part[:, 1]) == want
+    assert cli._pairs(b"x,y\n", cells[:0, 0], cells[:0, 1]) == b"x,y\n"
+
+
+def test_long_traces_take_the_vectorized_formatter(monkeypatch):
+    calls = []
+
+    def counted(table):
+        calls.append(len(table))
+        return format_pairs(table)
+
+    monkeypatch.setattr(cli, "format_pairs", counted)
+    scene = parse_scene(demo_scene_path("book"))
+    sweep, masses = scene.evaluated(0.01)
+    cli._pairs(b"t,m\n", sweep.times, masses[0])   # 200 rows: % path
+    assert calls == []
+    trace = simulate_impact(ImpactScenario(1.2, 0.5, 1e4, 45.0))
+    cli._pairs(b"t,f\n", trace.times, trace.forces)
+    assert calls == [len(trace.times)] and len(trace.times) >= 2001
 
 
 def test_repeat_runs_are_byte_identical(tmp_path, capsys):
@@ -284,11 +369,11 @@ def test_mass_map_matches_pinned_digest(name, dt, digest, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-def artifacts_digest(out_dir):
-    """sha256 over the name, length and bytes of every file in ``out_dir``,
-    in name order."""
+def artifacts_digest(out_dir, pattern="*"):
+    """sha256 over the name, length and bytes of every file in ``out_dir``
+    matching ``pattern``, in name order."""
     h = hashlib.sha256()
-    for path in sorted(out_dir.iterdir()):
+    for path in sorted(out_dir.glob(pattern)):
         data = path.read_bytes()
         h.update(f"{path.name}\0{len(data)}\0".encode())
         h.update(data)
@@ -335,6 +420,22 @@ def test_demo_artifacts_match_pinned_digest(which, dt, digest, stdout_digest,
     assert code == 0
     assert artifacts_digest(tmp_path) == digest
     assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+# every impact_*.csv of book at dt 0.01 under book-fine's damped
+# collision: the force is clamped at 0 once the contact separates, which
+# neither bundled scene (both undamped) reaches
+DAMPED_TRACES_SHA256 = (
+    "7d6614557e4fa1f6be802cf7316b2f4fa5637d9e72d86094107b05d78ff54bd2")
+
+
+def test_damped_traces_match_pinned_digest(tmp_path):
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["collision"] = {"time_s": 1.0, "stiffness_n_per_m": 1e4,
+                        "damping_ns_per_m": 45.0}
+    cli.cmd_simulate_impact(scene_from_dict(doc), dt=0.01, out_dir=tmp_path)
+    assert b",0\n" in (tmp_path / "impact_spine-mid.csv").read_bytes()
+    assert artifacts_digest(tmp_path, "impact_*.csv") == DAMPED_TRACES_SHA256
 
 
 def test_fractional_collision_sample_is_a_clean_error(tmp_path, capsys):
