@@ -9,21 +9,26 @@ Conventions:
     with all spatial quantities referenced at the base origin, which keeps
     every 6-vector in one frame (linear first, matching the Jacobian)
 
-One frame pass on raw arrays (``_frame_pass``) gives the joint frames
-and end-effector poses of one configuration, shape (n,), or of a stack,
-shape (S, n); the Jacobians (``_jacobian``) take either pass, and row k
-of a stack's pass and Jacobians holds the bits of those at its k-th
-configuration. FK, the Jacobian and each IK iteration run on the one
-configuration, without a batch axis. The CRBA mass matrices
-(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) and the
-task-space inertias are built on stacks; the single-configuration mass
-matrix and task-space inertia use a stack of one. The pass loops over
-the joints once, for the rotations; the joint origins are one batched
-product of the parent offsets by the preceding frames and one running
-sum in joint order, the additions of pose composition in its order.
-``operational_space_inertias`` returns the task-space inertia of a whole
-stack, with a read-only bool array that flags each configuration near a
-Jacobian singularity (damped, not inverted exactly).
+A frame pass on raw arrays gives the joint frames and end-effector
+poses, and the Jacobians follow from it, at two ranks with one
+invariant: row k of a stack's pass and Jacobians holds the bits of the
+one-configuration pass and Jacobian at its k-th configuration.
+``_one_pass`` and ``_one_jacobian`` take one configuration, shape (n,),
+without a batch axis: FK, the Jacobian and each IK iteration run on them.
+They make the same floating-point operations as the stacked
+``_frame_pass`` and ``_jacobian``, the 3 x 3 products by the same BLAS
+calls on 2-D operands and the Jacobian's cross products on plain floats,
+in ``_cross``'s order; what they save is numpy's per-call cost. The CRBA
+mass matrices (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6)
+and the task-space inertias are built on stacks, shape (S, n); the
+single-configuration mass matrix and task-space inertia use a stack of
+one. A pass loops over the joints once, for the rotations; the joint
+origins are one batched product of the parent offsets by the preceding
+frames and one running sum in joint order, the additions of pose
+composition in its order. ``operational_space_inertias`` returns the
+task-space inertia of a whole stack, with a read-only bool array that
+flags each configuration near a Jacobian singularity (damped, not
+inverted exactly).
 
 Validation sits at the boundary, once per call: joint values must be
 finite, and the end-effector rotation of each pass that reaches a
@@ -33,12 +38,13 @@ iterates, which are thrown away, and the joint frames are not checked.
 
 ``inverse_kinematics`` wraps ``_ik``, which works on arrays and returns
 the converged configuration with its frame pass. Each iteration does
-its arithmetic on plain floats and small arrays (residual norms as
-``sqrt(e @ e)``, the bits of ``np.linalg.norm``). A warm-started sweep
-hands that pass to the next solve, which then skips the pass at its
-seed, and gets the task-space inertia of all its converged joint values
-from ``operational_space_inertias``, one pass over the stack. Its flag
-array flags the columns of every grasp's row in the mass table.
+its arithmetic on plain floats and small arrays (the residual in one
+6-vector, its norms as ``sqrt(e . e)``, the bits of ``np.linalg.norm``).
+A warm-started sweep hands that pass to the next solve, which then skips
+the pass at its seed, and gets the task-space inertia of all its
+converged joint values from ``operational_space_inertias``, one pass
+over the stack. Its flag array flags the columns of every grasp's row in
+the mass table.
 """
 
 from __future__ import annotations
@@ -164,11 +170,11 @@ def _qvec(model: ChainModel, q) -> np.ndarray:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross over the last axis of (..., 3) stacks: the same products
-    and differences, without its axis handling."""
+    """np.cross over the last axis of two (..., 3) stacks of one shape:
+    the same products and differences, without its axis handling."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out = np.empty(a.shape)
     out[..., 0] = a1 * b2 - a2 * b1
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0
@@ -176,48 +182,80 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Frames(NamedTuple):
-    """One pass over the chain, all in base axes; ``...`` is () for one
-    configuration and (S,) for a stack."""
+    """One pass over the chain, all in base axes: of one configuration
+    (``_one_pass``), or of a stack with a leading (S,) axis on each
+    field (``_frame_pass``)."""
 
-    rotations: np.ndarray    # (..., n, 3, 3) joint frames, post joint rotation
-    origins: np.ndarray      # (..., n, 3)
-    axes: np.ndarray         # (..., n, 3) joint axes
-    ee_rotation: np.ndarray  # (..., 3, 3)
-    ee_position: np.ndarray  # (..., 3)
+    rotations: np.ndarray    # (n, 3, 3) joint frames, post joint rotation
+    origins: np.ndarray      # (n, 3)
+    axes: np.ndarray         # (n, 3) joint axes
+    ee_rotation: np.ndarray  # (3, 3)
+    ee_position: np.ndarray  # (3,)
+
+
+def _spins(model: ChainModel, qs: np.ndarray) -> np.ndarray:
+    """Rodrigues rotation about each joint axis, all joints (and
+    configurations) at once."""
+    arrays = model._arrays
+    return (_EYE3 + np.sin(qs)[..., None, None] * arrays.axis_skews
+            + (1.0 - np.cos(qs))[..., None, None] * arrays.axis_skews2)
 
 
 def _frame_pass(model: ChainModel, qs: np.ndarray) -> _Frames:
-    """Joint frames and end-effector poses for validated joint values, one
-    configuration (n,) or a stack (S, n); row k of a stack's pass holds
-    the bits of the pass at ``qs[k]``.
+    """Joint frames and end-effector poses of a validated (S, n) stack,
+    row k holding the bits of ``_one_pass`` at ``qs[k]``; one
+    configuration (n,) goes to ``_one_pass``.
 
     The end-effector rotation is not checked here: callers check the
     passes that reach a result (``_checked``)."""
+    if qs.ndim == 1:
+        return _one_pass(model, qs)
     arrays = model._arrays
-    # Rodrigues about each joint axis, all joints and samples at once
-    spins = (_EYE3 + np.sin(qs)[..., None, None] * arrays.axis_skews
-             + (1.0 - np.cos(qs))[..., None, None] * arrays.axis_skews2)
-    rotations = np.empty(spins.shape)
+    spins = _spins(model, qs)
     base = model.base_pose
-    rot = base.rotation
+    # frames[:, i] precedes joint i; frames[:, 1:] are the joint frames
+    frames = np.empty((len(qs), model.dof + 1, 3, 3))
+    frames[:, 0] = rot = base.rotation
     for i in range(model.dof):
-        rot = rot @ arrays.parent_rotations[i] @ spins[..., i, :, :]
-        rotations[..., i, :, :] = rot
+        frames[:, i + 1] = rot = rot @ arrays.parent_rotations[i] @ spins[:, i]
     # joint i's offset in base axes, by the frame before it; then each
     # origin is the previous one plus its offset, summed in joint order
-    preceding = np.empty(rotations.shape)
-    preceding[..., 0, :, :] = base.rotation
-    preceding[..., 1:, :, :] = rotations[..., :-1, :, :]
-    origins = (preceding @ arrays.parent_positions[..., None])[..., 0]
-    origins[..., 0, :] += base.position
-    origins = np.cumsum(origins, axis=-2)
-    axes = (rotations @ arrays.axes[..., None])[..., 0]
+    origins = (frames[:, :-1] @ arrays.parent_positions[:, :, None])[..., 0]
+    origins[:, 0] += base.position
+    origins = origins.cumsum(axis=1)
+    rotations = frames[:, 1:]
+    axes = (rotations @ arrays.axes[:, :, None])[..., 0]
     tool = model.tool_transform
-    ee_position = rot @ tool.position + origins[..., -1, :]
+    ee_position = rot @ tool.position + origins[:, -1]
     ee_rotation = rot @ tool.rotation
     if not np.isfinite(ee_position).all():
         raise ValueError("end-effector position must be finite")
     return _Frames(rotations, origins, axes, ee_rotation, ee_position)
+
+
+def _one_pass(model: ChainModel, q: np.ndarray) -> _Frames:
+    """``_frame_pass`` of one validated configuration (n,), with its
+    floating-point operations: the BLAS calls of each 3 x 3 product on
+    2-D operands (``ndarray.dot`` reaches the routine ``@`` does), no
+    batch axis and no ``...`` indexing."""
+    arrays = model._arrays
+    spins = _spins(model, q)
+    base = model.base_pose
+    frames = np.empty((model.dof + 1, 3, 3))   # as in ``_frame_pass``
+    frames[0] = rot = base.rotation
+    for i, spin in enumerate(spins, 1):
+        frames[i] = rot = rot.dot(arrays.parent_rotations[i - 1]).dot(spin)
+    origins = (frames[:-1] @ arrays.parent_positions[:, :, None])[:, :, 0]
+    origins[0] += base.position
+    origins = origins.cumsum(axis=0)
+    rotations = frames[1:]
+    axes = (rotations @ arrays.axes[:, :, None])[:, :, 0]
+    tool = model.tool_transform
+    ee_position = rot.dot(tool.position) + origins[-1]
+    if not all(map(math.isfinite, ee_position.tolist())):
+        raise ValueError("end-effector position must be finite")
+    return _Frames(rotations, origins, axes, rot.dot(tool.rotation),
+                   ee_position)
 
 
 def _checked(frames: _Frames) -> _Frames:
@@ -227,13 +265,29 @@ def _checked(frames: _Frames) -> _Frames:
 
 
 def _jacobian(frames: _Frames) -> np.ndarray:
-    """(..., 6, n) geometric Jacobians of a pass, linear rows first."""
+    """(S, 6, n) geometric Jacobians of a stack's pass, linear rows first;
+    a pass of one configuration goes to ``_one_jacobian``."""
     axes = frames.axes
-    jac = np.empty(axes.shape[:-2] + (6, axes.shape[-2]))
-    jac[..., :3, :] = _cross(axes, frames.ee_position[..., None, :]
-                             - frames.origins).swapaxes(-1, -2)
-    jac[..., 3:, :] = axes.swapaxes(-1, -2)
+    if axes.ndim == 2:
+        return _one_jacobian(frames)
+    jac = np.empty((len(axes), 6, axes.shape[1]))
+    jac[:, :3] = _cross(axes, frames.ee_position[:, None]
+                        - frames.origins).swapaxes(1, 2)
+    jac[:, 3:] = axes.swapaxes(1, 2)
     return jac
+
+
+def _one_jacobian(frames: _Frames) -> np.ndarray:
+    """6 x n geometric Jacobian of one configuration's pass: the cross
+    products on plain floats, in ``_cross``'s order."""
+    axes = frames.axes.T.tolist()
+    a0, a1, a2 = axes
+    b0, b1, b2 = (frames.ee_position - frames.origins).T.tolist()
+    return np.array([
+        [y * w - z * v for y, z, v, w in zip(a1, a2, b1, b2)],
+        [z * u - x * w for x, z, u, w in zip(a0, a2, b0, b2)],
+        [x * v - y * u for x, y, u, v in zip(a0, a1, b0, b1)],
+        *axes])
 
 
 def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
@@ -270,13 +324,13 @@ def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
 
 
 def forward_kinematics(model: ChainModel, q) -> Pose:
-    frames = _checked(_frame_pass(model, _qvec(model, q)))
+    frames = _checked(_one_pass(model, _qvec(model, q)))
     return Pose(frames.ee_position, frames.ee_rotation)
 
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
     """6 x n map from joint rates to the end-effector twist, linear rows first."""
-    return _jacobian(_checked(_frame_pass(model, _qvec(model, q))))
+    return _one_jacobian(_checked(_one_pass(model, _qvec(model, q))))
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
@@ -374,14 +428,16 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
         frames = None
     best_q, best_err = q, np.inf
     best_pos, best_rot = np.inf, np.inf
+    err = np.empty(6)   # the residual, position first
+    e_pos, e_rot = err[:3], err[3:]
     for it in range(IK_MAX_ITERS + 1):
         if frames is None:
-            frames = _frame_pass(model, q)
-        e_pos = target_pos - frames.ee_position
-        e_rot = rotation_log(target_rot @ frames.ee_rotation.T)
+            frames = _one_pass(model, q)
+        np.subtract(target_pos, frames.ee_position, out=e_pos)
+        e_rot[:] = rotation_log(target_rot.dot(frames.ee_rotation.T))
         # the bits of np.linalg.norm on a 1-D float vector
-        pos_err = math.sqrt(e_pos @ e_pos)
-        rot_err = math.sqrt(e_rot @ e_rot)
+        pos_err = math.sqrt(e_pos.dot(e_pos))
+        rot_err = math.sqrt(e_rot.dot(e_rot))
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
             return q, frames
         if pos_err + rot_err < best_err:
@@ -389,10 +445,9 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
             best_pos, best_rot = pos_err, rot_err
         if it == IK_MAX_ITERS:
             break
-        jac = _jacobian(frames)
-        err = np.concatenate([e_pos, e_rot])
-        dq = jac.T @ np.linalg.solve(jac @ jac.T + _IK_DAMPING_EYE6, err)
-        step = np.abs(dq).max()
+        jac = _one_jacobian(frames)
+        dq = jac.T.dot(np.linalg.solve(jac @ jac.T + _IK_DAMPING_EYE6, err))
+        step = max(map(abs, dq.tolist()))
         if step > IK_STEP_CLAMP:
             dq *= IK_STEP_CLAMP / step
         q = np.minimum(np.maximum(q + dq, lower), upper)

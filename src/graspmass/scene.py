@@ -348,13 +348,22 @@ def _parse_grasps(d, base_object, tensor, path="grasps"):
 
 
 def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
-    """Validate a scene dict into a Scene; field paths on every failure."""
+    """Validate a scene dict into a Scene; field paths on every failure.
+    The digest, if not given, hashes the dict's JSON text, keys sorted."""
+    if isinstance(d, dict):
+        try:  # a set, an ndarray or a cycle has no JSON text
+            text = json.dumps(d, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"scene document is not JSON: {exc}") from exc
+        digest = digest or hashlib.sha256(text.encode()).hexdigest()
+    return _scene(d, digest)
+
+
+def _scene(d, digest: str) -> Scene:
+    """``scene_from_dict`` without the JSON check, for a document that
+    ``json.loads`` made or that passed the check, and its digest."""
     if not isinstance(d, dict):
         raise ParseError("scene document must be a JSON object")
-    try:  # a set, an ndarray or a cycle has no JSON text
-        text = json.dumps(d, sort_keys=True)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"scene document is not JSON: {exc}") from exc
     _object(d, "", "schema_version", "name", "chain", "object", "grasps",
             "trajectory", "collision", "ik_seed_rad")
     version = d.get("schema_version", SCHEMA_VERSION)
@@ -418,8 +427,7 @@ def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
     return Scene(name=name, chain=chain, grasps=grasps, bodies=bodies,
                  start=start, end=end, t_f=t_f, dt=dt,
                  collision_time=time_s, stiffness=stiffness,
-                 damping=damping, ik_seed=ik_seed,
-                 digest=digest or hashlib.sha256(text.encode()).hexdigest())
+                 damping=damping, ik_seed=ik_seed, digest=digest)
 
 
 def parse_scene(path) -> Scene:
@@ -433,4 +441,4 @@ def parse_scene(path) -> Scene:
         d = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # not UTF-8, not JSON, or a 4301-digit int
         raise ParseError(f"{path}: {exc}") from exc
-    return scene_from_dict(d, digest=hashlib.sha256(raw).hexdigest())
+    return _scene(d, hashlib.sha256(raw).hexdigest())

@@ -144,6 +144,41 @@ def random_chain(rng, dof):
     return ChainModel(tuple(joints), Pose.identity(), tool)
 
 
+def turned_chain(chain, rng):
+    """``chain`` with each joint frame i turned by a random rotation R_i:
+    the same arm, each quantity re-expressed in the turned frames, so no
+    parent rotation is the identity. Joint i's parent rotation P_i becomes
+    R_{i-1}^T P_i R_i and its offset R_{i-1}^T p_i (R_0 = I, the base);
+    its axis, its link's CoM and inertia are taken by R_i^T, the tool by
+    R_n^T."""
+    joints, prev = [], np.eye(3)
+    for joint, link in chain.joints:
+        turn = random_rotation(rng)
+        parent = joint.parent_transform
+        joints.append((JointSpec(Pose(prev.T @ parent.position,
+                                      prev.T @ parent.rotation @ turn),
+                                 turn.T @ joint.axis, joint.limits),
+                       LinkInertia(link.mass, turn.T @ link.com,
+                                   turn.T @ link.inertia @ turn)))
+        prev = turn
+    tool = chain.tool_transform
+    return ChainModel(tuple(joints), chain.base_pose,
+                      Pose(prev.T @ tool.position, prev.T @ tool.rotation))
+
+
+def count_frame_passes(monkeypatch):
+    """A list that gains the joint values of each frame pass, of a stack
+    (``_frame_pass``) or of one configuration (``_one_pass``)."""
+    import graspmass.chain as chain_module
+    passes = []
+    for name in ("_frame_pass", "_one_pass"):
+        def counting(model, qs, kernel=getattr(chain_module, name)):
+            passes.append(qs)
+            return kernel(model, qs)
+        monkeypatch.setattr(chain_module, name, counting)
+    return passes
+
+
 def naive_frames(model, q):
     """Joint frames by plain pose chaining; test-local FK."""
     frames = []
@@ -414,6 +449,16 @@ def reference_frame_pass(model, qs):
                    rot @ tool.position + pos)
 
 
+def reference_jacobian(frames):
+    """6 x n Jacobian at the first configuration of a stack's pass, by
+    np.cross."""
+    jac = np.empty((6, frames.axes.shape[1]))
+    jac[:3] = np.cross(frames.axes[0],
+                       frames.ee_position[0] - frames.origins[0]).T
+    jac[3:] = frames.axes[0].T
+    return jac
+
+
 def reference_ik(model, target_pos, target_rot, q, frames=None):
     """Damped least squares from q; the converged q and its frame pass.
     ``frames`` is the pass at q, reused unless the limits move q."""
@@ -430,10 +475,7 @@ def reference_ik(model, target_pos, target_rot, q, frames=None):
         rot_err = float(np.linalg.norm(e_rot))
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
             return q, frames
-        jac = np.empty((6, model.dof))
-        jac[:3] = np.cross(frames.axes[0],
-                           frames.ee_position[0] - frames.origins[0]).T
-        jac[3:] = frames.axes[0].T
+        jac = reference_jacobian(frames)
         err = np.concatenate([e_pos, e_rot])
         dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * np.eye(6),
                                      err)

@@ -29,6 +29,7 @@ from conftest import (
     random_chain,
     random_rotation,
     reference_frame_pass,
+    reference_jacobian,
     tensor_scene,
 )
 
@@ -60,8 +61,10 @@ def test_frame_pass_equals_pose_composition_exactly():
 
 def test_frame_pass_equals_the_reference_on_rotated_frames():
     # random parent rotations, base and tool poses, so that the order of
-    # every product and sum shows; stacks of one and of several
-    from graspmass.chain import _frame_pass
+    # every product and sum shows; stacks of one and of several, and the
+    # kernel of one configuration against the reference and its row
+    from graspmass.chain import (_frame_pass, _jacobian, _one_jacobian,
+                                 _one_pass)
     rng = np.random.default_rng(31)
     for dof in (1, 3, 7):
         chain = random_chain(rng, dof)
@@ -76,6 +79,17 @@ def test_frame_pass_equals_the_reference_on_rotated_frames():
             got = _frame_pass(model, qs)
             want = reference_frame_pass(model, qs)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            jacobians = _jacobian(got)
+            for k, q in enumerate(qs):
+                one = _one_pass(model, q)
+                reference = reference_frame_pass(model, q[None])
+                for field, a, b, row in zip(one._fields, one, reference, got):
+                    assert a.shape == b.shape[1:], field
+                    assert np.array_equal(a, b[0]), field
+                    assert np.array_equal(a, row[k]), field
+                jac = _one_jacobian(one)
+                assert np.array_equal(jac, reference_jacobian(reference))
+                assert np.array_equal(jac, jacobians[k])
 
 
 @pytest.mark.parametrize("scene", [book_scene, tensor_scene],

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -32,8 +33,9 @@ from graspmass import (
 from graspmass.errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                               NotPositiveDefinite)
 
-from conftest import (book_scene, direction_at, partition_inverse,
-                      reference_sweep, tensor_scene)
+from conftest import (book_scene, count_frame_passes, direction_at,
+                      partition_inverse, reference_sweep, tensor_scene,
+                      turned_chain)
 
 
 def flags(n, flagged=()):
@@ -336,18 +338,45 @@ def out_of_limits_seed(scene):
 
 
 SWEEP_PATHS = ["book", "book-dt-0.01", "tensor", "pitch-pi/2",
-               "seed-out-of-limits"]
+               "seed-out-of-limits", "book-turned"]
+
+
+def turned_book():
+    """Book's scene with its arm's joint frames turned (``turned_chain``):
+    the order of every product in the kinematics shows in the bits."""
+    scene = book_scene()
+    return dataclasses.replace(
+        scene, chain=turned_chain(scene.chain, np.random.default_rng(24)))
 
 
 def sweep_case(path):
     """(scene, trajectory, dt, IK seed) of one ``SWEEP_PATHS`` case."""
-    scene = tensor_scene() if path == "tensor" else book_scene()
+    scene = {"tensor": tensor_scene,
+             "book-turned": turned_book}.get(path, book_scene)()
     traj = (pitched_path(scene, np.pi / 2) if path == "pitch-pi/2"
             else scene.fit())
     dt = 0.01 if path == "book-dt-0.01" else scene.dt
     seed = (out_of_limits_seed(scene) if path == "seed-out-of-limits"
             else scene.ik_seed)
     return scene, traj, dt, seed
+
+
+def test_turned_book_is_book_arm():
+    # the same arm in other joint frames: the same poses, mass matrices
+    # and task-space inertias, and IK follows book's path
+    book, turned = book_scene(), turned_book()
+    assert not any(np.array_equal(joint.parent_transform.rotation, np.eye(3))
+                   for joint, _ in turned.chain.joints)
+    rng = np.random.default_rng(5)
+    for q in rng.uniform(-1.0, 1.0, size=(4, book.chain.dof)):
+        want, got = (forward_kinematics(s.chain, q) for s in (book, turned))
+        assert np.allclose(got.position, want.position, rtol=0, atol=1e-12)
+        assert np.allclose(got.rotation, want.rotation, rtol=0, atol=1e-12)
+        assert np.allclose(mass_matrix(turned.chain, q),
+                           mass_matrix(book.chain, q), rtol=1e-9, atol=1e-12)
+    want, got = (sweep(s.chain, s.fit(), s.dt, s.ik_seed)
+                 for s in (book, turned))
+    assert np.allclose(got.lam_rob, want.lam_rob, rtol=1e-6)
 
 
 def recorded_sweep(monkeypatch, chain, traj, dt, seed):
@@ -474,15 +503,7 @@ def test_book_at_fine_grid_makes_at_most_191_frame_passes(monkeypatch):
     # 201 warm-started solves make 390 passes when each starts with a
     # pass at its seed and the batched inertia makes its own; carrying
     # each converged pass forward and stacking them makes 189
-    import graspmass.chain as chain_module
-    passes = []
-    frame_pass = chain_module._frame_pass
-
-    def counting(model, qs):
-        passes.append(qs)
-        return frame_pass(model, qs)
-
-    monkeypatch.setattr(chain_module, "_frame_pass", counting)
+    passes = count_frame_passes(monkeypatch)
     scene = book_scene()
     score(sweep(scene.chain, scene.fit(), 0.01, scene.ik_seed),
           scene.bodies, scene.grasps)

@@ -8,13 +8,12 @@ import json
 import numpy as np
 import pytest
 
-import graspmass.chain as chain_module
 import graspmass.ranking as ranking
 from graspmass import cli, parse_scene, scene_from_dict
 from graspmass.cli import demo_scene_path, main
 from graspmass.errors import IkDidNotConverge, NotPositiveDefinite
 
-from conftest import reference_score
+from conftest import count_frame_passes, reference_score
 
 CASES = [("book", None), ("book", 0.01), ("tensor", None)]
 CASE_IDS = ["book", "book-dt-0.01", "tensor"]
@@ -46,15 +45,7 @@ def artifacts(out):
 
 @pytest.fixture
 def frame_passes(monkeypatch):
-    passes = []
-    frame_pass = chain_module._frame_pass
-
-    def counting(model, qs):
-        passes.append(len(qs))
-        return frame_pass(model, qs)
-
-    monkeypatch.setattr(chain_module, "_frame_pass", counting)
-    return passes
+    return count_frame_passes(monkeypatch)
 
 
 @pytest.fixture
