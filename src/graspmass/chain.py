@@ -9,26 +9,22 @@ Conventions:
     with all spatial quantities referenced at the base origin, which keeps
     every 6-vector in one frame (linear first, matching the Jacobian)
 
-A frame pass on raw arrays gives the joint frames and end-effector
-poses, and the Jacobians follow from it, at two ranks with one
-invariant: row k of a stack's pass and Jacobians holds the bits of the
-one-configuration pass and Jacobian at its k-th configuration.
-``_one_pass`` and ``_one_jacobian`` take one configuration, shape (n,),
-without a batch axis: FK, the Jacobian and each IK iteration run on them.
-They make the same floating-point operations as the stacked
-``_frame_pass`` and ``_jacobian``, the 3 x 3 products by the same BLAS
-calls on 2-D operands and the Jacobian's cross products on plain floats,
-in ``_cross``'s order; what they save is numpy's per-call cost. The CRBA
-mass matrices (Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6)
-and the task-space inertias are built on stacks, shape (S, n); the
-single-configuration mass matrix and task-space inertia use a stack of
-one. A pass loops over the joints once, for the rotations; the joint
-origins are one batched product of the parent offsets by the preceding
-frames and one running sum in joint order, the additions of pose
-composition in its order. ``operational_space_inertias`` returns the
-task-space inertia of a whole stack, with a read-only bool array that
-flags each configuration near a Jacobian singularity (damped, not
-inverted exactly).
+One kernel makes every frame pass: ``_one_pass`` gives the joint frames
+and end-effector pose of one configuration, shape (n,), and
+``_one_jacobian`` its Jacobian; FK, the Jacobian and each IK iteration
+run on them, each 3 x 3 product a BLAS call on 2-D operands and the
+cross products on plain floats (``_cross``'s order), without numpy's
+per-call cost of a batch axis. A pass loops over the joints once, for
+the rotations; the joint origins are one batched product of the parent
+offsets by the preceding frames and one running sum in joint order, the
+additions of pose composition in its order. A stack, shape (S, n), is
+the rows of its kernel passes (``_stack``); on it ``_jacobian`` gives
+the bits of ``_one_jacobian`` row by row, and the CRBA mass matrices
+(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) and the
+task-space inertias are built in one batch, with a read-only flag for
+each configuration near a Jacobian singularity (damped, not inverted
+exactly). The single-configuration mass matrix and task-space inertia
+use a stack of one.
 
 Validation sits at the boundary, once per call: joint values must be
 finite, and the end-effector rotation of each pass that reaches a
@@ -41,10 +37,9 @@ the converged configuration with its frame pass. Each iteration does
 its arithmetic on plain floats and small arrays (the residual in one
 6-vector, its norms as ``sqrt(e . e)``, the bits of ``np.linalg.norm``).
 A warm-started sweep hands that pass to the next solve, which then skips
-the pass at its seed, and gets the task-space inertia of all its
-converged joint values from ``operational_space_inertias``, one pass
-over the stack. Its flag array flags the columns of every grasp's row in
-the mass table.
+the pass at its seed, and stacks the converged passes for the task-space
+inertias (``_stacked_inertias``), so no pass runs outside IK; their
+flags flag the columns of every grasp's row in the mass table.
 """
 
 from __future__ import annotations
@@ -183,8 +178,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _Frames(NamedTuple):
     """One pass over the chain, all in base axes: of one configuration
-    (``_one_pass``), or of a stack with a leading (S,) axis on each
-    field (``_frame_pass``)."""
+    (``_one_pass``), or the rows of S such passes (``_stack``), with a
+    leading (S,) axis on each field."""
 
     rotations: np.ndarray    # (n, 3, 3) joint frames, post joint rotation
     origins: np.ndarray      # (n, 3)
@@ -194,54 +189,22 @@ class _Frames(NamedTuple):
 
 
 def _spins(model: ChainModel, qs: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation about each joint axis, all joints (and
-    configurations) at once."""
+    """Rodrigues rotation about each joint axis, all joints at once: the
+    first step of every frame pass."""
     arrays = model._arrays
     return (_EYE3 + np.sin(qs)[..., None, None] * arrays.axis_skews
             + (1.0 - np.cos(qs))[..., None, None] * arrays.axis_skews2)
 
 
-def _frame_pass(model: ChainModel, qs: np.ndarray) -> _Frames:
-    """Joint frames and end-effector poses of a validated (S, n) stack,
-    row k holding the bits of ``_one_pass`` at ``qs[k]``; one
-    configuration (n,) goes to ``_one_pass``.
-
-    The end-effector rotation is not checked here: callers check the
-    passes that reach a result (``_checked``)."""
-    if qs.ndim == 1:
-        return _one_pass(model, qs)
-    arrays = model._arrays
-    spins = _spins(model, qs)
-    base = model.base_pose
-    # frames[:, i] precedes joint i; frames[:, 1:] are the joint frames
-    frames = np.empty((len(qs), model.dof + 1, 3, 3))
-    frames[:, 0] = rot = base.rotation
-    for i in range(model.dof):
-        frames[:, i + 1] = rot = rot @ arrays.parent_rotations[i] @ spins[:, i]
-    # joint i's offset in base axes, by the frame before it; then each
-    # origin is the previous one plus its offset, summed in joint order
-    origins = (frames[:, :-1] @ arrays.parent_positions[:, :, None])[..., 0]
-    origins[:, 0] += base.position
-    origins = origins.cumsum(axis=1)
-    rotations = frames[:, 1:]
-    axes = (rotations @ arrays.axes[:, :, None])[..., 0]
-    tool = model.tool_transform
-    ee_position = rot @ tool.position + origins[:, -1]
-    ee_rotation = rot @ tool.rotation
-    if not np.isfinite(ee_position).all():
-        raise ValueError("end-effector position must be finite")
-    return _Frames(rotations, origins, axes, ee_rotation, ee_position)
-
-
 def _one_pass(model: ChainModel, q: np.ndarray) -> _Frames:
-    """``_frame_pass`` of one validated configuration (n,), with its
-    floating-point operations: the BLAS calls of each 3 x 3 product on
-    2-D operands (``ndarray.dot`` reaches the routine ``@`` does), no
-    batch axis and no ``...`` indexing."""
+    """Joint frames and end-effector pose of one validated configuration
+    (n,), each 3 x 3 product a BLAS call on 2-D operands (``ndarray.dot``
+    reaches the routine ``@`` does); the end-effector rotation is left to
+    the callers that reach a result (``_checked``)."""
     arrays = model._arrays
     spins = _spins(model, q)
     base = model.base_pose
-    frames = np.empty((model.dof + 1, 3, 3))   # as in ``_frame_pass``
+    frames = np.empty((model.dof + 1, 3, 3))  # frames[i] precedes joint i
     frames[0] = rot = base.rotation
     for i, spin in enumerate(spins, 1):
         frames[i] = rot = rot.dot(arrays.parent_rotations[i - 1]).dot(spin)
@@ -258,6 +221,16 @@ def _one_pass(model: ChainModel, q: np.ndarray) -> _Frames:
                    ee_position)
 
 
+def _stack(passes) -> _Frames:
+    """Kernel passes as one pass, a leading (S,) axis on each field."""
+    return _Frames(*map(np.array, zip(*passes)))
+
+
+def _checked_stack(model: ChainModel, qs: np.ndarray) -> _Frames:
+    """The checked stack of the kernel passes of a validated (S, n) stack."""
+    return _checked(_stack([_one_pass(model, q) for q in qs]))
+
+
 def _checked(frames: _Frames) -> _Frames:
     """The pass, once every end-effector rotation in it is checked."""
     _check_rotation(frames.ee_rotation, "end-effector rotation")
@@ -265,11 +238,9 @@ def _checked(frames: _Frames) -> _Frames:
 
 
 def _jacobian(frames: _Frames) -> np.ndarray:
-    """(S, 6, n) geometric Jacobians of a stack's pass, linear rows first;
-    a pass of one configuration goes to ``_one_jacobian``."""
+    """(S, 6, n) geometric Jacobians of a stack's pass, linear rows first,
+    row k the bits of ``_one_jacobian`` at the k-th pass."""
     axes = frames.axes
-    if axes.ndim == 2:
-        return _one_jacobian(frames)
     jac = np.empty((len(axes), 6, axes.shape[1]))
     jac[:, :3] = _cross(axes, frames.ee_position[:, None]
                         - frames.origins).swapaxes(1, 2)
@@ -335,8 +306,7 @@ def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
     """Joint-space mass matrix by the composite rigid-body recursion."""
-    return _crba(model,
-                 _checked(_frame_pass(model, _qvec(model, q)[None])))[0]
+    return _crba(model, _checked_stack(model, _qvec(model, q)[None]))[0]
 
 
 class OperationalSpaceInertia(NamedTuple):
@@ -380,19 +350,19 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
     instead of failing or warning, so trajectory profiles stay complete.
     """
-    osi = _stacked_inertias(model,
-                            _checked(_frame_pass(model, _qvec(model, q)[None])))
+    osi = _stacked_inertias(model, _checked_stack(model, _qvec(model, q)[None]))
     return OperationalSpaceInertia(KineticEnergyMatrix._of_checked(
         osi.matrices[0]), bool(osi.near_singular[0]))
 
 
 def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertias:
-    """``operational_space_inertia`` of each row of an (S, n) stack, in one
-    batched pass; every near-singular sample is damped and flagged (the
-    only signal: no warning). Raises like ``KineticEnergyMatrix`` if any
-    result is not symmetric or not positive semidefinite."""
-    return _stacked_inertias(model,
-                             _checked(_frame_pass(model, _qstack(model, qs))))
+    """``operational_space_inertia`` of each row of an (S, n) stack: one
+    kernel pass per row, then one batched solve. Every near-singular
+    sample is damped and flagged (the only signal: no warning). Raises
+    like ``KineticEnergyMatrix`` if any result is not symmetric or not
+    positive semidefinite. The sweep does not call it: it stacks the
+    passes its IK already made."""
+    return _stacked_inertias(model, _checked_stack(model, _qstack(model, qs)))
 
 
 def inverse_kinematics(model: ChainModel, target: Pose, seed) -> np.ndarray:

@@ -25,9 +25,10 @@ It writes the digits itself only where its rounding is provably the one
 more than 1e-6 from a rounding tie. Every other cell goes through ``%``.
 
 Exit codes: 0 success, 2 inverse-kinematics failure (message names the
-failing sample), 1 anything else, an output directory or artifact that
-cannot be written included. With --json, errors also land on stdout as
-{"error": {...}}.
+failing sample), 1 anything else, a usage error and an output directory
+or artifact that cannot be written included. With --json, errors also
+land on stdout as {"error": {...}}; a usage error does whenever --json
+is on the command line.
 """
 
 from __future__ import annotations
@@ -221,8 +222,21 @@ def _print_impact(artifact: dict) -> None:
     print(f"peak-force ordering {agree} with effective-mass ordering")
 
 
+class UsageError(Exception):
+    """A command line argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, raising ``UsageError`` after the usage line instead of
+    exiting 2, the exit code of an IK failure; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graspmass",
         description="Rank grasps by effective mass along a trajectory "
                     "and predict impact-force ordering.")
@@ -295,19 +309,24 @@ def _run(args) -> dict:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        _emit_error("--json" in argv, type(exc).__name__, str(exc))
+        return 1
     try:
         artifact = _run(args)
     except IkDidNotConverge as exc:
-        _emit_error(args, "ik_did_not_converge", str(exc),
+        _emit_error(args.json, "ik_did_not_converge", str(exc),
                     sample=exc.sample_index)
         return 2
     except (GraspmassError, ValueError) as exc:
-        _emit_error(args, type(exc).__name__, str(exc))
+        _emit_error(args.json, type(exc).__name__, str(exc))
         return 1
     except OSError as exc:  # an artifact that cannot be written
         where = f"{exc.filename}: " if exc.filename is not None else ""
-        _emit_error(args, type(exc).__name__,
+        _emit_error(args.json, type(exc).__name__,
                     f"cannot write {where}{exc.strerror or exc}")
         return 1
     if args.json:
@@ -315,8 +334,8 @@ def main(argv=None) -> int:
     return 0
 
 
-def _emit_error(args, kind: str, message: str, **extra) -> None:
-    if getattr(args, "json", False):
+def _emit_error(as_json: bool, kind: str, message: str, **extra) -> None:
+    if as_json:
         payload = {"error": {"type": kind, "message": message, **extra}}
         print(json.dumps(payload))
     print(f"error: {message}", file=sys.stderr)

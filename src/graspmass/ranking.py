@@ -4,14 +4,13 @@ The arm's energy matrix depends on the trajectory alone, so one sweep
 per trajectory computes it from the sampling grid, read as arrays:
 warm-started IK sample by sample (each solve seeds the next and hands
 it its converged frame pass), then the task-space inertia of all the
-converged joint values in one batched call
-(``operational_space_inertias``), with one near-singular flag per
-sample, and the motion direction: the path's chord, the same at every
-sample (``sweep``). The object terms of all grasps are then built as
-one stack (``bodies.grasp_energy_matrices``) and rotated into base axes
-by one einsum (the held orientation is the same at every sample); each
-grasp adds its term to the arm's at every sample and gets its row of
-the (G, N) mass table from one Cholesky check and one batched solve
+samples from the stack of those passes, with one near-singular flag
+per sample, and the motion direction: the path's chord, the same at
+every sample (``sweep``). The object terms of all grasps are then built
+as one stack (``bodies.grasp_energy_matrices``) and rotated into base
+axes by one einsum (the held orientation is the same at every sample);
+each grasp adds its term to the arm's at every sample and gets its row
+of the (G, N) mass table from one Cholesky check and one batched solve
 (``score``); its columns' times and flags are the sweep's. A ``Scene``
 keeps one entry per ``dt`` holding both (``Scene.evaluated``), so only
 the first command on a scene and ``dt`` pays for them; a custom grasp
@@ -28,7 +27,7 @@ import numpy as np
 
 from .augmented import effective_masses
 from .bodies import grasp_energy_matrices
-from .chain import _ik, _qvec, operational_space_inertias
+from .chain import _checked, _ik, _qvec, _stack, _stacked_inertias
 from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                      NotPositiveDefinite)
 from .trajectory import _grid, motion_direction
@@ -73,13 +72,18 @@ class Aggregator:
 
 
 def parse_aggregator(text: str) -> Aggregator:
-    """Accepts 'max', 'mean', 'at-sample=K' (underscore variant too)."""
+    """Accepts 'max', 'mean', 'at-sample=K' (underscore variant too), K
+    as ``str(k)`` writes it: no sign, spaces or leading zeros."""
     if text in ("max", "mean"):
         return Aggregator(text)
     normalized = text.replace("_", "-")
     if normalized.startswith("at-sample="):
+        index = normalized.split("=", 1)[1]
         try:
-            return Aggregator("at_sample", int(normalized.split("=", 1)[1]))
+            k = int(index)
+            if not index.isascii() or str(k) != index:
+                raise ValueError(index)
+            return Aggregator("at_sample", k)
         except ValueError as exc:
             raise ValueError(f"bad at-sample index in {text!r}") from exc
     raise ValueError(f"unknown aggregator {text!r}")
@@ -140,18 +144,18 @@ def sweep(chain, traj, dt, q_seed) -> Sweep:
     IK runs sample by sample, each solve warm-started from the previous
     solution and handed its converged frame pass, so it skips the pass at
     its seed; the start pose (sample 0) seeds sample 1 the same way. The
-    task-space inertia of all N solutions is then one batched call on the
-    (N, n) stack of their joint values. A failed solve raises
-    ``IkDidNotConverge`` carrying its sample index (0 = the start pose)."""
+    task-space inertia of all N samples is then one batch on the stack of
+    their converged passes, so no pass runs outside IK. A failed solve
+    raises ``IkDidNotConverge`` carrying its sample index (0 = start)."""
     times, positions = _grid(traj, dt)
     rotation = traj.start_rotation
     q, frames = _solve_ik(chain, traj.position(0.0), rotation,
                           _qvec(chain, q_seed), None, 0)
-    qs = np.empty((len(positions), chain.dof))
-    for row, position in enumerate(positions):
-        q, frames = _solve_ik(chain, position, rotation, q, frames, row + 1)
-        qs[row] = q
-    osi = operational_space_inertias(chain, qs)
+    passes = []
+    for index, position in enumerate(positions, 1):
+        q, frames = _solve_ik(chain, position, rotation, q, frames, index)
+        passes.append(frames)
+    osi = _stacked_inertias(chain, _checked(_stack(passes)))
     direction = motion_direction(traj)
     for a in (times, direction):
         a.setflags(write=False)

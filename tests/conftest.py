@@ -167,15 +167,17 @@ def turned_chain(chain, rng):
 
 
 def count_frame_passes(monkeypatch):
-    """A list that gains the joint values of each frame pass, of a stack
-    (``_frame_pass``) or of one configuration (``_one_pass``)."""
+    """A list that gains the joint values of each frame pass: every pass,
+    of one configuration or of a stack's row, is a ``_one_pass`` call."""
     import graspmass.chain as chain_module
     passes = []
-    for name in ("_frame_pass", "_one_pass"):
-        def counting(model, qs, kernel=getattr(chain_module, name)):
-            passes.append(qs)
-            return kernel(model, qs)
-        monkeypatch.setattr(chain_module, name, counting)
+    kernel = chain_module._one_pass
+
+    def counting(model, q):
+        passes.append(q)
+        return kernel(model, q)
+
+    monkeypatch.setattr(chain_module, "_one_pass", counting)
     return passes
 
 

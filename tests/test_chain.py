@@ -61,10 +61,9 @@ def test_frame_pass_equals_pose_composition_exactly():
 
 def test_frame_pass_equals_the_reference_on_rotated_frames():
     # random parent rotations, base and tool poses, so that the order of
-    # every product and sum shows; stacks of one and of several, and the
-    # kernel of one configuration against the reference and its row
-    from graspmass.chain import (_frame_pass, _jacobian, _one_jacobian,
-                                 _one_pass)
+    # every product and sum shows; the kernel of one configuration and
+    # stacks of one and of several of its passes, with their Jacobians
+    from graspmass.chain import _jacobian, _one_jacobian, _one_pass, _stack
     rng = np.random.default_rng(31)
     for dof in (1, 3, 7):
         chain = random_chain(rng, dof)
@@ -76,40 +75,19 @@ def test_frame_pass_equals_the_reference_on_rotated_frames():
                            Pose(rng.normal(size=3), random_rotation(rng)))
         for count in (1, 5):
             qs = rng.uniform(-np.pi, np.pi, size=(count, dof))
-            got = _frame_pass(model, qs)
+            passes = [_one_pass(model, q) for q in qs]
+            got = _stack(passes)
             want = reference_frame_pass(model, qs)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             jacobians = _jacobian(got)
-            for k, q in enumerate(qs):
-                one = _one_pass(model, q)
+            for k, (q, one) in enumerate(zip(qs, passes)):
                 reference = reference_frame_pass(model, q[None])
-                for field, a, b, row in zip(one._fields, one, reference, got):
+                for field, a, b in zip(one._fields, one, reference):
                     assert a.shape == b.shape[1:], field
                     assert np.array_equal(a, b[0]), field
-                    assert np.array_equal(a, row[k]), field
                 jac = _one_jacobian(one)
                 assert np.array_equal(jac, reference_jacobian(reference))
                 assert np.array_equal(jac, jacobians[k])
-
-
-@pytest.mark.parametrize("scene", [book_scene, tensor_scene],
-                         ids=["book", "tensor"])
-def test_frame_pass_of_one_configuration_is_its_row_of_the_stack(scene):
-    # one implementation for both ranks: the pass and the Jacobian of
-    # q = qs[k] hold the bits of row k of the stack's
-    from graspmass.chain import _frame_pass, _jacobian
-    chain = scene().chain
-    rng = np.random.default_rng(57)
-    lower, upper = np.array([joint.limits for joint, _ in chain.joints]).T
-    qs = rng.uniform(lower, upper, size=(9, chain.dof))
-    stack = _frame_pass(chain, qs)
-    jacobians = _jacobian(stack)
-    for k, q in enumerate(qs):
-        one = _frame_pass(chain, q)
-        for field, a, b in zip(one._fields, one, stack):
-            assert a.shape == b.shape[1:], field
-            assert np.array_equal(a, b[k]), field
-        assert np.array_equal(_jacobian(one), jacobians[k])
 
 
 def wrist_chain(rng):

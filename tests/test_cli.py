@@ -528,6 +528,56 @@ def test_bad_aggregator_is_a_clean_error(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("index", [" 3", "+3", "03", "\u0663", "3 ",
+                                   "1" * 5000],
+                         ids=["leading-space", "plus", "leading-zero",
+                              "arabic-indic-three", "trailing-space",
+                              "past-int-digit-limit"])
+def test_at_sample_index_is_ascii_digits_only(index, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, out, _ = run(capsys, "rank", book_path(), "--json", "--aggregator",
+                       f"at-sample={index}", "--out-dir", str(out_dir))
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error == {"type": "ValueError", "message": "bad at-sample index "
+                     f"in {'at-sample=' + index!r}"}
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [["rank", "BOOK", "--dt", "abc"], ["rank"],
+                                  ["profile", "BOOK"], ["rank", "BOOK", "-x"],
+                                  ["bogus"]],
+                         ids=["bad-float", "no-scene", "no-grasp",
+                              "unknown-option", "unknown-command"])
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_usage_errors_exit_one_not_the_ik_failure_code(argv, as_json,
+                                                       tmp_path, capsys):
+    # argparse exits 2, the code of an IK failure, and prints no JSON
+    out_dir = tmp_path / "out"
+    argv = [book_path() if a == "BOOK" else a for a in argv]
+    code, out, err = run(capsys, *argv, *["--json"] * as_json,
+                         "--out-dir", str(out_dir))
+    assert code == 1
+    if as_json:
+        error = json.loads(out)["error"]
+        assert error["type"] == "UsageError"
+        assert error["message"].startswith("graspmass")
+    else:
+        assert out == ""
+    assert err.startswith("usage: graspmass")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["rank", "--help"]])
+def test_help_and_version_still_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage: ", "graspmass "))
+
+
 def test_null_scene_number_is_a_clean_json_error(tmp_path, capsys):
     doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
     doc["trajectory"]["t_f_s"] = None

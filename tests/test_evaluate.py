@@ -287,10 +287,10 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
     # a massless arm plus a near-massless object leaves nothing to invert
     import graspmass.ranking as ranking
     from graspmass.chain import OperationalSpaceInertias
-    monkeypatch.setattr(ranking, "operational_space_inertias",
-                        lambda chain, qs: OperationalSpaceInertias(
-                            np.zeros((len(qs), 6, 6)),
-                            np.zeros(len(qs), dtype=bool)))
+    monkeypatch.setattr(ranking, "_stacked_inertias",
+                        lambda chain, frames: OperationalSpaceInertias(
+                            np.zeros((len(frames.axes), 6, 6)),
+                            np.zeros(len(frames.axes), dtype=bool)))
     scene = book_scene()
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
     with pytest.raises(NotPositiveDefinite, match="^grasp speck-7: augmented "
@@ -303,10 +303,10 @@ def test_a_failing_total_is_named_by_its_grasp_among_several(monkeypatch):
     # with a massless arm only the near-massless middle object fails
     import graspmass.ranking as ranking
     from graspmass.chain import OperationalSpaceInertias
-    monkeypatch.setattr(ranking, "operational_space_inertias",
-                        lambda chain, qs: OperationalSpaceInertias(
-                            np.zeros((len(qs), 6, 6)),
-                            np.zeros(len(qs), dtype=bool)))
+    monkeypatch.setattr(ranking, "_stacked_inertias",
+                        lambda chain, frames: OperationalSpaceInertias(
+                            np.zeros((len(frames.axes), 6, 6)),
+                            np.zeros(len(frames.axes), dtype=bool)))
     scene = book_scene()
     arm = sweep(scene.chain, scene.fit(), scene.dt, scene.ik_seed)
     book = scene.bodies[0]
@@ -476,15 +476,15 @@ def test_operational_space_inertia_checks_its_result_once(monkeypatch):
 
 
 def test_stale_frames_are_not_reused_for_a_clipped_seed():
-    from graspmass.chain import _frame_pass, _ik
+    from graspmass.chain import _ik, _one_pass
     scene = book_scene()
     chain = scene.chain
     seed = out_of_limits_seed(scene)
     target = sample(scene.fit(), scene.dt)[5].pose
-    stale = _frame_pass(chain, seed)   # the pass at the unclipped seed
+    stale = _one_pass(chain, seed)   # the pass at the unclipped seed
     q, frames = _ik(chain, target.position, target.rotation, seed, stale)
     assert np.array_equal(q, inverse_kinematics(chain, target, seed))
-    fresh = _frame_pass(chain, q)
+    fresh = _one_pass(chain, q)
     assert all(np.array_equal(a, b) for a, b in zip(frames, fresh))
 
 
@@ -499,12 +499,33 @@ def test_start_pose_ik_failure_reports_sample_zero():
     assert str(exc.value).startswith("sample 0: ")
 
 
-def test_book_at_fine_grid_makes_at_most_191_frame_passes(monkeypatch):
+def test_book_at_fine_grid_makes_every_frame_pass_inside_ik(monkeypatch):
     # 201 warm-started solves make 390 passes when each starts with a
     # pass at its seed and the batched inertia makes its own; carrying
-    # each converged pass forward and stacking them makes 189
+    # each converged pass forward and stacking the passes IK made makes
+    # 189, all inside IK. Every pass, whatever its rank, starts with the
+    # joints' Rodrigues spins, so a pass outside IK shows there
+    import graspmass.chain as chain_module
+    import graspmass.ranking as ranking
+    depth, spins = [0], []
+    solve, rodrigues = ranking._ik, chain_module._spins
+
+    def in_ik(*args):
+        depth[0] += 1
+        try:
+            return solve(*args)
+        finally:
+            depth[0] -= 1
+
+    def counting(model, qs):
+        spins.append(depth[0] > 0)
+        return rodrigues(model, qs)
+
+    monkeypatch.setattr(ranking, "_ik", in_ik)
+    monkeypatch.setattr(chain_module, "_spins", counting)
     passes = count_frame_passes(monkeypatch)
     scene = book_scene()
     score(sweep(scene.chain, scene.fit(), 0.01, scene.ik_seed),
           scene.bodies, scene.grasps)
-    assert len(passes) <= 191
+    assert all(spins)
+    assert len(spins) == len(passes) == 189
