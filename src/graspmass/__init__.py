@@ -15,7 +15,7 @@ from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      transform_to_grasp)
 from .chain import (ChainModel, JointSpec, LinkInertia, forward_kinematics,
                     geometric_jacobian, inverse_kinematics, mass_matrix,
-                    operational_space_inertia, operational_space_inertias)
+                    operational_space_inertia)
 from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
                      predict_ordering, simulate_impact)
 from .ranking import (Aggregator, RankingReport, Sweep, parse_aggregator,
@@ -37,8 +37,7 @@ __all__ = [
     "build_tensor_object", "build_cuboid",
     "LinkInertia", "JointSpec", "ChainModel",
     "forward_kinematics", "geometric_jacobian", "mass_matrix",
-    "operational_space_inertia", "operational_space_inertias",
-    "inverse_kinematics",
+    "operational_space_inertia", "inverse_kinematics",
     "QuinticTrajectory", "TrajectorySample", "fit_quintic", "sample",
     "motion_direction",
     "RankingReport", "Aggregator", "Sweep",

@@ -23,12 +23,11 @@ entry is finite first.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PD_MIN_EIG, SYMMETRY_TOL, UNIT_NORM_TOL
+from .constants import PD_MIN_EIG, SYMMETRY_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 _EYE6 = np.eye(6)
@@ -115,8 +114,12 @@ class EffectiveMass:
         object.__setattr__(self, "direction", d)
         if not self.value > 0.0:
             raise ValueError("effective mass must be positive")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
+        _check_unit(d)
+
+
+def _check_unit(d: np.ndarray) -> None:
+    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
+        raise ValueError("direction must be a unit vector")
 
 
 def augment(lam_robot: KineticEnergyMatrix, lam_obj: KineticEnergyMatrix) -> KineticEnergyMatrix:
@@ -148,23 +151,11 @@ def effective_masses(lam_tot: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def effective_mass(lam_tot: KineticEnergyMatrix, v) -> EffectiveMass:
-    """Effective mass of the system along direction v.
-
-    Non-unit v is normalized with a warning; a zero vector is rejected.
-    """
-    v = unit_direction(v)
-    mass = effective_masses(lam_tot.matrix[None], v)[0]
-    return EffectiveMass(float(mass), v)
-
-
-def unit_direction(v) -> np.ndarray:
-    """Unit copy of a 3-vector; warns when it rescales, rejects zero."""
+    """Effective mass of the system along the unit direction v; any other
+    direction, zero included, is refused before the solve."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DimensionMismatch("direction must be a 3-vector")
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("direction must be nonzero")
-    if abs(n - 1.0) > UNIT_NORM_TOL:
-        warnings.warn("direction not unit norm; normalizing", stacklevel=3)
-    return v / n
+    _check_unit(v)
+    mass = effective_masses(lam_tot.matrix[None], v)[0]
+    return EffectiveMass(float(mass), v)

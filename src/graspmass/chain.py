@@ -145,23 +145,14 @@ class ChainModel:
         return len(self.joints)
 
 
-def _qstack(model: ChainModel, qs) -> np.ndarray:
-    """Joint values of S configurations as a validated (S, n) stack."""
-    v = np.asarray(qs, dtype=float)
-    if v.ndim != 2 or v.shape[1] != model.dof or not len(v):
-        raise DimensionMismatch(
-            f"expected (S, {model.dof}) joint values, got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("joint values must be finite")
-    return v
-
-
 def _qvec(model: ChainModel, q) -> np.ndarray:
     """One configuration as a validated (n,) vector."""
     v = np.asarray(q, dtype=float)
     if v.shape != (model.dof,):
         raise DimensionMismatch(f"expected {model.dof} joint values, got {v.shape}")
-    return _qstack(model, v[None])[0]
+    if not np.isfinite(v).all():
+        raise ValueError("joint values must be finite")
+    return v
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -353,16 +344,6 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     osi = _stacked_inertias(model, _checked_stack(model, _qvec(model, q)[None]))
     return OperationalSpaceInertia(KineticEnergyMatrix._of_checked(
         osi.matrices[0]), bool(osi.near_singular[0]))
-
-
-def operational_space_inertias(model: ChainModel, qs) -> OperationalSpaceInertias:
-    """``operational_space_inertia`` of each row of an (S, n) stack: one
-    kernel pass per row, then one batched solve. Every near-singular
-    sample is damped and flagged (the only signal: no warning). Raises
-    like ``KineticEnergyMatrix`` if any result is not symmetric or not
-    positive semidefinite. The sweep does not call it: it stacks the
-    passes its IK already made."""
-    return _stacked_inertias(model, _checked_stack(model, _qstack(model, qs)))
 
 
 def inverse_kinematics(model: ChainModel, target: Pose, seed) -> np.ndarray:

@@ -228,7 +228,11 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse, raising ``UsageError`` after the usage line instead of
-    exiting 2, the exit code of an IK failure; subparsers inherit it."""
+    exiting 2, the exit code of an IK failure, and refusing a prefix of
+    an option (``--js`` is not ``--json``); subparsers inherit both."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

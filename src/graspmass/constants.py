@@ -1,7 +1,11 @@
-"""Central tolerance and guard table.
+"""Tolerance and guard table: the tolerances of the orthonormality,
+symmetry, definiteness and unit-axis checks, the singularity guard, the
+IK settings, the grid size limit and the speed and chord floors.
 
-Every numeric threshold used by the library lives here so the guards stay
-consistent across modules and are easy to audit.
+Thresholds private to one check sit beside it: ``bodies.TRIANGLE_TOL``,
+``impact.TRACE_POINTS`` and the inline tolerances of the unit direction
+of an effective mass (1e-9), of ``TensorObjectConfig`` and ``ForceTrace``
+(1e-12) and of ``rotation_log`` (1e-12 and 1e-6).
 """
 
 # Orthonormality / symmetry checks on constructed matrices.
@@ -27,7 +31,7 @@ IK_ROT_TOL = 1e-3          # rad
 PD_MIN_EIG = 1e-12
 
 # Direction handling.
-UNIT_NORM_TOL = 1e-6       # |v| may deviate this much before a warning
+UNIT_NORM_TOL = 1e-6       # a joint axis norm may deviate this much from 1
 ZERO_SPEED_TOL = 1e-8      # a chord (m) this short has no direction
 
 # Contact model: an approach speed at or below this cannot drive an impact.

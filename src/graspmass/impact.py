@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,16 +33,16 @@ TRACE_POINTS = 2000
 class ImpactScenario:
     """Inputs for one contact, all finite.
 
-    ``duration`` defaults to 1.25 * pi * sqrt(M/k), a bit over the
-    undamped contact half-period: a contact with damping ratio
-    c / (2 sqrt(k M)) up to 0.6 ends inside it.
+    ``duration``, the simulated window, is derived: 1.25 * pi * sqrt(M/k),
+    a bit over the undamped contact half-period, so a contact with damping
+    ratio c / (2 sqrt(k M)) up to 0.6 ends inside it.
     """
 
     effective_mass: float
     approach_speed: float
     contact_stiffness: float
     contact_damping: float = 0.0
-    duration: float | None = None
+    duration: float = field(init=False)
 
     def __post_init__(self):
         for name in ("effective_mass", "approach_speed", "contact_stiffness"):
@@ -57,11 +57,11 @@ class ImpactScenario:
                 f"{self.contact_damping:g} N s/m is too large for an "
                 f"effective mass of {self.effective_mass:g} kg: the contact "
                 "model squares their ratio")
-        if self.duration is None:
-            object.__setattr__(self, "duration", 1.25 * math.pi * math.sqrt(
-                self.effective_mass / self.contact_stiffness))
-        if not 0.0 < self.duration < math.inf:
+        duration = 1.25 * math.pi * math.sqrt(self.effective_mass
+                                              / self.contact_stiffness)
+        if not 0.0 < duration < math.inf:
             raise ValueError("duration must be finite and positive")
+        object.__setattr__(self, "duration", duration)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +96,8 @@ def simulate_impact(s: ImpactScenario) -> ForceTrace:
 
     The contact ends when x returns to zero (at pi / w_d, underdamped
     only; no sticking) or when the duration runs out. The force peaks at
-    touchdown when c^2 >= k M, otherwise at the first zero of dF/dt,
-    unless the window ends first.
+    touchdown when c^2 >= k M, otherwise at the first zero of dF/dt, at
+    most (pi / 2) / w_d after it: no later than half the window.
     """
     m, k, c = s.effective_mass, s.contact_stiffness, s.contact_damping
     sigma, w2, cm2 = c / (2.0 * m), k / m, (c / m) ** 2
@@ -106,10 +106,10 @@ def simulate_impact(s: ImpactScenario) -> ForceTrace:
     t_end = min(s.duration, math.pi / w_d) if w_d else s.duration
     t_peak = 0.0
     if cm2 < w2:                           # c^2 < k M
-        t_peak = min(t_end, math.atan2(w_d * (w2 - cm2),
-                                       sigma * (3.0 * w2 - cm2)) / w_d)
+        t_peak = math.atan2(w_d * (w2 - cm2),
+                            sigma * (3.0 * w2 - cm2)) / w_d
     t = np.linspace(0.0, t_end, TRACE_POINTS + 1)
-    at = int(np.searchsorted(t, t_peak))  # t_peak <= t_end, the last point
+    at = int(np.searchsorted(t, t_peak))
     if t[at] != t_peak:
         t = np.insert(t, at, t_peak)
     # e^(-sigma t) sinh(d t) / d and e^(-sigma t) cosh(d t), factored

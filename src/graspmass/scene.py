@@ -347,15 +347,16 @@ def _parse_grasps(d, base_object, tensor, path="grasps"):
     return tuple(grasps), tuple(bodies)
 
 
-def scene_from_dict(d: dict, digest: str | None = None) -> Scene:
+def scene_from_dict(d: dict) -> Scene:
     """Validate a scene dict into a Scene; field paths on every failure.
-    The digest, if not given, hashes the dict's JSON text, keys sorted."""
+    The digest hashes the dict's JSON text, keys sorted."""
+    digest = None  # ``_scene`` refuses a document that is not an object
     if isinstance(d, dict):
         try:  # a set, an ndarray or a cycle has no JSON text
             text = json.dumps(d, sort_keys=True)
         except (TypeError, ValueError) as exc:
             raise ParseError(f"scene document is not JSON: {exc}") from exc
-        digest = digest or hashlib.sha256(text.encode()).hexdigest()
+        digest = hashlib.sha256(text.encode()).hexdigest()
     return _scene(d, digest)
 
 

@@ -224,14 +224,16 @@ def test_effective_mass_direction_sign_invariant():
                       effective_mass(lam, -v).value, rtol=1e-12)
 
 
-def test_effective_mass_normalizes_with_warning():
-    rng = np.random.default_rng(38)
-    lam = random_pd6(rng)
-    v = np.array([2.0, 0.0, 0.0])
-    with pytest.warns(UserWarning, match="not unit norm") as record:
-        em = effective_mass(lam, v)
-    assert record[0].filename == __file__  # points at the caller
-    assert np.isclose(em.value, effective_mass(lam, v / 2.0).value, rtol=1e-12)
+@pytest.mark.parametrize("v", [[2.0, 0.0, 0.0], [0.0, 0.6, 0.6],
+                               [0.0, 0.0, 1.0 + 2e-9], [0.0, 0.0, 0.0]])
+def test_effective_mass_refuses_a_non_unit_direction(v):
+    # refused before the solve, which would fail on this singular matrix
+    lam = KineticEnergyMatrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^direction must be a unit vector$"):
+            effective_mass(lam, np.array(v))
 
 
 def test_effective_mass_zero_direction_raises():

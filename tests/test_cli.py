@@ -546,13 +546,18 @@ def test_at_sample_index_is_ascii_digits_only(index, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["rank", "BOOK", "--dt", "abc"], ["rank"],
                                   ["profile", "BOOK"], ["rank", "BOOK", "-x"],
-                                  ["bogus"]],
+                                  ["bogus"], ["rank", "BOOK", "--js"],
+                                  ["rank", "BOOK", "--agg", "mean"],
+                                  ["--vers"]],
                          ids=["bad-float", "no-scene", "no-grasp",
-                              "unknown-option", "unknown-command"])
+                              "unknown-option", "unknown-command",
+                              "prefix-of-json", "prefix-of-aggregator",
+                              "prefix-of-version"])
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
 def test_usage_errors_exit_one_not_the_ik_failure_code(argv, as_json,
                                                        tmp_path, capsys):
-    # argparse exits 2, the code of an IK failure, and prints no JSON
+    # argparse exits 2, the code of an IK failure, and prints no JSON; it
+    # would also take a prefix of an option for the option
     out_dir = tmp_path / "out"
     argv = [book_path() if a == "BOOK" else a for a in argv]
     code, out, err = run(capsys, *argv, *["--json"] * as_json,

@@ -22,7 +22,6 @@ from graspmass import (
     inverse_kinematics,
     mass_matrix,
     operational_space_inertia,
-    operational_space_inertias,
     parse_aggregator,
     rank_grasps,
     sample,
@@ -30,6 +29,7 @@ from graspmass import (
     sweep,
     transform_to_grasp,
 )
+from graspmass.chain import _checked_stack, _stacked_inertias
 from graspmass.errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
                               NotPositiveDefinite)
 
@@ -404,8 +404,8 @@ def test_sweep_with_carried_frames_equals_public_ik_chain(path, monkeypatch):
     want = public_ik_chain(scene.chain, traj, dt, seed)
     assert len(solved) == len(arm.times) + 1
     assert np.array_equal(solved[1:], want)
-    assert np.array_equal(
-        arm.lam_rob, operational_space_inertias(scene.chain, want).matrices)
+    assert np.array_equal(arm.lam_rob, [
+        operational_space_inertia(scene.chain, q).matrix.matrix for q in want])
 
 
 @pytest.mark.parametrize("path", SWEEP_PATHS)
@@ -442,7 +442,8 @@ def test_a_result_from_a_non_orthonormal_pose_is_refused(call):
         "jacobian": lambda: geometric_jacobian(chain, q),
         "mass_matrix": lambda: mass_matrix(chain, q),
         "osi": lambda: operational_space_inertia(chain, q),
-        "osi_stack": lambda: operational_space_inertias(chain, [q, q]),
+        "osi_stack": lambda: _stacked_inertias(
+            chain, _checked_stack(chain, np.array([q, q]))),
         "ik": lambda: inverse_kinematics(chain, scene.start, q),
         "evaluate": lambda: score(sweep(chain, scene.fit(), scene.dt,
                                         scene.ik_seed),
@@ -471,8 +472,6 @@ def test_operational_space_inertia_checks_its_result_once(monkeypatch):
     assert isinstance(osi.matrix, KineticEnergyMatrix)
     assert osi.matrix.matrix.shape == (6, 6)
     assert not osi.matrix.matrix.flags.writeable
-    want = operational_space_inertias(scene.chain, [scene.ik_seed])
-    assert np.array_equal(osi.matrix.matrix, want.matrices[0])
 
 
 def test_stale_frames_are_not_reused_for_a_clipped_seed():
