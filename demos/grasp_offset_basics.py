@@ -43,7 +43,7 @@ for y in np.linspace(-0.10, 0.10, 9):
     grasp = GraspCandidate(f"y={y:+.3f}", Pose(np.array([0.0, y, 0.0]),
                                                np.eye(3)))
     lam_gp = transform_to_grasp(com_energy_matrix(book), grasp)
-    free = effective_mass(lam_gp, v_grasp).value
+    free = effective_mass(lam_gp, v_grasp)
     total = score(sweep, [book], [grasp])[0, k - 1]
     print(f"{y:>14.3f} {free:>18.4f} {total:>20.4f}")
 

@@ -8,8 +8,7 @@ along the motion, which sets the peak force of an unexpected collision.
 
 __version__ = "0.1.0"
 
-from .augmented import (EffectiveMass, KineticEnergyMatrix, augment,
-                        effective_mass)
+from .augmented import KineticEnergyMatrix, augment, effective_mass
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object, com_energy_matrix,
                      transform_to_grasp)
@@ -31,7 +30,7 @@ __all__ = [
     "__version__", "errors",
     "Pose", "Twist", "skew", "pose_compose", "pose_inverse", "rotation_ypr",
     "rotation_axis_angle", "rotation_log",
-    "KineticEnergyMatrix", "EffectiveMass", "augment", "effective_mass",
+    "KineticEnergyMatrix", "augment", "effective_mass",
     "RigidBodyInertia", "GraspCandidate", "TensorObjectConfig",
     "com_energy_matrix", "transform_to_grasp",
     "build_tensor_object", "build_cuboid",

@@ -11,7 +11,8 @@ scalar mass the environment feels when the reference point is struck along
 v. It must be computed from the inverse's top-left block (the inverse of
 the Schur complement L_u - L_uw L_w^-1 L_uw^T), never from L_u alone.
 ``effective_masses`` computes it for a stack, by solves with no explicit
-inverse; the pipeline and ``effective_mass`` both call it.
+inverse; the pipeline calls it, and ``effective_mass`` is the float it
+gives on a stack of one.
 
 Definiteness is checked by Cholesky, never by eigenvalues: a stack is
 positive semidefinite within the floor when m + PD_MIN_EIG I factors
@@ -80,14 +81,6 @@ class KineticEnergyMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def _of_checked(cls, m: np.ndarray) -> "KineticEnergyMatrix":
-        """Wraps a read-only 6x6 matrix that ``checked_energy_matrices``
-        returned, without checking it again."""
-        kem = object.__new__(cls)
-        object.__setattr__(kem, "matrix", m)
-        return kem
-
     def expressed_in(self, rotation: np.ndarray) -> "KineticEnergyMatrix":
         """Re-express in a rotated frame.
 
@@ -99,27 +92,6 @@ class KineticEnergyMatrix:
         q[:3, :3] = rotation
         q[3:, 3:] = rotation
         return KineticEnergyMatrix(q @ self.matrix @ q.T)
-
-
-@dataclass(frozen=True, eq=False)
-class EffectiveMass:
-    """Directional effective mass in kg along a unit direction."""
-
-    value: float
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.array(self.direction, dtype=float)
-        d.setflags(write=False)
-        object.__setattr__(self, "direction", d)
-        if not self.value > 0.0:
-            raise ValueError("effective mass must be positive")
-        _check_unit(d)
-
-
-def _check_unit(d: np.ndarray) -> None:
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise ValueError("direction must be a unit vector")
 
 
 def augment(lam_robot: KineticEnergyMatrix, lam_obj: KineticEnergyMatrix) -> KineticEnergyMatrix:
@@ -150,12 +122,12 @@ def effective_masses(lam_tot: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 1.0 / np.einsum("ni,i->n", x, v)
 
 
-def effective_mass(lam_tot: KineticEnergyMatrix, v) -> EffectiveMass:
-    """Effective mass of the system along the unit direction v; any other
-    direction, zero included, is refused before the solve."""
+def effective_mass(lam_tot: KineticEnergyMatrix, v) -> float:
+    """Effective mass in kg of the system along the unit direction v; any
+    other direction, zero included, is refused before the solve."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DimensionMismatch("direction must be a 3-vector")
-    _check_unit(v)
-    mass = effective_masses(lam_tot.matrix[None], v)[0]
-    return EffectiveMass(float(mass), v)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+        raise ValueError("direction must be a unit vector")
+    return float(effective_masses(lam_tot.matrix[None], v)[0])

@@ -157,7 +157,7 @@ def grasp_energy_matrices(bodies, grasps) -> np.ndarray:
 
 def com_energy_matrix(body: RigidBodyInertia) -> KineticEnergyMatrix:
     """Kinetic-energy matrix at the CoM in CoM axes: blockdiag(m I3, I_com)."""
-    return KineticEnergyMatrix._of_checked(_com_matrices(
+    return KineticEnergyMatrix(_com_matrices(
         np.array([body.mass], dtype=float), body.inertia[None])[0])
 
 
@@ -178,7 +178,7 @@ def transform_to_grasp(lam_ocom: KineticEnergyMatrix,
     stacked step of ``grasp_energy_matrices`` on a stack of one.
     """
     pose = grasp.grasp_pose
-    return KineticEnergyMatrix._of_checked(_at_grasps(
+    return KineticEnergyMatrix(_at_grasps(
         lam_ocom.matrix[None], pose.rotation[None], pose.position[None])[0])
 
 

@@ -13,18 +13,19 @@ One kernel makes every frame pass: ``_one_pass`` gives the joint frames
 and end-effector pose of one configuration, shape (n,), and
 ``_one_jacobian`` its Jacobian; FK, the Jacobian and each IK iteration
 run on them, each 3 x 3 product a BLAS call on 2-D operands and the
-cross products on plain floats (``_cross``'s order), without numpy's
+cross products on plain floats (``np.cross``'s order), without numpy's
 per-call cost of a batch axis. A pass loops over the joints once, for
 the rotations; the joint origins are one batched product of the parent
 offsets by the preceding frames and one running sum in joint order, the
 additions of pose composition in its order. A stack, shape (S, n), is
-the rows of its kernel passes (``_stack``); on it ``_jacobian`` gives
-the bits of ``_one_jacobian`` row by row, and the CRBA mass matrices
-(Featherstone, Rigid Body Dynamics Algorithms, 2008, ch. 6) and the
-task-space inertias are built in one batch, with a read-only flag for
-each configuration near a Jacobian singularity (damped, not inverted
-exactly). The single-configuration mass matrix and task-space inertia
-use a stack of one.
+the rows of its kernel passes (``_stack``); on it ``_jacobian``
+(``np.cross``) gives the bits of ``_one_jacobian`` row by row, and the
+CRBA mass matrices (Featherstone, Rigid Body Dynamics Algorithms, 2008,
+ch. 6) and the task-space inertias are built in one batch, with a
+read-only flag for each configuration near a Jacobian singularity
+(damped, not inverted exactly), returned as a plain pair. The
+single-configuration mass matrix and task-space inertia use a stack of
+one.
 
 Validation sits at the boundary, once per call: joint values must be
 finite, and the end-effector rotation of each pass that reaches a
@@ -155,18 +156,6 @@ def _qvec(model: ChainModel, q) -> np.ndarray:
     return v
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.cross over the last axis of two (..., 3) stacks of one shape:
-    the same products and differences, without its axis handling."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(a.shape)
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
-
-
 class _Frames(NamedTuple):
     """One pass over the chain, all in base axes: of one configuration
     (``_one_pass``), or the rows of S such passes (``_stack``), with a
@@ -233,15 +222,15 @@ def _jacobian(frames: _Frames) -> np.ndarray:
     row k the bits of ``_one_jacobian`` at the k-th pass."""
     axes = frames.axes
     jac = np.empty((len(axes), 6, axes.shape[1]))
-    jac[:, :3] = _cross(axes, frames.ee_position[:, None]
-                        - frames.origins).swapaxes(1, 2)
+    jac[:, :3] = np.cross(axes, frames.ee_position[:, None]
+                          - frames.origins).swapaxes(1, 2)
     jac[:, 3:] = axes.swapaxes(1, 2)
     return jac
 
 
 def _one_jacobian(frames: _Frames) -> np.ndarray:
     """6 x n geometric Jacobian of one configuration's pass: the cross
-    products on plain floats, in ``_cross``'s order."""
+    products on plain floats, in ``np.cross``'s order."""
     axes = frames.axes.T.tolist()
     a0, a1, a2 = axes
     b0, b1, b2 = (frames.ee_position - frames.origins).T.tolist()
@@ -259,7 +248,7 @@ def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
     s_count, n = frames.axes.shape[:2]
     # motion subspace of each joint, referenced at the base origin
     subspaces = np.empty((s_count, n, 6))
-    subspaces[..., :3] = _cross(frames.origins, frames.axes)
+    subspaces[..., :3] = np.cross(frames.origins, frames.axes)
     subspaces[..., 3:] = frames.axes
     composite = np.zeros((s_count, 6, 6))
     # one buffer for each link's spatial inertia at the base origin, linear
@@ -307,18 +296,10 @@ class OperationalSpaceInertia(NamedTuple):
     near_singular: bool
 
 
-class OperationalSpaceInertias(NamedTuple):
-    """Task-space inertias of S configurations: (S, 6, 6) checked energy
-    matrices and (S,) bool near-singular flags, both read-only."""
-
-    matrices: np.ndarray
-    near_singular: np.ndarray
-
-
-def _stacked_inertias(model: ChainModel,
-                      frames: _Frames) -> OperationalSpaceInertias:
-    """Checked, read-only task-space inertias of a checked frame pass, one
-    per configuration."""
+def _stacked_inertias(model: ChainModel, frames: _Frames):
+    """Task-space inertias of a checked frame pass of S configurations:
+    (S, 6, 6) checked energy matrices and (S,) bool near-singular flags,
+    both read-only."""
     jac = _jacobian(frames)
     a = jac @ np.linalg.solve(_crba(model, frames), jac.swapaxes(1, 2))
     a = (a + a.swapaxes(1, 2)) / 2.0
@@ -331,7 +312,7 @@ def _stacked_inertias(model: ChainModel,
     lam = checked_energy_matrices((lam + lam.swapaxes(1, 2)) / 2.0)
     lam.setflags(write=False)
     near.setflags(write=False)
-    return OperationalSpaceInertias(lam, near)
+    return lam, near
 
 
 def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
@@ -341,9 +322,9 @@ def operational_space_inertia(model: ChainModel, q) -> OperationalSpaceInertia:
     the damped inverse (J M⁻¹ Jᵀ + λ²I)⁻¹ is returned with the flag set
     instead of failing or warning, so trajectory profiles stay complete.
     """
-    osi = _stacked_inertias(model, _checked_stack(model, _qvec(model, q)[None]))
-    return OperationalSpaceInertia(KineticEnergyMatrix._of_checked(
-        osi.matrices[0]), bool(osi.near_singular[0]))
+    lam, near = _stacked_inertias(model,
+                                  _checked_stack(model, _qvec(model, q)[None]))
+    return OperationalSpaceInertia(KineticEnergyMatrix(lam[0]), bool(near[0]))
 
 
 def inverse_kinematics(model: ChainModel, target: Pose, seed) -> np.ndarray:

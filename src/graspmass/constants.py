@@ -4,8 +4,8 @@ IK settings, the grid size limit and the speed and chord floors.
 
 Thresholds private to one check sit beside it: ``bodies.TRIANGLE_TOL``,
 ``impact.TRACE_POINTS`` and the inline tolerances of the unit direction
-of an effective mass (1e-9), of ``TensorObjectConfig`` and ``ForceTrace``
-(1e-12) and of ``rotation_log`` (1e-12 and 1e-6).
+``effective_mass`` takes (1e-9), of ``TensorObjectConfig`` and
+``ForceTrace`` (1e-12) and of ``rotation_log`` (1e-12 and 1e-6).
 """
 
 # Orthonormality / symmetry checks on constructed matrices.

@@ -155,11 +155,11 @@ def sweep(chain, traj, dt, q_seed) -> Sweep:
     for index, position in enumerate(positions, 1):
         q, frames = _solve_ik(chain, position, rotation, q, frames, index)
         passes.append(frames)
-    osi = _stacked_inertias(chain, _checked(_stack(passes)))
+    lam_rob, near_singular = _stacked_inertias(chain, _checked(_stack(passes)))
     direction = motion_direction(traj)
     for a in (times, direction):
         a.setflags(write=False)
-    return Sweep(rotation, times, osi.matrices, direction, osi.near_singular)
+    return Sweep(rotation, times, lam_rob, direction, near_singular)
 
 
 def _solve_ik(chain, position, rotation, q, frames, index):
@@ -174,7 +174,8 @@ def _solve_ik(chain, position, rotation, q, frames, index):
 def rank_grasps(grasp_ids, masses, near_singular,
                 aggregator="max") -> RankingReport:
     """Order the rows of a (G, N) mass table (row g for ``grasp_ids[g]``)
-    ascending by aggregate; ties break on grasp id."""
+    ascending by aggregate; ties break on grasp id. Every mass must be
+    finite and positive: a NaN has no place in the order."""
     if isinstance(aggregator, str):
         aggregator = parse_aggregator(aggregator)
     grasp_ids = tuple(grasp_ids)
@@ -185,6 +186,10 @@ def rank_grasps(grasp_ids, masses, near_singular,
     if masses.shape != (len(grasp_ids), len(near_singular)):
         raise LengthMismatch(f"mass table {masses.shape} for {len(grasp_ids)} "
                              f"grasp(s) and {len(near_singular)} sample(s)")
+    bad = ~(np.isfinite(masses) & (masses > 0.0)).all(axis=1)
+    if bad.any():
+        raise ValueError(f"grasp {grasp_ids[bad.argmax()]}: effective masses "
+                         "must be finite and positive")
     values, note = aggregator(masses, near_singular)
     notes = tuple(f"{gid}: {note}" for gid in grasp_ids) if note else ()
     aggregates, grasp_ids = zip(*sorted(zip(values.tolist(), grasp_ids)))

@@ -11,7 +11,7 @@ the start pose's rotation for every sample.
 
 ``sample`` returns one validated ``TrajectorySample`` per grid point. The
 pipeline reads the same grid as arrays (``_grid``: times and positions,
-each row evaluated as ``position(t)`` would, finiteness checked once per
+each row ``position(t)`` at its time, finiteness checked once per
 stack).
 """
 
@@ -110,9 +110,7 @@ def _grid(traj: QuinticTrajectory, dt: float):
     positions (N, 3)."""
     n = _grid_size(traj.t_f, dt)
     times = [traj.t_f * i / n for i in range(1, n + 1)]
-    # per-t products, as position(t) sums them
-    pos_c = traj.coeffs.T
-    positions = np.array([pos_c @ (t ** _POWERS) for t in times])
+    positions = np.array([traj.position(t) for t in times])
     if not np.isfinite(positions).all():
         raise ValueError("trajectory samples must be finite")
     return np.array(times), positions

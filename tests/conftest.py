@@ -503,4 +503,4 @@ def reference_sweep(chain, traj, dt, q_seed):
         qs.append(q)
         passes.append(frames)
     stack = _Frames(*(np.concatenate(a) for a in zip(*passes)))
-    return np.array(qs), _stacked_inertias(chain, stack).matrices
+    return np.array(qs), _stacked_inertias(chain, stack)[0]

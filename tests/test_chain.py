@@ -121,13 +121,13 @@ def test_batched_osi_equals_per_sample_reference_exactly():
     for dof in range(3, 8):
         model = random_chain(rng, dof)
         qs = rng.uniform(-np.pi, np.pi, size=(6, dof))
-        got = batched_osi(model, qs)
+        matrices, near_singular = batched_osi(model, qs)
         want = [pose_osi(model, q) for q in qs]
-        assert got.matrices.shape == (6, 6, 6)
-        assert np.array_equal(got.matrices, [lam for lam, _ in want])
-        assert got.near_singular.tolist() == [near for _, near in want]
-        assert got.near_singular.all() == (dof < 6)
-        for q, lam in zip(qs, got.matrices):
+        assert matrices.shape == (6, 6, 6)
+        assert np.array_equal(matrices, [lam for lam, _ in want])
+        assert near_singular.tolist() == [near for _, near in want]
+        assert near_singular.all() == (dof < 6)
+        for q, lam in zip(qs, matrices):
             assert np.array_equal(operational_space_inertia(model, q)
                                   .matrix.matrix, lam)
 
@@ -138,18 +138,18 @@ def test_batched_osi_damps_and_flags_only_the_singular_sample():
     qs = rng.uniform(-1.0, 1.0, size=(5, 6))
     qs[:, 4] = rng.uniform(0.3, 1.0, size=5)
     qs[2, 4] = 0.0
-    got = batched_osi(model, qs)
-    assert got.near_singular.tolist() == [False, False, True, False, False]
-    assert np.array_equal(got.matrices, [pose_osi(model, q)[0] for q in qs])
+    matrices, near_singular = batched_osi(model, qs)
+    assert near_singular.tolist() == [False, False, True, False, False]
+    assert np.array_equal(matrices, [pose_osi(model, q)[0] for q in qs])
     # the flagged sample is (J M^-1 J^T + OSI_DAMPING^2 I)^-1: J M^-1 J^T
     # is singular, so its largest eigenvalue is the damping's 1/lambda^2
     jac = pose_jacobian(model, qs[2])
     a = jac @ np.linalg.solve(pose_crba(model, qs[2]), jac.T)
     assert np.linalg.eigvalsh((a + a.T) / 2.0)[0] < 1e-12
-    assert np.isfinite(got.matrices[2]).all()
-    assert np.isclose(np.linalg.eigvalsh(got.matrices[2])[-1],
+    assert np.isfinite(matrices[2]).all()
+    assert np.isclose(np.linalg.eigvalsh(matrices[2])[-1],
                       1.0 / OSI_DAMPING**2, rtol=1e-6)
-    assert not got.matrices.flags.writeable
+    assert not matrices.flags.writeable
 
 
 KINEMATICS = [

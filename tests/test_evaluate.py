@@ -70,7 +70,7 @@ def test_tiny_object_reduces_to_robot_alone():
         from graspmass import inverse_kinematics
         state = inverse_kinematics(scene.chain, samp.pose, scene.ik_seed)
         osi = operational_space_inertia(scene.chain, state)
-        want = effective_mass(osi.matrix, direction_at(samp, samples)).value
+        want = effective_mass(osi.matrix, direction_at(samp, samples))
         assert abs(got - want) < 1e-3 * want
 
 
@@ -148,6 +148,16 @@ def test_rank_grasps_refuses_a_misaligned_table(ids, shape, n):
     # zip would silently drop the grasps past the shorter of ids and rows
     with pytest.raises(LengthMismatch):
         rank_grasps(ids, np.ones(shape), flags(n))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_rank_grasps_refuses_a_mass_that_is_not_finite_and_positive(bad):
+    # a NaN compares false both ways, so sorting would order it at random
+    masses = np.array([[2.0, 2.5], [1.5, bad], [1.0, bad]])
+    with pytest.raises(ValueError, match="^grasp b: effective masses must "
+                       "be finite and positive$"):
+        rank_grasps(["a", "b", "c"], masses, flags(2))
 
 
 def test_mean_aggregator_uses_all_samples():
@@ -286,9 +296,8 @@ def test_single_grasp_equals_its_row_of_the_batch():
 def test_non_positive_definite_total_is_rejected(monkeypatch):
     # a massless arm plus a near-massless object leaves nothing to invert
     import graspmass.ranking as ranking
-    from graspmass.chain import OperationalSpaceInertias
     monkeypatch.setattr(ranking, "_stacked_inertias",
-                        lambda chain, frames: OperationalSpaceInertias(
+                        lambda chain, frames: (
                             np.zeros((len(frames.axes), 6, 6)),
                             np.zeros(len(frames.axes), dtype=bool)))
     scene = book_scene()
@@ -302,9 +311,8 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
 def test_a_failing_total_is_named_by_its_grasp_among_several(monkeypatch):
     # with a massless arm only the near-massless middle object fails
     import graspmass.ranking as ranking
-    from graspmass.chain import OperationalSpaceInertias
     monkeypatch.setattr(ranking, "_stacked_inertias",
-                        lambda chain, frames: OperationalSpaceInertias(
+                        lambda chain, frames: (
                             np.zeros((len(frames.axes), 6, 6)),
                             np.zeros(len(frames.axes), dtype=bool)))
     scene = book_scene()
@@ -454,7 +462,8 @@ def test_a_result_from_a_non_orthonormal_pose_is_refused(call):
         calls[call]()
 
 
-def test_operational_space_inertia_checks_its_result_once(monkeypatch):
+def test_operational_space_inertia_checks_its_stack_then_its_matrix(
+        monkeypatch):
     import graspmass.augmented as augmented
     import graspmass.chain as chain_module
     calls = []
@@ -468,7 +477,7 @@ def test_operational_space_inertia_checks_its_result_once(monkeypatch):
     monkeypatch.setattr(chain_module, "checked_energy_matrices", counting)
     scene = book_scene()
     osi = operational_space_inertia(scene.chain, scene.ik_seed)
-    assert calls == [(1, 6, 6)]
+    assert calls == [(1, 6, 6), (6, 6)]
     assert isinstance(osi.matrix, KineticEnergyMatrix)
     assert osi.matrix.matrix.shape == (6, 6)
     assert not osi.matrix.matrix.flags.writeable
