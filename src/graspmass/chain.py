@@ -9,18 +9,17 @@ Conventions:
     with all spatial quantities referenced at the base origin, which keeps
     every 6-vector in one frame (linear first, matching the Jacobian)
 
-One kernel makes every frame pass: ``_one_pass`` gives the joint frames
-and end-effector pose of one configuration, shape (n,), and
-``_one_jacobian`` its Jacobian; FK, the Jacobian and each IK iteration
-run on them, each 3 x 3 product a BLAS call on 2-D operands and the
-cross products on plain floats (``np.cross``'s order), without numpy's
-per-call cost of a batch axis. A pass loops over the joints once, for
-the rotations; the joint origins are one batched product of the parent
-offsets by the preceding frames and one running sum in joint order, the
-additions of pose composition in its order. A stack, shape (S, n), is
-the rows of its kernel passes (``_stack``); on it ``_jacobian``
-(``np.cross``) gives the bits of ``_one_jacobian`` row by row, and the
-CRBA mass matrices (Featherstone, Rigid Body Dynamics Algorithms, 2008,
+One kernel makes every frame pass: ``_one_pass`` gives the joint frames,
+end-effector pose and geometric Jacobian of one configuration, shape
+(n,); FK, the Jacobian and each IK iteration read them, each 3 x 3
+product a BLAS call on 2-D operands and the Jacobian's cross products on
+plain floats (``np.cross``'s order), without numpy's per-call cost of a
+batch axis. A pass loops over the joints once, for the rotations; the
+joint origins are one batched product of the parent offsets by the
+preceding frames and one running sum in joint order, the additions of
+pose composition in its order. A stack, shape (S, n), is the rows of its
+kernel passes, Jacobians (S, 6, n) included (``_stack``); on it the CRBA
+mass matrices (Featherstone, Rigid Body Dynamics Algorithms, 2008,
 ch. 6) and the task-space inertias are built in one batch, with a
 read-only flag for each configuration near a Jacobian singularity
 (damped, not inverted exactly), returned as a plain pair. The
@@ -166,6 +165,7 @@ class _Frames(NamedTuple):
     axes: np.ndarray         # (n, 3) joint axes
     ee_rotation: np.ndarray  # (3, 3)
     ee_position: np.ndarray  # (3,)
+    jacobian: np.ndarray     # (6, n) geometric Jacobian, linear rows first
 
 
 def _spins(model: ChainModel, qs: np.ndarray) -> np.ndarray:
@@ -177,10 +177,11 @@ def _spins(model: ChainModel, qs: np.ndarray) -> np.ndarray:
 
 
 def _one_pass(model: ChainModel, q: np.ndarray) -> _Frames:
-    """Joint frames and end-effector pose of one validated configuration
-    (n,), each 3 x 3 product a BLAS call on 2-D operands (``ndarray.dot``
-    reaches the routine ``@`` does); the end-effector rotation is left to
-    the callers that reach a result (``_checked``)."""
+    """Joint frames, end-effector pose and Jacobian of one validated
+    configuration (n,), each 3 x 3 product a BLAS call on 2-D operands
+    (``ndarray.dot`` reaches the routine ``@`` does), the cross products
+    on plain floats in ``np.cross``'s order; the end-effector rotation is
+    left to the callers that reach a result (``_checked``)."""
     arrays = model._arrays
     spins = _spins(model, q)
     base = model.base_pose
@@ -197,8 +198,15 @@ def _one_pass(model: ChainModel, q: np.ndarray) -> _Frames:
     ee_position = rot.dot(tool.position) + origins[-1]
     if not all(map(math.isfinite, ee_position.tolist())):
         raise ValueError("end-effector position must be finite")
+    a0, a1, a2 = angular = axes.T.tolist()
+    b0, b1, b2 = (ee_position - origins).T.tolist()
+    jacobian = np.array([
+        [y * w - z * v for y, z, v, w in zip(a1, a2, b1, b2)],
+        [z * u - x * w for x, z, u, w in zip(a0, a2, b0, b2)],
+        [x * v - y * u for x, y, u, v in zip(a0, a1, b0, b1)],
+        *angular])
     return _Frames(rotations, origins, axes, rot.dot(tool.rotation),
-                   ee_position)
+                   ee_position, jacobian)
 
 
 def _stack(passes) -> _Frames:
@@ -215,30 +223,6 @@ def _checked(frames: _Frames) -> _Frames:
     """The pass, once every end-effector rotation in it is checked."""
     _check_rotation(frames.ee_rotation, "end-effector rotation")
     return frames
-
-
-def _jacobian(frames: _Frames) -> np.ndarray:
-    """(S, 6, n) geometric Jacobians of a stack's pass, linear rows first,
-    row k the bits of ``_one_jacobian`` at the k-th pass."""
-    axes = frames.axes
-    jac = np.empty((len(axes), 6, axes.shape[1]))
-    jac[:, :3] = np.cross(axes, frames.ee_position[:, None]
-                          - frames.origins).swapaxes(1, 2)
-    jac[:, 3:] = axes.swapaxes(1, 2)
-    return jac
-
-
-def _one_jacobian(frames: _Frames) -> np.ndarray:
-    """6 x n geometric Jacobian of one configuration's pass: the cross
-    products on plain floats, in ``np.cross``'s order."""
-    axes = frames.axes.T.tolist()
-    a0, a1, a2 = axes
-    b0, b1, b2 = (frames.ee_position - frames.origins).T.tolist()
-    return np.array([
-        [y * w - z * v for y, z, v, w in zip(a1, a2, b1, b2)],
-        [z * u - x * w for x, z, u, w in zip(a0, a2, b0, b2)],
-        [x * v - y * u for x, y, u, v in zip(a0, a1, b0, b1)],
-        *axes])
 
 
 def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
@@ -281,7 +265,7 @@ def forward_kinematics(model: ChainModel, q) -> Pose:
 
 def geometric_jacobian(model: ChainModel, q) -> np.ndarray:
     """6 x n map from joint rates to the end-effector twist, linear rows first."""
-    return _one_jacobian(_checked(_one_pass(model, _qvec(model, q))))
+    return _checked(_one_pass(model, _qvec(model, q))).jacobian
 
 
 def mass_matrix(model: ChainModel, q) -> np.ndarray:
@@ -300,7 +284,7 @@ def _stacked_inertias(model: ChainModel, frames: _Frames):
     """Task-space inertias of a checked frame pass of S configurations:
     (S, 6, 6) checked energy matrices and (S,) bool near-singular flags,
     both read-only."""
-    jac = _jacobian(frames)
+    jac = frames.jacobian
     a = jac @ np.linalg.solve(_crba(model, frames), jac.swapaxes(1, 2))
     a = (a + a.swapaxes(1, 2)) / 2.0
     # a chain with fewer than 6 joints never spans the task space
@@ -377,7 +361,7 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
             best_pos, best_rot = pos_err, rot_err
         if it == IK_MAX_ITERS:
             break
-        jac = _one_jacobian(frames)
+        jac = frames.jacobian
         dq = jac.T.dot(np.linalg.solve(jac @ jac.T + _IK_DAMPING_EYE6, err))
         step = max(map(abs, dq.tolist()))
         if step > IK_STEP_CLAMP:

@@ -35,7 +35,7 @@ from .trajectory import _grid, motion_direction
 
 @dataclass(frozen=True)
 class Aggregator:
-    """Row-to-scalar rule: worst case, average, or a fixed sample."""
+    """Row-to-scalar rule: worst case, average, or the 1-based sample k."""
 
     kind: str
     k: int | None = None
@@ -43,8 +43,12 @@ class Aggregator:
     def __post_init__(self):
         if self.kind not in ("max", "mean", "at_sample"):
             raise ValueError(f"unknown aggregator {self.kind!r}")
-        if self.kind == "at_sample" and (self.k is None or self.k < 1):
-            raise ValueError("at_sample needs a 1-based sample index")
+        if self.kind != "at_sample":
+            if self.k is not None:
+                raise ValueError(f"{self.kind} takes no sample index")
+        elif (isinstance(self.k, bool)
+              or not isinstance(self.k, (int, np.integer)) or self.k < 1):
+            raise ValueError("at_sample needs a 1-based integer sample index")
 
     @property
     def name(self) -> str:
@@ -174,15 +178,15 @@ def _solve_ik(chain, position, rotation, q, frames, index):
 def rank_grasps(grasp_ids, masses, near_singular,
                 aggregator="max") -> RankingReport:
     """Order the rows of a (G, N) mass table (row g for ``grasp_ids[g]``)
-    ascending by aggregate; ties break on grasp id. Every mass must be
-    finite and positive: a NaN has no place in the order."""
+    ascending by aggregate; ties break on grasp id. Each mass of the
+    non-empty table must be finite and positive (a NaN has no order)."""
     if isinstance(aggregator, str):
         aggregator = parse_aggregator(aggregator)
     grasp_ids = tuple(grasp_ids)
-    if not grasp_ids:
-        raise EmptyInput("no grasps to rank")
     masses = np.asarray(masses, dtype=float)
     near_singular = np.asarray(near_singular, dtype=bool)
+    if not grasp_ids or not len(near_singular):
+        raise EmptyInput(f"no {'samples' if grasp_ids else 'grasps'} to rank")
     if masses.shape != (len(grasp_ids), len(near_singular)):
         raise LengthMismatch(f"mass table {masses.shape} for {len(grasp_ids)} "
                              f"grasp(s) and {len(near_singular)} sample(s)")

@@ -431,8 +431,8 @@ def reference_rotation_log(r):
 
 
 def reference_frame_pass(model, qs):
-    """Joint frames and end-effector poses of an (S, n) stack, each joint
-    origin accumulated inside the loop over the joints."""
+    """Joint frames, end-effector poses and Jacobians of an (S, n) stack,
+    each joint origin accumulated inside the loop over the joints."""
     k = skew([spec.axis for spec, _ in model.joints])
     spins = (np.eye(3) + np.sin(qs)[..., None, None] * k
              + (1.0 - np.cos(qs))[..., None, None] * (k @ k))
@@ -447,17 +447,18 @@ def reference_frame_pass(model, qs):
     axes = (rotations @ np.array([spec.axis for spec, _ in model.joints])
             [..., None])[..., 0]
     tool = model.tool_transform
+    ee_position = rot @ tool.position + pos
     return _Frames(rotations, origins, axes, rot @ tool.rotation,
-                   rot @ tool.position + pos)
+                   ee_position, reference_jacobian(axes, origins, ee_position))
 
 
-def reference_jacobian(frames):
-    """6 x n Jacobian at the first configuration of a stack's pass, by
-    np.cross."""
-    jac = np.empty((6, frames.axes.shape[1]))
-    jac[:3] = np.cross(frames.axes[0],
-                       frames.ee_position[0] - frames.origins[0]).T
-    jac[3:] = frames.axes[0].T
+def reference_jacobian(axes, origins, ee_position):
+    """(S, 6, n) Jacobians of a stack's joint axes (S, n, 3), joint
+    origins (S, n, 3) and end-effector positions (S, 3), linear rows
+    first, by np.cross on the whole stack."""
+    jac = np.empty((len(axes), 6, axes.shape[1]))
+    jac[:, :3] = np.cross(axes, ee_position[:, None] - origins).swapaxes(1, 2)
+    jac[:, 3:] = axes.swapaxes(1, 2)
     return jac
 
 
@@ -477,7 +478,7 @@ def reference_ik(model, target_pos, target_rot, q, frames=None):
         rot_err = float(np.linalg.norm(e_rot))
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
             return q, frames
-        jac = reference_jacobian(frames)
+        jac = frames.jacobian[0]
         err = np.concatenate([e_pos, e_rot])
         dq = jac.T @ np.linalg.solve(jac @ jac.T + IK_DAMPING**2 * np.eye(6),
                                      err)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,40 @@ def test_rank_grasps_sorts_ascending_with_id_tiebreak():
 def test_rank_grasps_rejects_empty_and_duplicates():
     with pytest.raises(EmptyInput):
         rank_grasps([], np.empty((0, 2)), flags(2))
+
+
+@pytest.mark.parametrize("aggregator", ["max", "mean", "at-sample=1"])
+def test_rank_grasps_refuses_a_table_without_samples(aggregator):
+    # max of nothing is numpy's raw ValueError, mean of nothing NaN with
+    # RuntimeWarnings: neither is an order
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyInput, match="^no samples to rank$"):
+            rank_grasps(["a", "b"], np.empty((2, 0)), flags(0), aggregator)
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, False, None, 0, -1, "2"],
+                         ids=["fraction", "integral-float", "true", "false",
+                              "none", "zero", "negative", "text"])
+def test_at_sample_needs_an_integer_index_of_at_least_one(k):
+    # a float index is numpy's raw IndexError, and True ranked at sample 1
+    # under the name at-sample=True
+    with pytest.raises(ValueError, match="1-based integer sample index"):
+        Aggregator("at_sample", k)
+
+
+def test_at_sample_takes_a_numpy_integer():
+    agg = Aggregator("at_sample", np.int64(2))
+    values, _ = agg(np.array([[1.0, 2.0, 6.0]]), flags(3))
+    assert values.tolist() == [2.0]
+    assert agg.name == "at-sample=2"
+
+
+@pytest.mark.parametrize("kind, k", [("max", 3), ("mean", 1), ("max", 0)])
+def test_max_and_mean_refuse_a_sample_index(kind, k):
+    # the index would be ignored
+    with pytest.raises(ValueError, match=f"^{kind} takes no sample index$"):
+        Aggregator(kind, k)
 
 
 @pytest.mark.parametrize("ids, shape, n", [
