@@ -12,13 +12,13 @@ from .augmented import KineticEnergyMatrix, augment, effective_mass
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object, com_energy_matrix,
                      transform_to_grasp)
-from .chain import (ChainModel, JointSpec, LinkInertia, forward_kinematics,
-                    geometric_jacobian, inverse_kinematics, mass_matrix,
-                    operational_space_inertia)
+from .chain import (ChainModel, JointSpec, LinkInertia, Sweep,
+                    forward_kinematics, geometric_jacobian, inverse_kinematics,
+                    mass_matrix, operational_space_inertia, sweep)
 from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
                      predict_ordering, simulate_impact)
-from .ranking import (Aggregator, RankingReport, Sweep, parse_aggregator,
-                      rank_grasps, score, sweep)
+from .ranking import (Aggregator, RankingReport, parse_aggregator,
+                      rank_grasps, score)
 from .scene import Scene, parse_scene, scene_from_dict
 from .spatial import (Pose, Twist, pose_compose, pose_inverse,
                       rotation_axis_angle, rotation_log, rotation_ypr, skew)
@@ -36,11 +36,10 @@ __all__ = [
     "build_tensor_object", "build_cuboid",
     "LinkInertia", "JointSpec", "ChainModel",
     "forward_kinematics", "geometric_jacobian", "mass_matrix",
-    "operational_space_inertia", "inverse_kinematics",
+    "operational_space_inertia", "inverse_kinematics", "Sweep", "sweep",
     "QuinticTrajectory", "TrajectorySample", "fit_quintic", "sample",
     "motion_direction",
-    "RankingReport", "Aggregator", "Sweep",
-    "sweep", "score", "parse_aggregator", "rank_grasps",
+    "RankingReport", "Aggregator", "score", "parse_aggregator", "rank_grasps",
     "ImpactScenario", "ForceTrace", "ImpactOrdering", "simulate_impact",
     "predict_ordering",
     "Scene", "parse_scene", "scene_from_dict",

@@ -30,6 +30,7 @@ import numpy as np
 
 from .constants import PD_MIN_EIG, SYMMETRY_TOL
 from .errors import DimensionMismatch, NotPositiveDefinite
+from .spatial import _check_rotation
 
 _EYE6 = np.eye(6)
 
@@ -86,8 +87,9 @@ class KineticEnergyMatrix:
 
         ``rotation`` maps this matrix's coordinates into the target frame
         (same reference point). Energy is preserved: this is a congruence by
-        blockdiag(R, R).
+        blockdiag(R, R), so R must be a rotation.
         """
+        _check_rotation(rotation)
         q = np.zeros((6, 6))
         q[:3, :3] = rotation
         q[3:, 3:] = rotation
@@ -128,6 +130,6 @@ def effective_mass(lam_tot: KineticEnergyMatrix, v) -> float:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DimensionMismatch("direction must be a 3-vector")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+    if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:   # NaN is refused too
         raise ValueError("direction must be a unit vector")
     return float(effective_masses(lam_tot.matrix[None], v)[0])

@@ -175,11 +175,16 @@ def transform_to_grasp(lam_ocom: KineticEnergyMatrix,
     which equals T^T @ blockdiag(m I3, R^T I_com R) @ T with T = [[I3,
     skew(r)], [0, I3]], the tests' oracle ``velocity_transform``. Built
     block-wise so the translational block is exactly m I3; this is the
-    stacked step of ``grasp_energy_matrices`` on a stack of one.
+    stacked step of ``grasp_energy_matrices`` on a stack of one, which
+    reads only m and I_com: any other matrix is refused.
     """
+    m = lam_ocom.matrix
+    if m[:3, 3:].any() or not np.array_equal(m[:3, :3], m[0, 0] * np.eye(3)):
+        raise ValueError("lam_ocom must be blockdiag(m I3, I_com), "
+                         "as com_energy_matrix returns")
     pose = grasp.grasp_pose
     return KineticEnergyMatrix(_at_grasps(
-        lam_ocom.matrix[None], pose.rotation[None], pose.position[None])[0])
+        m[None], pose.rotation[None], pose.position[None])[0])
 
 
 def _axisymmetric_inertia(axial: float, perp: float, axis: np.ndarray) -> np.ndarray:

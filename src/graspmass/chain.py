@@ -1,4 +1,4 @@
-"""Serial revolute chains: kinematics, Jacobian, mass matrix, task-space inertia.
+"""Serial revolute chains: kinematics, task-space inertia, the arm's sweep.
 
 Conventions:
   - joint frame i: parent frame, then the joint's fixed parent_transform,
@@ -36,10 +36,15 @@ iterates, which are thrown away, and the joint frames are not checked.
 the converged configuration with its frame pass. Each iteration does
 its arithmetic on plain floats and small arrays (the residual in one
 6-vector, its norms as ``sqrt(e . e)``, the bits of ``np.linalg.norm``).
-A warm-started sweep hands that pass to the next solve, which then skips
-the pass at its seed, and stacks the converged passes for the task-space
-inertias (``_stacked_inertias``), so no pass runs outside IK; their
-flags flag the columns of every grasp's row in the mass table.
+
+One ``sweep`` per trajectory computes the arm's part of an evaluation on
+its sampling grid, read as arrays: warm-started IK sample by sample
+(the start pose is sample 0), each solve handed the previous one's
+converged pass, so it skips the pass at its seed; then the task-space
+inertias and near-singular flags of all samples, one batch on the stack
+of those passes (``_stacked_inertias``), so no pass runs outside IK;
+and the motion direction, the path's chord, the same at every sample.
+The grasps' part is ``ranking.score`` on the sweep.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         UNIT_NORM_TOL)
 from .errors import DimensionMismatch, IkDidNotConverge
 from .spatial import Pose, _check_rotation, _frozen, rotation_log, skew
+from .trajectory import _grid, motion_direction
 
 _EYE3 = np.eye(3)
 _IK_DAMPING_EYE6 = IK_DAMPING**2 * _EYE6
@@ -162,7 +168,6 @@ class _Frames(NamedTuple):
 
     rotations: np.ndarray    # (n, 3, 3) joint frames, post joint rotation
     origins: np.ndarray      # (n, 3)
-    axes: np.ndarray         # (n, 3) joint axes
     ee_rotation: np.ndarray  # (3, 3)
     ee_position: np.ndarray  # (3,)
     jacobian: np.ndarray     # (6, n) geometric Jacobian, linear rows first
@@ -205,8 +210,8 @@ def _one_pass(model: ChainModel, q: np.ndarray) -> _Frames:
         [z * u - x * w for x, z, u, w in zip(a0, a2, b0, b2)],
         [x * v - y * u for x, y, u, v in zip(a0, a1, b0, b1)],
         *angular])
-    return _Frames(rotations, origins, axes, rot.dot(tool.rotation),
-                   ee_position, jacobian)
+    return _Frames(rotations, origins, rot.dot(tool.rotation), ee_position,
+                   jacobian)
 
 
 def _stack(passes) -> _Frames:
@@ -229,11 +234,12 @@ def _crba(model: ChainModel, frames: _Frames) -> np.ndarray:
     """(S, n, n) joint-space mass matrices of a stack's pass by the
     composite rigid-body recursion, spatial quantities referenced at the
     base origin."""
-    s_count, n = frames.axes.shape[:2]
+    s_count, n = frames.origins.shape[:2]
+    axes = frames.jacobian[:, 3:].swapaxes(1, 2)   # (S, n, 3) joint axes
     # motion subspace of each joint, referenced at the base origin
     subspaces = np.empty((s_count, n, 6))
-    subspaces[..., :3] = np.cross(frames.origins, frames.axes)
-    subspaces[..., 3:] = frames.axes
+    subspaces[..., :3] = np.cross(frames.origins, axes)
+    subspaces[..., 3:] = axes
     composite = np.zeros((s_count, 6, 6))
     # one buffer for each link's spatial inertia at the base origin, linear
     # rows first; one link at a time keeps the stacks at (S, 6, 6)
@@ -329,14 +335,16 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> np.ndarray:
 
 
 def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
-        q: np.ndarray, frames: _Frames | None = None):
+        q: np.ndarray, frames: _Frames | None = None,
+        sample: int | None = None):
     """``inverse_kinematics`` on arrays: the converged q and its frame
     pass (of the one configuration), whose end-effector rotation the
     caller checks.
 
     ``frames``, the pass at the seed (the previous solve's result in a
     warm-started sweep), saves the first pass; it is used only if the
-    joint limits leave the seed as it is.
+    joint limits leave the seed as it is. ``sample``, the target's index
+    in a sweep, prefixes a failure's message and is its ``sample_index``.
     """
     lower, upper = model._arrays.lower, model._arrays.upper
     seed, q = q, np.minimum(np.maximum(q, lower), upper)
@@ -369,7 +377,40 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
         q = np.minimum(np.maximum(q + dq, lower), upper)
         frames = None
     best_q.setflags(write=False)
+    where = "" if sample is None else f"sample {sample}: "
     raise IkDidNotConverge(
-        f"no convergence after {IK_MAX_ITERS} iterations "
+        f"{where}no convergence after {IK_MAX_ITERS} iterations "
         f"(position {best_pos:.3e} m, rotation {best_rot:.3e} rad)",
-        best_q=best_q, pos_err=best_pos, rot_err=best_rot)
+        best_q=best_q, pos_err=best_pos, rot_err=best_rot,
+        sample_index=sample)
+
+
+class Sweep(NamedTuple):
+    """The grasp-independent part of an evaluation, arrays read-only: the
+    held rotation (3, 3), the sampling grid's times (N,) (``_grid``), the
+    arm's task-space inertia (N, 6, 6) in base axes, the unit motion
+    direction (3,) of every sample and near-singular flags (N,)."""
+
+    rotation: np.ndarray
+    times: np.ndarray
+    lam_rob: np.ndarray
+    direction: np.ndarray
+    near_singular: np.ndarray
+
+
+def sweep(chain, traj, dt, q_seed) -> Sweep:
+    """The arm's part of an evaluation along ``traj`` at ``dt``; a failed
+    solve raises ``IkDidNotConverge`` with its sample index (0 = start)."""
+    times, positions = _grid(traj, dt)
+    rotation = traj.start_rotation
+    q, frames = _ik(chain, traj.position(0.0), rotation,
+                    _qvec(chain, q_seed), None, 0)
+    passes = []
+    for index, position in enumerate(positions, 1):
+        q, frames = _ik(chain, position, rotation, q, frames, index)
+        passes.append(frames)
+    lam_rob, near_singular = _stacked_inertias(chain, _checked(_stack(passes)))
+    direction = motion_direction(traj)
+    for a in (times, direction):
+        a.setflags(write=False)
+    return Sweep(rotation, times, lam_rob, direction, near_singular)

@@ -1,16 +1,11 @@
 """Effective masses as one grasps x samples table, and grasp ranking.
 
-The arm's energy matrix depends on the trajectory alone, so one sweep
-per trajectory computes it from the sampling grid, read as arrays:
-warm-started IK sample by sample (each solve seeds the next and hands
-it its converged frame pass), then the task-space inertia of all the
-samples from the stack of those passes, with one near-singular flag
-per sample, and the motion direction: the path's chord, the same at
-every sample (``sweep``). The object terms of all grasps are then built
-as one stack (``bodies.grasp_energy_matrices``) and rotated into base
-axes by one einsum (the held orientation is the same at every sample);
-each grasp adds its term to the arm's at every sample and gets its row
-of the (G, N) mass table from one Cholesky check and one batched solve
+The per-grasp part of an evaluation, on the arm's sweep
+(``chain.sweep``): the object terms of all grasps are built as one
+stack (``bodies.grasp_energy_matrices``) and rotated into base axes by
+one einsum (the held orientation is the same at every sample); each
+grasp adds its term to the arm's at every sample and gets its row of
+the (G, N) mass table from one Cholesky check and one batched solve
 (``score``); its columns' times and flags are the sweep's. A ``Scene``
 keeps one entry per ``dt`` holding both (``Scene.evaluated``), so only
 the first command on a scene and ``dt`` pays for them; a custom grasp
@@ -21,16 +16,13 @@ ranked ascending by the aggregate of their row (safest first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .augmented import effective_masses
 from .bodies import grasp_energy_matrices
-from .chain import _checked, _ik, _qvec, _stack, _stacked_inertias
-from .errors import (EmptyInput, IkDidNotConverge, LengthMismatch,
-                     NotPositiveDefinite)
-from .trajectory import _grid, motion_direction
+from .chain import Sweep
+from .errors import EmptyInput, LengthMismatch, NotPositiveDefinite
 
 
 @dataclass(frozen=True)
@@ -103,19 +95,6 @@ class RankingReport:
     notes: tuple[str, ...] = ()
 
 
-class Sweep(NamedTuple):
-    """The grasp-independent part of an evaluation, arrays read-only: the
-    held rotation (3, 3), the sampling grid's times (N,) (``_grid``), the
-    arm's task-space inertia (N, 6, 6) in base axes, the unit motion
-    direction (3,) of every sample and near-singular flags (N,)."""
-
-    rotation: np.ndarray
-    times: np.ndarray
-    lam_rob: np.ndarray
-    direction: np.ndarray
-    near_singular: np.ndarray
-
-
 def score(sweep: Sweep, bodies, grasps) -> np.ndarray:
     """Per-grasp part: the read-only (G, N) effective masses, row g for
     ``grasps[g]`` at every sample of ``sweep``. The object terms of all
@@ -140,39 +119,6 @@ def score(sweep: Sweep, bodies, grasps) -> np.ndarray:
             raise NotPositiveDefinite(f"grasp {grasp.id}: {exc}") from exc
     masses.setflags(write=False)
     return masses
-
-
-def sweep(chain, traj, dt, q_seed) -> Sweep:
-    """Grasp-independent pass over the sampling grid of ``traj`` at ``dt``.
-
-    IK runs sample by sample, each solve warm-started from the previous
-    solution and handed its converged frame pass, so it skips the pass at
-    its seed; the start pose (sample 0) seeds sample 1 the same way. The
-    task-space inertia of all N samples is then one batch on the stack of
-    their converged passes, so no pass runs outside IK. A failed solve
-    raises ``IkDidNotConverge`` carrying its sample index (0 = start)."""
-    times, positions = _grid(traj, dt)
-    rotation = traj.start_rotation
-    q, frames = _solve_ik(chain, traj.position(0.0), rotation,
-                          _qvec(chain, q_seed), None, 0)
-    passes = []
-    for index, position in enumerate(positions, 1):
-        q, frames = _solve_ik(chain, position, rotation, q, frames, index)
-        passes.append(frames)
-    lam_rob, near_singular = _stacked_inertias(chain, _checked(_stack(passes)))
-    direction = motion_direction(traj)
-    for a in (times, direction):
-        a.setflags(write=False)
-    return Sweep(rotation, times, lam_rob, direction, near_singular)
-
-
-def _solve_ik(chain, position, rotation, q, frames, index):
-    try:
-        return _ik(chain, position, rotation, q, frames)
-    except IkDidNotConverge as exc:
-        raise IkDidNotConverge(f"sample {index}: {exc}", best_q=exc.best_q,
-                               pos_err=exc.pos_err, rot_err=exc.rot_err,
-                               sample_index=index) from exc
 
 
 def rank_grasps(grasp_ids, masses, near_singular,

@@ -20,7 +20,7 @@ tensor rig's ring positions, which rebuilds the object for that grasp
 (same physical grip, different mass distribution).
 
 A ``Scene`` holds the model, not the document, and keeps one evaluation
-entry per sampling step: the arm's sweep (``ranking.sweep``, the part
+entry per sampling step: the arm's sweep (``chain.sweep``, the part
 that no grasp changes, times and near-singular flags included) and the
 (G, N) effective masses of its grasps on it (``ranking.score``, row g
 for ``grasps[g]``), built together and kept only when both succeed.
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import ranking
+from . import chain as arm, ranking   # ``chain`` names the scene's model
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object)
 from .chain import ChainModel, JointSpec, LinkInertia
@@ -82,7 +82,7 @@ class Scene:
     def fit(self) -> QuinticTrajectory:
         return fit_quintic(self.start, self.end, self.t_f)
 
-    def evaluated(self, dt: float) -> tuple[ranking.Sweep, np.ndarray]:
+    def evaluated(self, dt: float) -> tuple[arm.Sweep, np.ndarray]:
         """The arm's sweep along the fitted trajectory at ``dt`` and the
         (G, N) effective masses of the grasps on it, row g for
         ``grasps[g]``: computed on the first call per ``dt`` and shared by
@@ -90,7 +90,7 @@ class Scene:
         scoring succeed."""
         entry = self._evaluations.get(dt)
         if entry is None:
-            sweep = ranking.sweep(self.chain, self.fit(), dt, self.ik_seed)
+            sweep = arm.sweep(self.chain, self.fit(), dt, self.ik_seed)
             masses = ranking.score(sweep, self.bodies, self.grasps)
             entry = self._evaluations[dt] = (sweep, masses)
         return entry

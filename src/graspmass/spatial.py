@@ -32,7 +32,8 @@ def _frozen(a, shape, name) -> np.ndarray:
 
 def _check_rotation(r: np.ndarray, name="rotation") -> None:
     """Checks a 3x3 rotation, or each of an (..., 3, 3) stack."""
-    if np.abs(r @ np.swapaxes(r, -1, -2) - _EYE3).max() > ORTHONORMAL_TOL:
+    # a NaN entry fails here, before the determinant
+    if not np.abs(r @ np.swapaxes(r, -1, -2) - _EYE3).max() <= ORTHONORMAL_TOL:
         raise ValueError(f"{name} is not orthonormal")
     if np.abs(np.linalg.det(r) - 1.0).max() > ORTHONORMAL_TOL:
         raise ValueError(f"{name} must have determinant +1")

@@ -376,7 +376,7 @@ def integrate_contact(scenario):
 
 
 def reference_score(sweep, bodies, grasps):
-    """Effective masses of each grasp along a ``ranking.Sweep``, with the
+    """Effective masses of each grasp along a ``chain.Sweep``, with the
     object term rotated into base axes sample by sample: one
     blockdiag(R, R) per sample, stacked. The library builds the term once
     per grasp; the arithmetic is the same, so the masses must be equal."""
@@ -448,8 +448,8 @@ def reference_frame_pass(model, qs):
             [..., None])[..., 0]
     tool = model.tool_transform
     ee_position = rot @ tool.position + pos
-    return _Frames(rotations, origins, axes, rot @ tool.rotation,
-                   ee_position, reference_jacobian(axes, origins, ee_position))
+    return _Frames(rotations, origins, rot @ tool.rotation, ee_position,
+                   reference_jacobian(axes, origins, ee_position))
 
 
 def reference_jacobian(axes, origins, ee_position):

@@ -225,7 +225,8 @@ def test_effective_mass_direction_sign_invariant():
 
 
 @pytest.mark.parametrize("v", [[2.0, 0.0, 0.0], [0.0, 0.6, 0.6],
-                               [0.0, 0.0, 1.0 + 2e-9], [0.0, 0.0, 0.0]])
+                               [0.0, 0.0, 1.0 + 2e-9], [0.0, 0.0, 0.0],
+                               [float("nan"), 0.0, 0.0]])
 def test_effective_mass_refuses_a_non_unit_direction(v):
     # refused before the solve, which would fail on this singular matrix
     lam = KineticEnergyMatrix(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0]))
@@ -234,6 +235,19 @@ def test_effective_mass_refuses_a_non_unit_direction(v):
         with pytest.raises(ValueError,
                            match="^direction must be a unit vector$"):
             effective_mass(lam, np.array(v))
+
+
+@pytest.mark.parametrize("rotation, message", [
+    (2.0 * np.eye(3), "is not orthonormal"),
+    (np.full((3, 3), np.nan), "is not orthonormal"),
+    (np.diag([1.0, 1.0, -1.0]), "must have determinant"),
+])
+def test_expressed_in_refuses_a_matrix_that_is_not_a_rotation(rotation,
+                                                              message):
+    # a congruence by any other matrix changes the energy it must keep
+    lam = KineticEnergyMatrix(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=f"^rotation {message}"):
+        lam.expressed_in(rotation)
 
 
 def test_effective_mass_zero_direction_raises():

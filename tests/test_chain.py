@@ -29,7 +29,6 @@ from conftest import (
     random_chain,
     random_rotation,
     reference_frame_pass,
-    reference_jacobian,
     tensor_scene,
 )
 
@@ -85,10 +84,7 @@ def test_frame_pass_equals_the_reference_on_rotated_frames():
                 for field, a, b in zip(one._fields, one, reference):
                     assert a.shape == b.shape[1:], field
                     assert np.array_equal(a, b[0]), field
-                jac = reference_jacobian(reference.axes, reference.origins,
-                                         reference.ee_position)[0]
-                assert np.array_equal(one.jacobian, jac)
-                assert np.array_equal(got.jacobian[k], jac)
+                assert np.array_equal(got.jacobian[k], reference.jacobian[0])
 
 
 def wrist_chain(rng):
@@ -335,3 +331,6 @@ def test_ik_unreachable_reports_best_effort():
     assert err.best_q.shape == (scene.chain.dof,)
     assert not err.best_q.flags.writeable
     assert err.pos_err > 1.0
+    # a lone solve has no sample to name
+    assert str(err).startswith("no convergence")
+    assert err.sample_index is None

@@ -247,15 +247,15 @@ def test_demo_book_end_to_end(tmp_path, capsys):
 
 def test_demo_evaluates_once_and_matches_the_commands(tmp_path, capsys,
                                                       monkeypatch):
-    import graspmass.ranking as ranking
-    sweep = ranking.sweep
+    import graspmass.chain as chain_module
+    sweep = chain_module.sweep
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return sweep(*args, **kwargs)
 
-    monkeypatch.setattr(ranking, "sweep", counted)
+    monkeypatch.setattr(chain_module, "sweep", counted)
     demo, alone = tmp_path / "demo", tmp_path / "alone"
     code, _, _ = run(capsys, "demo", "book", "--out-dir", str(demo))
     assert code == 0

@@ -330,11 +330,11 @@ def test_single_grasp_equals_its_row_of_the_batch():
 
 def test_non_positive_definite_total_is_rejected(monkeypatch):
     # a massless arm plus a near-massless object leaves nothing to invert
-    import graspmass.ranking as ranking
-    monkeypatch.setattr(ranking, "_stacked_inertias",
+    import graspmass.chain as chain_module
+    monkeypatch.setattr(chain_module, "_stacked_inertias",
                         lambda chain, frames: (
-                            np.zeros((len(frames.axes), 6, 6)),
-                            np.zeros(len(frames.axes), dtype=bool)))
+                            np.zeros((len(frames.origins), 6, 6)),
+                            np.zeros(len(frames.origins), dtype=bool)))
     scene = book_scene()
     speck = RigidBodyInertia(1e-14, Pose.identity(), 1e-15 * np.eye(3))
     with pytest.raises(NotPositiveDefinite, match="^grasp speck-7: augmented "
@@ -345,11 +345,11 @@ def test_non_positive_definite_total_is_rejected(monkeypatch):
 
 def test_a_failing_total_is_named_by_its_grasp_among_several(monkeypatch):
     # with a massless arm only the near-massless middle object fails
-    import graspmass.ranking as ranking
-    monkeypatch.setattr(ranking, "_stacked_inertias",
+    import graspmass.chain as chain_module
+    monkeypatch.setattr(chain_module, "_stacked_inertias",
                         lambda chain, frames: (
-                            np.zeros((len(frames.axes), 6, 6)),
-                            np.zeros(len(frames.axes), dtype=bool)))
+                            np.zeros((len(frames.origins), 6, 6)),
+                            np.zeros(len(frames.origins), dtype=bool)))
     scene = book_scene()
     arm = sweep(scene.chain, scene.fit(), scene.dt, scene.ik_seed)
     book = scene.bodies[0]
@@ -423,19 +423,20 @@ def test_turned_book_is_book_arm():
 
 
 def recorded_sweep(monkeypatch, chain, traj, dt, seed):
-    """``ranking.sweep`` and the joint solution of each of its IK solves,
-    the start pose's first."""
-    import graspmass.ranking as ranking
-    from graspmass.chain import _ik
-    solved = []
+    """``chain.sweep`` and the joint solution of each of its IK solves,
+    the start pose's first. Recording stops when the sweep returns:
+    ``inverse_kinematics`` calls the same ``_ik``."""
+    import graspmass.chain as chain_module
+    solve, solved = chain_module._ik, []
 
     def recording_ik(*args):
-        q, frames = _ik(*args)
+        q, frames = solve(*args)
         solved.append(q)
         return q, frames
 
-    monkeypatch.setattr(ranking, "_ik", recording_ik)
-    return ranking.sweep(chain, traj, dt, seed), solved
+    with monkeypatch.context() as patch:
+        patch.setattr(chain_module, "_ik", recording_ik)
+        return chain_module.sweep(chain, traj, dt, seed), solved
 
 
 @pytest.mark.parametrize("path", SWEEP_PATHS)
@@ -549,9 +550,8 @@ def test_book_at_fine_grid_makes_every_frame_pass_inside_ik(monkeypatch):
     # 189, all inside IK. Every pass, whatever its rank, starts with the
     # joints' Rodrigues spins, so a pass outside IK shows there
     import graspmass.chain as chain_module
-    import graspmass.ranking as ranking
     depth, spins = [0], []
-    solve, rodrigues = ranking._ik, chain_module._spins
+    solve, rodrigues = chain_module._ik, chain_module._spins
 
     def in_ik(*args):
         depth[0] += 1
@@ -564,7 +564,7 @@ def test_book_at_fine_grid_makes_every_frame_pass_inside_ik(monkeypatch):
         spins.append(depth[0] > 0)
         return rodrigues(model, qs)
 
-    monkeypatch.setattr(ranking, "_ik", in_ik)
+    monkeypatch.setattr(chain_module, "_ik", in_ik)
     monkeypatch.setattr(chain_module, "_spins", counting)
     passes = count_frame_passes(monkeypatch)
     scene = book_scene()

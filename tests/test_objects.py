@@ -5,6 +5,7 @@ import pytest
 
 from graspmass import (
     GraspCandidate,
+    KineticEnergyMatrix,
     Pose,
     RigidBodyInertia,
     TensorObjectConfig,
@@ -110,6 +111,18 @@ def test_transform_to_grasp_preserves_energy():
         t_com = np.concatenate([v_com, omega_com])
         assert np.isclose(t_gp @ lam_gp @ t_gp, t_com @ lam_com @ t_com,
                           rtol=1e-10)
+
+
+def test_transform_to_grasp_refuses_all_but_a_com_matrix():
+    # it reads only m and I_com: a matrix already moved to a grasp, or one
+    # whose translational block is not m I3, would be read in part
+    rng = np.random.default_rng(23)
+    body, grasp = random_body(rng), random_grasp(rng)
+    at_grasp = transform_to_grasp(com_energy_matrix(body), grasp)
+    uneven = KineticEnergyMatrix(np.diag([1.0, 2.0, 3.0, 1.0, 1.0, 1.0]))
+    for lam in (at_grasp, uneven):
+        with pytest.raises(ValueError, match="^lam_ocom must be blockdiag"):
+            transform_to_grasp(lam, grasp)
 
 
 def test_grasp_rotation_only_is_congruence():
