@@ -20,8 +20,8 @@ from .impact import (ForceTrace, ImpactOrdering, ImpactScenario,
 from .ranking import (Aggregator, RankingReport, parse_aggregator,
                       rank_grasps, score)
 from .scene import Scene, parse_scene, scene_from_dict
-from .spatial import (Pose, Twist, pose_compose, pose_inverse,
-                      rotation_axis_angle, rotation_log, rotation_ypr, skew)
+from .spatial import (Pose, Twist, pose_compose, pose_inverse, rotation_log,
+                      rotation_ypr, skew)
 from .trajectory import (QuinticTrajectory, TrajectorySample, fit_quintic,
                          motion_direction, sample)
 from . import errors
@@ -29,7 +29,7 @@ from . import errors
 __all__ = [
     "__version__", "errors",
     "Pose", "Twist", "skew", "pose_compose", "pose_inverse", "rotation_ypr",
-    "rotation_axis_angle", "rotation_log",
+    "rotation_log",
     "KineticEnergyMatrix", "augment", "effective_mass",
     "RigidBodyInertia", "GraspCandidate", "TensorObjectConfig",
     "com_energy_matrix", "transform_to_grasp",

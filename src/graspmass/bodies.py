@@ -1,14 +1,14 @@
-"""Rigid-object inertial models and the grasp-frame transform chain.
+"""Rigid-object inertial models and the object terms of the grasps.
 
-Pipeline for G objects held at G grasps, all pure congruences, each
-step one (G, 6, 6) stack checked once (``checked_energy_matrices``):
-
-  blockdiag(m I3, I_com) at the CoM, CoM axes
-  re-expressed at the grasp origin, grasp axes (parallel-axis form)
-
-``grasp_energy_matrices`` runs both steps on every grasp of a scene at
-once; ``com_energy_matrix`` and ``transform_to_grasp`` are the same
-steps on a stack of one, so the congruence has one implementation.
+The object term of a grasp is the held body's kinetic-energy matrix at
+the grasp origin, in base axes. ``grasp_energy_matrices`` builds the
+terms of G bodies held at G grasps in one step, straight from each
+body's mass m and CoM inertia I_com: blockdiag(m I3, I_com)
+re-expressed at the grasp origin in grasp axes (parallel-axis form),
+checked once as one (G, 6, 6) stack (``checked_energy_matrices``), then
+turned into base axes by the held rotation. ``com_energy_matrix`` and
+``transform_to_grasp`` are blockdiag(m I3, I_com) and the congruence to
+the grasp frame on one body, and share the congruence's code.
 
 Builders for the two demo objects (a cuboid and a cross-shaped rig of five
 cylinders with one sliding ring each) live here as well.
@@ -16,6 +16,7 @@ cylinders with one sliding ring each) live here as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ from .spatial import Pose, skew
 from .spatial import _frozen  # shared array normalization
 
 TRIANGLE_TOL = 1e-9
+
+
+def check_mass(mass, name: str = "mass") -> None:
+    """Refuse a body mass unless it is positive and twice it is finite:
+    an energy matrix holding it is symmetrized as (L + L^T) / 2."""
+    if not 0.0 < 2.0 * float(mass) < math.inf:
+        raise ValueError(f"{name} must be positive and below half the "
+                         "float range")
 
 
 def check_inertia_tensor(inertia: np.ndarray, name: str = "inertia") -> np.ndarray:
@@ -62,8 +71,7 @@ class RigidBodyInertia:
     inertia: np.ndarray
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
+        check_mass(self.mass)
         object.__setattr__(self, "inertia", check_inertia_tensor(self.inertia))
 
 
@@ -111,54 +119,50 @@ class TensorObjectConfig:
                                      f"[0, {self.cylinder_length}]")
 
 
-def _com_matrices(masses: np.ndarray, inertias: np.ndarray) -> np.ndarray:
-    """Checked, read-only (G, 6, 6) stack of blockdiag(m I3, I_com)."""
-    out = np.zeros((len(masses), 6, 6))
-    out[:, :3, :3] = masses[:, None, None] * np.eye(3)
-    out[:, 3:, 3:] = inertias
-    out = checked_energy_matrices(out)
-    out.setflags(write=False)
-    return out
-
-
-def _at_grasps(lam_ocom: np.ndarray, rotations: np.ndarray,
-               positions: np.ndarray) -> np.ndarray:
-    """Checked, read-only (G, 6, 6) stack: each CoM matrix re-expressed at
-    its grasp origin, in grasp axes (``transform_to_grasp``)."""
+def _at_grasps(masses: np.ndarray, inertias: np.ndarray,
+               rotations: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Checked (G, 6, 6) stack: each body's blockdiag(m I3, I_com) at its
+    grasp origin, in grasp axes (``transform_to_grasp``)."""
     rot_t = rotations.swapaxes(1, 2)           # CoM axes -> grasp axes
-    m = lam_ocom[:, :1, :1]                    # (G, 1, 1) masses
+    m = masses[:, None, None]
     # the grasp origin's offset from the CoM, in grasp axes
     r = (rot_t @ positions[:, :, None])[:, :, 0]
     s = skew(r)
     s_t = s.swapaxes(1, 2)
-    ww = rot_t @ lam_ocom[:, 3:, 3:] @ rotations + m * (s_t @ s)
-    out = np.zeros(lam_ocom.shape)
+    ww = rot_t @ inertias @ rotations + m * (s_t @ s)
+    out = np.zeros((len(masses), 6, 6))
     out[:, :3, :3] = m * np.eye(3)
     out[:, :3, 3:] = m * s
     out[:, 3:, :3] = m * s_t
     out[:, 3:, 3:] = (ww + ww.swapaxes(1, 2)) / 2.0
-    out = checked_energy_matrices(out)
-    out.setflags(write=False)
-    return out
+    return checked_energy_matrices(out)
 
 
-def grasp_energy_matrices(bodies, grasps) -> np.ndarray:
-    """Object terms of G grasps as one read-only (G, 6, 6) stack: body k's
-    energy matrix at grasp k's origin, in its axes. ``bodies`` and
-    ``grasps`` are aligned sequences of equal length."""
+def grasp_energy_matrices(bodies, grasps, rotation) -> np.ndarray:
+    """Object terms of G grasps as one read-only (G, 6, 6) stack in base
+    axes: body k's energy matrix at grasp k's origin, turned by
+    blockdiag(R, R) with R = ``rotation`` (grasp axes -> base axes).
+    ``bodies`` and ``grasps`` are aligned sequences of equal length."""
     # reshape keeps the stack axes when there are no grasps
     masses = np.array([b.mass for b in bodies], dtype=float)
     inertias = np.array([b.inertia for b in bodies]).reshape(-1, 3, 3)
     poses = [g.grasp_pose for g in grasps]
     rotations = np.array([p.rotation for p in poses]).reshape(-1, 3, 3)
     positions = np.array([p.position for p in poses]).reshape(-1, 3)
-    return _at_grasps(_com_matrices(masses, inertias), rotations, positions)
+    rot = np.zeros((6, 6))
+    rot[:3, :3] = rot[3:, 3:] = rotation
+    terms = np.einsum("ij,gjk,lk->gil", rot,
+                      _at_grasps(masses, inertias, rotations, positions), rot)
+    terms.setflags(write=False)
+    return terms
 
 
 def com_energy_matrix(body: RigidBodyInertia) -> KineticEnergyMatrix:
     """Kinetic-energy matrix at the CoM in CoM axes: blockdiag(m I3, I_com)."""
-    return KineticEnergyMatrix(_com_matrices(
-        np.array([body.mass], dtype=float), body.inertia[None])[0])
+    m = np.zeros((6, 6))
+    m[:3, :3] = body.mass * np.eye(3)
+    m[3:, 3:] = body.inertia
+    return KineticEnergyMatrix(m)
 
 
 def transform_to_grasp(lam_ocom: KineticEnergyMatrix,
@@ -175,16 +179,16 @@ def transform_to_grasp(lam_ocom: KineticEnergyMatrix,
     which equals T^T @ blockdiag(m I3, R^T I_com R) @ T with T = [[I3,
     skew(r)], [0, I3]], the tests' oracle ``velocity_transform``. Built
     block-wise so the translational block is exactly m I3; this is the
-    stacked step of ``grasp_energy_matrices`` on a stack of one, which
+    congruence of ``grasp_energy_matrices`` on a stack of one, which
     reads only m and I_com: any other matrix is refused.
     """
     m = lam_ocom.matrix
     if m[:3, 3:].any() or not np.array_equal(m[:3, :3], m[0, 0] * np.eye(3)):
         raise ValueError("lam_ocom must be blockdiag(m I3, I_com), "
                          "as com_energy_matrix returns")
-    pose = grasp.grasp_pose
-    return KineticEnergyMatrix(_at_grasps(
-        m[None], pose.rotation[None], pose.position[None])[0])
+    r, p = grasp.grasp_pose.rotation, grasp.grasp_pose.position
+    return KineticEnergyMatrix(_at_grasps(m[:1, 0], m[None, 3:, 3:],
+                                          r[None], p[None])[0])
 
 
 def _axisymmetric_inertia(axial: float, perp: float, axis: np.ndarray) -> np.ndarray:

@@ -56,13 +56,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .augmented import _EYE6, KineticEnergyMatrix, checked_energy_matrices
-from .bodies import check_inertia_tensor
+from .bodies import check_inertia_tensor, check_mass
 from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         IK_STEP_CLAMP, JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
                         UNIT_NORM_TOL)
 from .errors import DimensionMismatch, IkDidNotConverge
 from .spatial import Pose, _check_rotation, _frozen, rotation_log, skew
-from .trajectory import _grid, motion_direction
+from .trajectory import grid, motion_direction
 
 _EYE3 = np.eye(3)
 _IK_DAMPING_EYE6 = IK_DAMPING**2 * _EYE6
@@ -77,8 +77,7 @@ class LinkInertia:
     inertia: np.ndarray
 
     def __post_init__(self):
-        if not self.mass > 0.0:
-            raise ValueError("mass must be positive")
+        check_mass(self.mass)
         object.__setattr__(self, "com", _frozen(self.com, (3,), "com"))
         object.__setattr__(self, "inertia",
                            check_inertia_tensor(self.inertia, "link inertia"))
@@ -387,7 +386,7 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
 
 class Sweep(NamedTuple):
     """The grasp-independent part of an evaluation, arrays read-only: the
-    held rotation (3, 3), the sampling grid's times (N,) (``_grid``), the
+    held rotation (3, 3), the sampling grid's times (N,) (``grid``), the
     arm's task-space inertia (N, 6, 6) in base axes, the unit motion
     direction (3,) of every sample and near-singular flags (N,)."""
 
@@ -401,7 +400,7 @@ class Sweep(NamedTuple):
 def sweep(chain, traj, dt, q_seed) -> Sweep:
     """The arm's part of an evaluation along ``traj`` at ``dt``; a failed
     solve raises ``IkDidNotConverge`` with its sample index (0 = start)."""
-    times, positions = _grid(traj, dt)
+    times, positions = grid(traj, dt)
     rotation = traj.start_rotation
     q, frames = _ik(chain, traj.position(0.0), rotation,
                     _qvec(chain, q_seed), None, 0)

@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from ._g9 import format_pairs
 from .errors import (DampingOutOfRange, GraspmassError, IkDidNotConverge,
-                     ValidationError)
+                     StiffnessOutOfRange, ValidationError)
 from .impact import predict_ordering
 from .ranking import Aggregator, parse_aggregator, rank_grasps
 from .scene import Scene, file_stem, parse_scene
@@ -165,6 +165,8 @@ def cmd_simulate_impact(scene: Scene, dt=None, out_dir=".") -> dict:
                                     scene.stiffness, scene.damping)
     except DampingOutOfRange as exc:
         raise ValidationError("collision.damping_ns_per_m", str(exc)) from exc
+    except StiffnessOutOfRange as exc:
+        raise ValidationError("collision.stiffness_n_per_m", str(exc)) from exc
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for gid, trace in zip(ordering.grasp_ids, ordering.traces):

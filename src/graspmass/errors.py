@@ -53,6 +53,12 @@ class DampingOutOfRange(GraspmassError):
     model squares their ratio, which would overflow."""
 
 
+class StiffnessOutOfRange(GraspmassError):
+    """A contact stiffness too large or too small for the effective
+    mass: the contact model triples their ratio k/M and takes the
+    square root of its inverse M/k, either of which would overflow."""
+
+
 class EmptyInput(GraspmassError):
     """An operation requiring at least one element got none."""
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DampingOutOfRange, EmptyInput, LengthMismatch
+from .errors import (DampingOutOfRange, EmptyInput, LengthMismatch,
+                     StiffnessOutOfRange)
 
 TRACE_POINTS = 2000
 
@@ -57,10 +58,15 @@ class ImpactScenario:
                 f"{self.contact_damping:g} N s/m is too large for an "
                 f"effective mass of {self.effective_mass:g} kg: the contact "
                 "model squares their ratio")
-        duration = 1.25 * math.pi * math.sqrt(self.effective_mass
-                                              / self.contact_stiffness)
-        if not 0.0 < duration < math.inf:
-            raise ValueError("duration must be finite and positive")
+        # the peak instant takes 3 k/M, the window sqrt(M/k); a finite
+        # k/M also keeps M/k, and so the window, above zero
+        m, k = float(self.effective_mass), float(self.contact_stiffness)
+        duration = 1.25 * math.pi * math.sqrt(m / k)
+        if not (3.0 * (k / m) < math.inf and duration < math.inf):
+            raise StiffnessOutOfRange(
+                f"{k:g} N/m is too {'stiff' if k > m else 'soft'} for an "
+                f"effective mass of {m:g} kg: the contact model needs k/M "
+                "and M/k inside the float range")
         object.__setattr__(self, "duration", duration)
 
 

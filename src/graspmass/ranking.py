@@ -1,9 +1,9 @@
 """Effective masses as one grasps x samples table, and grasp ranking.
 
 The per-grasp part of an evaluation, on the arm's sweep
-(``chain.sweep``): the object terms of all grasps are built as one
-stack (``bodies.grasp_energy_matrices``) and rotated into base axes by
-one einsum (the held orientation is the same at every sample); each
+(``chain.sweep``): the object terms of all grasps are built in base
+axes as one stack (``bodies.grasp_energy_matrices``; the held
+orientation is the same at every sample); each
 grasp adds its term to the arm's at every sample and gets its row of
 the (G, N) mass table from one Cholesky check and one batched solve
 (``score``); its columns' times and flags are the sweep's. A ``Scene``
@@ -98,19 +98,13 @@ class RankingReport:
 def score(sweep: Sweep, bodies, grasps) -> np.ndarray:
     """Per-grasp part: the read-only (G, N) effective masses, row g for
     ``grasps[g]`` at every sample of ``sweep``. The object terms of all
-    grasps are built as one (G, 6, 6) stack and rotated into base axes by
-    one einsum, then each is added to the arm's at every sample, its row
-    from one batched solve. ``bodies`` aligns with ``grasps``, one body per
-    grasp; only one grasp's (N, 6, 6) total is held at a time."""
+    grasps come in base axes as one (G, 6, 6) stack, and each is added to
+    the arm's at every sample, its row from one batched solve. ``bodies``
+    aligns with ``grasps``, one body per grasp; only one grasp's (N, 6, 6)
+    total is held at a time."""
     if len(bodies) != len(grasps):
         raise LengthMismatch("one body per grasp required")
-    # blockdiag(R, R) with the held rotation: grasp axes -> base axes; the
-    # rotation is the same at every sample, so each object term is rotated
-    # once and broadcast over the (N, 6, 6) stack
-    rot = np.zeros((6, 6))
-    rot[:3, :3] = rot[3:, 3:] = sweep.rotation
-    terms = np.einsum("ij,gjk,lk->gil", rot,
-                      grasp_energy_matrices(bodies, grasps), rot)
+    terms = grasp_energy_matrices(bodies, grasps, sweep.rotation)
     masses = np.empty((len(grasps), len(sweep.times)))
     for row, grasp, term in zip(masses, grasps, terms):
         try:

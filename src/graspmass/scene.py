@@ -45,7 +45,7 @@ import numpy as np
 
 from . import chain as arm, ranking   # ``chain`` names the scene's model
 from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
-                     build_cuboid, build_tensor_object)
+                     build_cuboid, build_tensor_object, check_mass)
 from .chain import ChainModel, JointSpec, LinkInertia
 from .constants import MIN_APPROACH_SPEED, ORTHONORMAL_TOL
 from .errors import GraspmassError, ParseError, ValidationError
@@ -234,6 +234,14 @@ def _point(d, key, path):
     return pos
 
 
+def _mass(d, path) -> float:
+    """A body's ``mass_kg`` as ``_number`` reads it, refused under its
+    own path unless ``bodies.check_mass`` accepts it."""
+    mass = _number(d, "mass_kg", path)
+    _wrap(_at(path, "mass_kg"), check_mass, mass)
+    return mass
+
+
 def _pose(d, key, path) -> Pose:
     where = _at(path, key)
     sub = _object(_get(d, key, path), where, "position_m", "ypr_rad")
@@ -273,7 +281,7 @@ def _parse_chain(value, path="chain") -> ChainModel:
         lp = f"{jp}.link"
         link_d = _object(_get(entry, "link", jp), lp, "mass_kg", "com_m",
                          "inertia_kgm2")
-        link = _wrap(lp, LinkInertia, _number(link_d, "mass_kg", lp),
+        link = _wrap(lp, LinkInertia, _mass(link_d, lp),
                      _point(link_d, "com_m", lp),
                      _vector(link_d, "inertia_kgm2", lp, (3, 3)))
         joints.append((spec, link))
@@ -287,7 +295,7 @@ def _build_object(value, path="object"):
     kind = _text(_get(d, "type", path), f"{path}.type")
     if kind == "cuboid":
         _object(d, path, "type", "mass_kg", "dims_m")
-        return _wrap(path, build_cuboid, _number(d, "mass_kg", path),
+        return _wrap(path, build_cuboid, _mass(d, path),
                      _vector(d, "dims_m", path, (3,))), None
     if kind == "tensor":
         _object(d, path, "type", "handle_length_m", "cylinder_length_m",
@@ -308,7 +316,7 @@ def _build_object(value, path="object"):
     if kind == "inertia":
         _object(d, path, "type", "mass_kg", "com_pose", "inertia_kgm2")
         com_pose = _pose(d, "com_pose", path)
-        return _wrap(path, RigidBodyInertia, _number(d, "mass_kg", path),
+        return _wrap(path, RigidBodyInertia, _mass(d, path),
                      com_pose, _vector(d, "inertia_kgm2", path, (3, 3))), None
     raise ValidationError(f"{path}.type",
                           "unknown object type " + json.dumps(kind))

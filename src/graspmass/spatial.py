@@ -74,14 +74,8 @@ def rotation_ypr(yaw, pitch, roll) -> np.ndarray:
     return rotation_z(yaw) @ rotation_y(pitch) @ rotation_x(roll)
 
 
-def rotation_axis_angle(axis, angle) -> np.ndarray:
-    """Rodrigues formula for a unit axis."""
-    k = skew(axis)
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
 def rotation_log(r) -> np.ndarray:
-    """Axis-angle vector of a rotation matrix (inverse of rotation_axis_angle)."""
+    """Axis-angle vector of a rotation matrix (inverse of Rodrigues)."""
     r = np.asarray(r, dtype=float)
     # plain floats: the sums np.trace makes, in its order
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()

@@ -10,7 +10,7 @@ trajectory, the chord's (``motion_direction``). Orientation is held at
 the start pose's rotation for every sample.
 
 ``sample`` returns one validated ``TrajectorySample`` per grid point. The
-pipeline reads the same grid as arrays (``_grid``: times and positions,
+pipeline reads the same grid as arrays (``grid``: times and positions,
 each row ``position(t)`` at its time, finiteness checked once per
 stack).
 """
@@ -105,15 +105,15 @@ def _grid_size(t_f: float, dt: float) -> int:
     raise InvalidStep(f"t_f/dt = {ratio:.3g}: over {MAX_SAMPLES} samples")
 
 
-def _grid(traj: QuinticTrajectory, dt: float):
+def grid(traj: QuinticTrajectory, dt: float):
     """The sampling grid of ``sample`` as arrays: times (N,) and
     positions (N, 3)."""
     n = _grid_size(traj.t_f, dt)
-    times = [traj.t_f * i / n for i in range(1, n + 1)]
+    times = traj.t_f * np.arange(1, n + 1) / n
     positions = np.array([traj.position(t) for t in times])
     if not np.isfinite(positions).all():
         raise ValueError("trajectory samples must be finite")
-    return np.array(times), positions
+    return times, positions
 
 
 def sample(traj: QuinticTrajectory, dt: float) -> list[TrajectorySample]:
@@ -123,7 +123,7 @@ def sample(traj: QuinticTrajectory, dt: float) -> list[TrajectorySample]:
     recorded separately by callers). When dt does not divide t_f the grid
     is snapped so the last sample lands exactly on t_f.
     """
-    times, positions = _grid(traj, dt)
+    times, positions = grid(traj, dt)
     return [TrajectorySample(t, Pose(p, traj.start_rotation),
                              Twist(traj.velocity(t), np.zeros(3)), i)
             for i, (t, p) in enumerate(zip(times.tolist(), positions), 1)]

@@ -18,7 +18,6 @@ from graspmass import (
     RigidBodyInertia,
     com_energy_matrix,
     parse_scene,
-    rotation_axis_angle,
     rotation_log,
     skew,
     transform_to_grasp,
@@ -31,7 +30,7 @@ from graspmass.constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL,
                                  PD_MIN_EIG, ZERO_SPEED_TOL)
 from graspmass.errors import (DegenerateTrajectory, IkDidNotConverge,
                               NotPositiveDefinite)
-from graspmass.trajectory import _grid
+from graspmass.trajectory import grid
 
 
 # where a non-finite entry goes: on the diagonal, below it only, above it
@@ -54,6 +53,12 @@ def with_lowest_eigenvalue(rng, lowest):
     """Q diag(lowest, 1, 2, 3, 4, 5) Q^T with a random orthogonal Q."""
     q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     return q @ np.diag([lowest, 1.0, 2.0, 3.0, 4.0, 5.0]) @ q.T
+
+
+def rotation_axis_angle(axis, angle) -> np.ndarray:
+    """Rodrigues formula for a unit axis."""
+    k = skew(axis)
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
 def random_rotation(rng):
@@ -494,7 +499,7 @@ def reference_sweep(chain, traj, dt, q_seed):
     """From the joint values ``q_seed``: joint solutions (N, n) along the grid, each solve seeded with the
     previous one and its pass, the start pose first; and the arm's
     task-space inertias (N, 6, 6) of the stacked converged passes."""
-    _, positions = _grid(traj, dt)
+    _, positions = grid(traj, dt)
     rotation = traj.start_rotation
     q, frames = reference_ik(chain, traj.position(0.0), rotation,
                              np.asarray(q_seed, dtype=float))

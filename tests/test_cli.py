@@ -688,8 +688,13 @@ def test_a_grid_too_fine_to_count_names_the_step(key, value, tmp_path,
     ("book", {("trajectory", "t_f_s"): 1e70, ("trajectory", "dt_s"): 1e69},
      "trajectory.t_f_s"),
     ("book", {("trajectory", "t_f_s"): 1e-70, ("trajectory", "dt_s"): 1e-71,
-              ("collision", "sample"): 5}, "trajectory.t_f_s")],
-    ids=["huge-handle", "t_f-1e70", "t_f-1e-70"])
+              ("collision", "sample"): 5}, "trajectory.t_f_s"),
+    # these three used to escape as numpy overflow or invalid warnings
+    ("book", {("object", "mass_kg"): 1e308}, "object.mass_kg"),
+    ("tensor", {("object", "cylinder_mass_kg"): 1e308}, "object"),
+    ("tensor", {("object", "ring_mass_kg"): 1e308}, "object")],
+    ids=["huge-handle", "t_f-1e70", "t_f-1e-70", "book-mass-1e308",
+         "cylinder-mass-1e308", "ring-mass-1e308"])
 def test_values_float_arithmetic_cannot_hold_are_clean_json_errors(
         scene, edits, field, tmp_path, capsys):
     doc = json.loads(demo_scene_path(scene).read_text(encoding="utf-8"))
@@ -711,6 +716,36 @@ def test_a_damping_the_contact_model_cannot_square_names_its_field(
             capsys, ["simulate-impact", write_doc(tmp_path, doc)],
             tmp_path / "out", "ValidationError", "collision.damping_ns_per_m")
     assert "1e+200 N s/m is too large for an effective mass of" in message
+
+
+@pytest.mark.parametrize("scene, stiffness, word", [
+    ("book", 1e308, "stiff"), ("book", 5e-324, "soft"),
+    ("tensor", 1e-308, "soft"), ("tensor", 5e-324, "soft")])
+def test_a_stiffness_out_of_the_contact_model_range_names_its_field(
+        scene, stiffness, word, tmp_path, capsys):
+    # too stiff used to end in an IndexError traceback, too soft in a
+    # ValueError about the window that named no field
+    doc = json.loads(demo_scene_path(scene).read_text(encoding="utf-8"))
+    doc["collision"]["stiffness_n_per_m"] = stiffness
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = assert_json_error(
+            capsys, ["simulate-impact", write_doc(tmp_path, doc)],
+            tmp_path / "out", "ValidationError", "collision.stiffness_n_per_m")
+    assert f"N/m is too {word} for an effective mass of" in message
+
+
+@pytest.mark.parametrize("scene, key, value", [
+    ("book", "mass_kg", 8e307), ("tensor", "cylinder_mass_kg", 1.7e307)])
+def test_the_largest_object_mass_still_ranks(scene, key, value, tmp_path,
+                                             capsys):
+    doc = json.loads(demo_scene_path(scene).read_text(encoding="utf-8"))
+    doc["object"][key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "rank", write_doc(tmp_path, doc),
+                           "--out-dir", str(tmp_path / "out"))
+    assert code == 0, err
 
 
 def test_a_dt_override_too_fine_to_count_is_a_clean_json_error(tmp_path,

@@ -9,7 +9,8 @@ from graspmass import (
     predict_ordering,
     simulate_impact,
 )
-from graspmass.errors import DampingOutOfRange, EmptyInput, LengthMismatch
+from graspmass.errors import (DampingOutOfRange, EmptyInput, LengthMismatch,
+                              StiffnessOutOfRange)
 
 from conftest import integrate_contact
 
@@ -152,9 +153,27 @@ def test_the_window_is_derived_from_mass_and_stiffness():
 @pytest.mark.parametrize("mass, stiffness", [(1e300, 1e-300),   # overflows
                                              (1e-300, 1e300)])  # underflows
 def test_a_window_out_of_the_float_range_is_refused(mass, stiffness):
-    with pytest.raises(ValueError, match="^duration must be finite and "
-                       "positive$"):
+    word = "soft" if stiffness < mass else "stiff"
+    with pytest.raises(StiffnessOutOfRange, match=f"^.* N/m is too {word} "
+                       "for an effective mass of .* kg"):
         ImpactScenario(mass, 1.0, stiffness)
+
+
+@pytest.mark.parametrize("mass, stiffness", [(1.0, 6e307), (1.0, 1e308),
+                                             (2.0, 1.5e308)])
+def test_a_stiffness_the_model_cannot_triple_is_refused(mass, stiffness):
+    # 3 k / M overflowed, so the peak instant was 0 * inf = NaN and the
+    # trace ended in an IndexError
+    with pytest.raises(StiffnessOutOfRange, match="^.* N/m is too stiff "
+                       "for an effective mass of .* kg"):
+        simulate_impact(ImpactScenario(mass, 1.0, stiffness))
+
+
+def test_the_largest_stiffness_the_model_triples_still_simulates():
+    # k / M = 5e307 triples to 1.5e308; undamped, the peak is v sqrt(k M)
+    trace = simulate_impact(ImpactScenario(1.0, 0.3, 5e307))
+    assert np.isclose(trace.peak_force, 0.3 * math.sqrt(5e307), rtol=1e-9)
+    assert np.isfinite(trace.forces).all()
 
 
 @pytest.mark.parametrize("zeta", [0.0, 0.1, 0.2, 0.3, 0.4, 0.499, 0.5])

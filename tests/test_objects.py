@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -59,6 +60,19 @@ def test_inertia_tensors_reject_a_non_finite_entry(value, where):
             RigidBodyInertia(1.0, Pose.identity(), bad)
         with pytest.raises(ValueError, match="^link inertia must be finite$"):
             LinkInertia(1.0, np.zeros(3), bad)
+
+
+@pytest.mark.parametrize("mass", [math.inf, math.nan, 1e308, 0.0, -1.0])
+def test_bodies_refuse_a_mass_whose_double_is_not_finite_and_positive(mass):
+    # math.inf used to pass, and the object terms then warned "invalid
+    # value encountered in multiply"; 1e308 overflowed their symmetrization
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for body, com in ((RigidBodyInertia, Pose.identity()),
+                          (LinkInertia, np.zeros(3))):
+            with pytest.raises(ValueError, match="^mass must be positive "
+                               "and below half the float range$"):
+                body(mass, com, np.eye(3))
 
 
 def test_cuboid_closed_form():

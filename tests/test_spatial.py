@@ -5,7 +5,6 @@ from graspmass import (
     Pose,
     pose_compose,
     pose_inverse,
-    rotation_axis_angle,
     rotation_log,
     rotation_ypr,
     skew,
@@ -13,7 +12,7 @@ from graspmass import (
 from graspmass.spatial import rotation_x, rotation_y, rotation_z
 
 from conftest import (euler_rate_map, random_rotation, reference_rotation_log,
-                      velocity_transform)
+                      rotation_axis_angle, velocity_transform)
 
 
 def test_skew_matches_cross_product():

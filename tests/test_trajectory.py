@@ -3,7 +3,7 @@ import pytest
 
 from graspmass import Pose, fit_quintic, motion_direction, sample
 from graspmass.constants import MAX_SAMPLES, ZERO_SPEED_TOL
-from graspmass.trajectory import _grid, _grid_size
+from graspmass.trajectory import _grid_size, grid
 from graspmass.errors import (
     DegenerateTrajectory,
     InvalidStep,
@@ -162,7 +162,7 @@ def test_grid_arrays_equal_the_samples(steps):
         dt = {"divides": traj.t_f / rng.integers(1, 60),
               "does_not_divide": traj.t_f / (rng.integers(1, 60) + 0.37),
               "t_f": traj.t_f}[steps]
-        times, positions = _grid(traj, dt)
+        times, positions = grid(traj, dt)
         samples = sample(traj, dt)
         assert np.array_equal(times, [s.t for s in samples])
         assert np.array_equal(positions, [s.pose.position for s in samples])
@@ -177,7 +177,7 @@ def test_grid_rejects_non_finite_samples():
     huge = fit_quintic(Pose(np.zeros(3), np.eye(3)),
                        Pose(np.full(3, 1e300), np.eye(3)), 1e-3)
     with pytest.raises(ValueError, match="finite"):
-        _grid(huge, 1e-4)
+        grid(huge, 1e-4)
 
 
 @pytest.mark.parametrize("dt, tol", [(0.1, 1e-12), (0.3, 1e-12),
