@@ -16,14 +16,14 @@ couple. That asymmetry is the whole reason grasp choice matters.
 
 import numpy as np
 
-from graspmass import (GraspCandidate, Pose, build_cuboid, com_energy_matrix,
-                       effective_mass, motion_direction, parse_scene, score,
+from graspmass import (GraspCandidate, Pose, com_energy_matrix, effective_mass,
+                       motion_direction, parse_scene, score,
                        transform_to_grasp)
 from graspmass.cli import demo_scene_path
 
 scene = parse_scene(demo_scene_path("book"))
 traj = scene.fit()
-book = build_cuboid(0.34, (0.22, 0.15, 0.015))
+book = scene.bodies[0]  # 0.15 x 0.22 x 0.015 m, its spine along y
 # the arm's part of the evaluation is the scene's; each grasp below only
 # scores on it
 sweep = scene.evaluated(scene.dt)[0]

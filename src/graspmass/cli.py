@@ -142,11 +142,14 @@ def cmd_profile(scene: Scene, grasp_key: str, dt=None, out_dir=".") -> dict:
     out.mkdir(parents=True, exist_ok=True)
     (out / csv_name).write_bytes(_pairs(b"t_s,effective_mass_kg\n",
                                         sweep.times, row))
+    # the row's max and mean as rank's aggregators take them
+    (max_kg,), _ = Aggregator("max")(row[None], sweep.near_singular)
+    (mean_kg,), _ = Aggregator("mean")(row[None], sweep.near_singular)
     artifact = _artifact_head(scene)
     artifact.update({"grasp_id": grasp_id, "csv": csv_name,
                      "n_samples": len(row),
-                     "max_kg": float(_fmt(row.max())),
-                     "mean_kg": float(_fmt(row.mean()))})
+                     "max_kg": float(_fmt(max_kg)),
+                     "mean_kg": float(_fmt(mean_kg))})
     return artifact
 
 

@@ -50,7 +50,13 @@ class Aggregator:
                  near_singular: np.ndarray) -> tuple[np.ndarray, str | None]:
         """Each row's aggregate and an optional note shared by all rows."""
         if self.kind == "mean":
-            return masses.mean(axis=1), None
+            # a row whose sum overflows is summed divided by its length
+            with np.errstate(over="ignore"):
+                means = masses.mean(axis=1)
+            big = ~np.isfinite(means)
+            if big.any():
+                means[big] = (masses[big] / masses.shape[1]).sum(axis=1)
+            return means, None
         if self.kind == "at_sample":
             if self.k > len(near_singular):
                 raise ValueError(f"sample {self.k} out of range "
@@ -59,12 +65,14 @@ class Aggregator:
                     if near_singular[self.k - 1] else None)
             return masses[:, self.k - 1], note
         # max: damped near-singular values must not fake the worst case
+        if not near_singular.any():
+            return masses.max(axis=1), None
         if near_singular.all():
             return masses.max(axis=1), ("all samples near singular; "
                                         "max taken over damped values")
-        note = (f"excluded {int(near_singular.sum())} near-singular "
-                "sample(s) from max" if near_singular.any() else None)
-        return masses[:, ~near_singular].max(axis=1), note
+        return masses[:, ~near_singular].max(axis=1), (
+            f"excluded {int(near_singular.sum())} near-singular "
+            "sample(s) from max")
 
 
 def parse_aggregator(text: str) -> Aggregator:

@@ -48,7 +48,8 @@ from .bodies import (GraspCandidate, RigidBodyInertia, TensorObjectConfig,
                      build_cuboid, build_tensor_object, check_mass)
 from .chain import ChainModel, JointSpec, LinkInertia
 from .constants import MIN_APPROACH_SPEED, ORTHONORMAL_TOL
-from .errors import GraspmassError, ParseError, ValidationError
+from .errors import (GraspmassError, NotPositiveDefinite, ParseError,
+                     ValidationError)
 from .spatial import Pose, pose_compose, pose_inverse
 from .trajectory import (QuinticTrajectory, _grid_size, fit_quintic,
                          motion_direction)
@@ -87,10 +88,22 @@ class Scene:
         (G, N) effective masses of the grasps on it, row g for
         ``grasps[g]``: computed on the first call per ``dt`` and shared by
         every later one. Nothing is kept unless both the sweep and the
-        scoring succeed."""
+        scoring succeed. A sweep whose inertia overflows, is singular or
+        is not positive definite fails as a ``ValidationError`` at
+        ``chain``."""
         entry = self._evaluations.get(dt)
         if entry is None:
-            sweep = arm.sweep(self.chain, self.fit(), dt, self.ik_seed)
+            try:
+                with np.errstate(over="raise", invalid="raise",
+                                 divide="raise"):
+                    sweep = arm.sweep(self.chain, self.fit(), dt,
+                                      self.ik_seed)
+            except (np.linalg.LinAlgError, NotPositiveDefinite,
+                    FloatingPointError) as exc:
+                # the arm's inertia reads nothing but the chain
+                raise ValidationError("chain", "the arm's task-space "
+                                      f"inertia cannot be computed: {exc}"
+                                      ) from exc
             masses = ranking.score(sweep, self.bodies, self.grasps)
             entry = self._evaluations[dt] = (sweep, masses)
         return entry
@@ -256,8 +269,6 @@ def _wrap(path, fn, *args, **kwargs):
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return fn(*args, **kwargs)
-    except ValidationError:
-        raise
     except (GraspmassError, ValueError, TypeError) as exc:
         raise ValidationError(path, str(exc)) from exc
     except ArithmeticError as exc:

@@ -85,15 +85,13 @@ def rotation_log(r) -> np.ndarray:
     if angle < 1e-12:
         return np.zeros(3)
     if angle > math.pi - 1e-6:
-        # Near pi the off-diagonal form is ill-conditioned; use the diagonal.
-        a = np.sqrt(np.maximum(np.diag(r) - c, 0.0) / (1.0 - c))
-        # Fix signs from the off-diagonal sums.
-        if a[0] > 0:
-            a[1] = math.copysign(a[1], r[0, 1] + r[1, 0])
-            a[2] = math.copysign(a[2], r[0, 2] + r[2, 0])
-        else:
-            a[2] = math.copysign(a[2], r[1, 2] + r[2, 1])
-        return angle * a / np.linalg.norm(a)
+        # R + R^T - 2c I = 2 (1 - c) u u^T: its largest-diagonal row is u
+        # up to a sign, which 2 sin(angle) u, the antisymmetric part, fixes
+        b = r + r.T - 2.0 * c * _EYE3
+        row = b[b.diagonal().argmax()]
+        if row.dot([r21 - r12, r02 - r20, r10 - r01]) < 0.0:
+            angle = -angle
+        return angle / np.linalg.norm(row) * row
     k = angle / (2.0 * math.sin(angle))
     return np.array([(r21 - r12) * k, (r02 - r20) * k, (r10 - r01) * k])
 

@@ -423,15 +423,13 @@ def reference_rotation_log(r):
     angle = math.acos(c)
     if angle < 1e-12:
         return np.zeros(3)
-    if angle > math.pi - 1e-6:
-        a = np.sqrt(np.maximum(np.diag(r) - c, 0.0) / (1.0 - c))
-        if a[0] > 0:
-            a[1] = math.copysign(a[1], r[0, 1] + r[1, 0])
-            a[2] = math.copysign(a[2], r[0, 2] + r[2, 0])
-        else:
-            a[2] = math.copysign(a[2], r[1, 2] + r[2, 1])
-        return angle * a / np.linalg.norm(a)
     w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if angle > math.pi - 1e-6:
+        # the largest-diagonal row of R + R^T - 2c I, signed along w
+        b = r + r.T - 2.0 * c * np.eye(3)
+        row = b[np.argmax(np.diag(b))]
+        sign = 1.0 if np.dot(row, w) >= 0.0 else -1.0
+        return sign * angle / np.linalg.norm(row) * row
     return w * (angle / (2.0 * math.sin(angle)))
 
 

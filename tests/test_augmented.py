@@ -18,7 +18,7 @@ from graspmass import (
 )
 from graspmass.augmented import checked_energy_matrices, effective_masses
 from graspmass.constants import PD_MIN_EIG
-from graspmass.errors import NotPositiveDefinite
+from graspmass.errors import DimensionMismatch, NotPositiveDefinite
 
 from conftest import (
     NON_FINITE_CASES,
@@ -250,6 +250,13 @@ def test_expressed_in_refuses_a_matrix_that_is_not_a_rotation(rotation,
         lam.expressed_in(rotation)
 
 
+def test_effective_mass_refuses_a_direction_that_is_not_a_3_vector():
+    lam = KineticEnergyMatrix(np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0]))
+    with pytest.raises(DimensionMismatch,
+                       match="^direction must be a 3-vector$"):
+        effective_mass(lam, np.array([1.0, 0.0]))
+
+
 def test_effective_mass_zero_direction_raises():
     rng = np.random.default_rng(39)
     with pytest.raises(ValueError):
@@ -351,6 +358,23 @@ def test_effective_masses_rejects_a_non_finite_entry(value, where):
         with pytest.raises(ValueError,
                            match="^augmented matrix must be finite$"):
             effective_masses(stack, np.array([1.0, 0.0, 0.0]))
+
+
+def asymmetric():
+    m = np.diag([2.0, 2, 2, 1, 1, 1])
+    m[0, 4] = 1e-3
+    return m
+
+
+@pytest.mark.parametrize("m, error, message", [
+    (asymmetric(), ValueError, "^kinetic-energy matrix must be symmetric$"),
+    (np.eye(5), DimensionMismatch, r"^expected 6x6, got \(5, 5\)$"),
+    (np.eye(6)[None], DimensionMismatch, r"^expected 6x6, got \(1, 6, 6\)$"),
+], ids=["asymmetric", "5x5", "stack"])
+def test_energy_matrix_refuses_an_asymmetric_or_misshapen_matrix(m, error,
+                                                                 message):
+    with pytest.raises(error, match=message):
+        KineticEnergyMatrix(m)
 
 
 def test_energy_check_tolerates_eigenvalues_down_to_minus_the_floor():

@@ -172,6 +172,23 @@ def test_non_finite_joint_values_raise(fn, bad):
         fn(model, q.tolist())
 
 
+def test_a_chain_needs_a_joint():
+    with pytest.raises(ValueError, match="^chain needs at least one joint$"):
+        ChainModel((), Pose.identity(), Pose.identity())
+
+
+def test_an_end_effector_position_that_overflows_is_refused():
+    # two finite offsets whose sum is past the float range
+    far = JointSpec(Pose([1e308, 0.0, 0.0], np.eye(3)), [0.0, 0.0, 1.0])
+    link = LinkInertia(1.0, np.zeros(3), np.eye(3))
+    model = ChainModel(((far, link), (far, link)), Pose.identity(),
+                       Pose.identity())
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError,
+                           match="^end-effector position must be finite$"):
+            forward_kinematics(model, np.zeros(2))
+
+
 def test_pendulum_mass_matrix():
     m, l = 1.3, 0.7
     model = planar_pendulum(m, l)

@@ -640,6 +640,73 @@ def test_near_singular_samples_are_one_note_per_command(argv, tmp_path,
     assert err.splitlines() == [NOTE]
 
 
+def flag_the_peak_of(monkeypatch, grasp):
+    """Flag, in every later sweep of book, the sample where ``grasp``'s
+    mass peaks; returns that grasp's id and its row."""
+    import graspmass.chain as chain_module
+    scene = parse_scene(book_path())
+    row = scene.evaluated(scene.dt)[1][grasp]
+    stacked = chain_module._stacked_inertias
+
+    def flagged(chain, frames):
+        lam, near = stacked(chain, frames)
+        near = near.copy()
+        near[row.argmax()] = True
+        return lam, near
+
+    monkeypatch.setattr(chain_module, "_stacked_inertias", flagged)
+    return scene.grasps[grasp].id, row
+
+
+def test_profile_max_excludes_what_ranks_max_excludes(tmp_path, capsys,
+                                                      monkeypatch):
+    gid, row = flag_the_peak_of(monkeypatch, 2)
+    code, out, _ = run(capsys, "profile", book_path(), gid, "--json",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    profile = json.loads(out)
+    code, out, _ = run(capsys, "rank", book_path(), "--json",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    ranked = {e["grasp_id"]: e["aggregate_kg"]
+              for e in json.loads(out)["ranking"]}
+    assert profile["max_kg"] == ranked[gid] < row.max()
+
+
+def test_text_rank_prints_each_note(tmp_path, capsys, monkeypatch):
+    flag_the_peak_of(monkeypatch, 0)
+    code, out, _ = run(capsys, "rank", book_path(), "--out-dir",
+                       str(tmp_path))
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("note:")] \
+        == [f"note: {gid}: excluded 1 near-singular sample(s) from max"
+            for gid in ("spine-neg", "spine-mid", "spine-pos")]
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_means_near_the_float_range_are_strict_json(tmp_path, capsys):
+    # the object's double is finite, so it parses; the sum of a row of
+    # its masses is not
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    doc["object"]["mass_kg"] = 5e307
+    path = write_doc(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "profile", path, "spine-mid", "--json",
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        profile = json.loads(out, parse_constant=refuse_constant)
+        code, out, _ = run(capsys, "rank", path, "--aggregator", "mean",
+                           "--json", "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        ranked = json.loads(out, parse_constant=refuse_constant)
+    means = {e["grasp_id"]: e["aggregate_kg"] for e in ranked["ranking"]}
+    assert profile["mean_kg"] == means["spine-mid"] > 1e307
+
+
 def write_doc(tmp_path, doc):
     path = tmp_path / "edited.scene.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -164,6 +164,11 @@ def test_at_sample_takes_a_numpy_integer():
     assert agg.name == "at-sample=2"
 
 
+def test_aggregator_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown aggregator 'median'$"):
+        Aggregator("median")
+
+
 @pytest.mark.parametrize("kind, k", [("max", 3), ("mean", 1), ("max", 0)])
 def test_max_and_mean_refuse_a_sample_index(kind, k):
     # the index would be ignored
@@ -193,6 +198,18 @@ def test_rank_grasps_refuses_a_mass_that_is_not_finite_and_positive(bad):
     with pytest.raises(ValueError, match="^grasp b: effective masses must "
                        "be finite and positive$"):
         rank_grasps(["a", "b", "c"], masses, flags(2))
+
+
+def test_a_mean_whose_sum_overflows_is_finite():
+    # only the row whose sum overflows is summed over its length; the
+    # others keep the bits of their plain mean
+    masses = np.array([[1.7e308, 1.5e308, 1.6e308], [0.1, 0.2, 0.7]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, note = Aggregator("mean")(masses, flags(3))
+    assert values[0] == (masses[0] / 3).sum()
+    assert values[1] == masses[1].mean()
+    assert note is None
 
 
 def test_mean_aggregator_uses_all_samples():

@@ -195,6 +195,13 @@ def test_force_trace_rejects_inconsistent_peak():
                    peak_force=5.0, peak_time=1.0)
 
 
+def test_force_trace_rejects_series_of_different_lengths():
+    with pytest.raises(ValueError, match="^times and forces must be "
+                       "equal-length vectors$"):
+        ForceTrace(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0]),
+                   peak_force=2.0, peak_time=1.0)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("field", ["times", "forces", "peak_force",
                                    "peak_time"])

@@ -40,6 +40,12 @@ def test_check_inertia_tensor_rejects_asymmetric():
         check_inertia_tensor(bad)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3,), (1, 3, 3)])
+def test_check_inertia_tensor_rejects_a_shape_other_than_3x3(shape):
+    with pytest.raises(ValueError, match="^inertia must be 3x3$"):
+        check_inertia_tensor(np.ones(shape))
+
+
 def test_check_inertia_tensor_rejects_non_pd():
     with pytest.raises(NotPositiveDefinite):
         check_inertia_tensor(np.diag([1.0, 1.0, -0.1]))

@@ -1,11 +1,13 @@
 import copy
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from graspmass import parse_scene, pose_compose, sample, scene_from_dict
+from graspmass import (Pose, parse_scene, pose_compose, rank_grasps, sample,
+                       scene_from_dict)
 from graspmass.cli import demo_scene_path
 from graspmass.errors import ParseError, ValidationError
 
@@ -206,6 +208,26 @@ def test_huge_finite_values_name_their_field(scene, keys, field):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("mass", [1e200, 1e250, 1e300, 8e307])
+@pytest.mark.parametrize("link", range(7))
+@pytest.mark.parametrize("scene", ["book", "tensor"])
+def test_a_link_too_heavy_for_the_arms_inertia_names_the_chain(scene, link,
+                                                              mass):
+    # the mass parses (its double is finite); the arm's inertia either
+    # holds it or fails as the chain's, not as a bare numpy error
+    doc = book_dict() if scene == "book" else tensor_dict()
+    doc["chain"]["joints"][link]["link"]["mass_kg"] = mass
+    parsed = strict_parse(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            arm, masses = parsed.evaluated(parsed.dt)
+        except ValidationError as exc:
+            assert exc.field == "chain"
+            return
+        rank_grasps([g.id for g in parsed.grasps], masses, arm.near_singular)
+
+
 NUMBER_FIELDS = [
     ("book", ("trajectory", "t_f_s")),
     ("book", ("trajectory", "dt_s")),
@@ -324,6 +346,16 @@ def test_collision_time_resolves_to_sample():
     assert scene.collision_sample == 10
 
 
+@pytest.mark.parametrize("time_s", [0.0, -1.0, 2.0 + 1e-9, 5.0])
+def test_collision_time_must_lie_on_the_path(time_s):
+    doc = book_dict()   # t_f = 2 s
+    del doc["collision"]["sample"]
+    doc["collision"]["time_s"] = time_s
+    with pytest.raises(ValidationError) as exc:
+        scene_from_dict(doc)
+    assert str(exc.value) == "collision.time_s: must lie in (0, t_f]"
+
+
 
 def test_collision_sample_names_one_instant_on_every_grid():
     scene = book_scene()   # sample 10 of 20 over 2 s: t = 1.0 s
@@ -352,6 +384,17 @@ def test_a_collision_where_the_path_is_at_rest_is_refused():
         book_scene().collision(2.0)   # one sample, at t_f
     assert str(exc.value) == ("collision: approach speed is zero at t = 2 s "
                               "(sample 1 of 1 at dt 2)")
+
+
+def test_a_collision_on_a_path_that_overflows_is_refused():
+    # the parser refuses such an end position; a replaced scene skips it
+    scene = book_scene()
+    far = dataclasses.replace(scene, end=Pose([1e307, 0.0, 0.3],
+                                              scene.start.rotation))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError,
+                           match="^trajectory samples must be finite$"):
+            far.collision(far.dt)
 
 
 def test_collision_takes_sample_or_time_not_both():
@@ -461,7 +504,8 @@ def assign(doc, keys, value):
 # (key path, value, the whole message): a string or a boolean inside a
 # list once read as a number (0.15 m, 1.0 m, 0.0 rad), a version true or
 # 1.0 as version 1, and a list where an object belongs as the object's
-# missing child; messages quote JSON, not Python (null, not None)
+# missing child; an empty list where an entry is needed and an object
+# type no builder reads; messages quote JSON, not Python (null, not None)
 WRONG_TYPES = {
     "string-in-dims": (("object", "dims_m"), ["0.15", 0.22, 0.015],
                        'object.dims_m: expected 3 finite numbers, got '
@@ -493,6 +537,11 @@ WRONG_TYPES = {
                 "grasps[0].id: expected a string, got null"),
     "object-for-joints": (("chain", "joints"), {},
                           "chain.joints: expected a list, got {}"),
+    "no-joints": (("chain", "joints"), [],
+                  "chain.joints: chain needs at least one joint"),
+    "no-grasps": (("grasps",), [], "grasps: at least one grasp required"),
+    "unknown-object-type": (("object", "type"), "sphere",
+                            'object.type: unknown object type "sphere"'),
 }
 
 
@@ -519,6 +568,15 @@ def test_parse_errors_for_unreadable_files(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParseError):
         parse_scene(bad)
+
+
+def test_a_document_that_is_not_an_object_is_a_parse_error(tmp_path):
+    path = tmp_path / "list.scene.json"
+    path.write_text("[]", encoding="utf-8")
+    for parse, arg in ((parse_scene, path), (scene_from_dict, [])):
+        with pytest.raises(ParseError,
+                           match="^scene document must be a JSON object$"):
+            parse(arg)
 
 
 def test_an_integer_json_cannot_read_is_a_parse_error(tmp_path):

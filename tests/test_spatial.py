@@ -9,6 +9,7 @@ from graspmass import (
     rotation_ypr,
     skew,
 )
+from graspmass.errors import DimensionMismatch
 from graspmass.spatial import rotation_x, rotation_y, rotation_z
 
 from conftest import (euler_rate_map, random_rotation, reference_rotation_log,
@@ -44,6 +45,34 @@ def test_axis_angle_log_round_trip():
         angle = rng.uniform(-3.0, 3.0)
         r = rotation_axis_angle(axis, angle)
         assert np.allclose(rotation_log(r), axis * angle, atol=1e-9)
+
+
+def _near_pi_axes():
+    """Unit axes: random ones, ones in a coordinate plane and ones with
+    a negative x component, each kind with hand-picked members."""
+    rng = np.random.default_rng(32)
+    axes = [[0.0, 0.6, -0.8], [-0.48, 0.6, -0.64], [0.6, 0.0, 0.8],
+            [-0.8, 0.6, 0.0], [0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]
+    for k in range(60):
+        axis = rng.normal(size=3)
+        if k % 3 == 1:
+            axis[k % 2 * 2] = 0.0
+        elif k % 3 == 2:
+            axis[0] = -abs(axis[0])
+        axes.append(axis / np.linalg.norm(axis))
+    return axes
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-7, 5e-7, 9e-7])
+def test_rotation_log_round_trips_near_pi(eps):
+    # the near-pi rule against Rodrigues, on exact and rounded matrices
+    for axis in _near_pi_axes():
+        r = rotation_axis_angle(axis, np.pi - eps)
+        for rot in (r, r @ (r.T @ r)):
+            v = rotation_log(rot)
+            angle = np.linalg.norm(v)
+            back = rotation_axis_angle(v / angle, angle)
+            assert np.abs(back - rot).max() <= 1e-7, (axis, eps)
 
 
 def test_rotation_log_keeps_the_bits_of_the_reference():
@@ -119,6 +148,28 @@ def test_pose_from_ypr_matches_rotation():
     pose = Pose.from_ypr(np.array([1.0, 2.0, 3.0]), np.array([0.5, -0.3, 0.9]))
     assert np.allclose(pose.rotation, rotation_ypr(0.5, -0.3, 0.9), atol=1e-12)
     assert np.allclose(pose.position, [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("position, rotation, error, message", [
+    (np.zeros(2), np.eye(3), DimensionMismatch,
+     r"^position must have shape \(3,\), got \(2,\)$"),
+    (np.zeros(3), np.eye(4), DimensionMismatch,
+     r"^rotation must have shape \(3, 3\), got \(4, 4\)$"),
+    (np.array([0.0, np.nan, 0.0]), np.eye(3), ValueError,
+     "^position must be finite$"),
+    (np.zeros(3), np.diag([1.0, 1.0, np.nan]), ValueError,
+     "^rotation must be finite$"),
+], ids=["short-position", "4x4-rotation", "nan-position", "nan-rotation"])
+def test_pose_refuses_a_wrong_shape_or_a_nan(position, rotation, error,
+                                             message):
+    with pytest.raises(error, match=message):
+        Pose(position, rotation)
+
+
+def test_skew_refuses_a_2_vector():
+    with pytest.raises(DimensionMismatch,
+                       match=r"^expected \(\.\.\., 3\) vectors, got \(2,\)$"):
+        skew([1.0, 2.0])
 
 
 def test_pose_rejects_bad_rotation():
