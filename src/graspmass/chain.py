@@ -408,7 +408,10 @@ def sweep(chain, traj, dt, q_seed) -> Sweep:
     for index, position in enumerate(positions, 1):
         q, frames = _ik(chain, position, rotation, q, frames, index)
         passes.append(frames)
-    lam_rob, near_singular = _stacked_inertias(chain, _checked(_stack(passes)))
+    frames = _checked(_stack(passes))
+    # float errors raise, so an inertia past the float range fails loudly
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        lam_rob, near_singular = _stacked_inertias(chain, frames)
     direction = motion_direction(traj)
     for a in (times, direction):
         a.setflags(write=False)

@@ -65,14 +65,12 @@ class Aggregator:
                     if near_singular[self.k - 1] else None)
             return masses[:, self.k - 1], note
         # max: damped near-singular values must not fake the worst case
-        if not near_singular.any():
-            return masses.max(axis=1), None
         if near_singular.all():
             return masses.max(axis=1), ("all samples near singular; "
                                         "max taken over damped values")
-        return masses[:, ~near_singular].max(axis=1), (
-            f"excluded {int(near_singular.sum())} near-singular "
-            "sample(s) from max")
+        note = (f"excluded {int(near_singular.sum())} near-singular "
+                "sample(s) from max" if near_singular.any() else None)
+        return masses[:, ~near_singular].max(axis=1), note
 
 
 def parse_aggregator(text: str) -> Aggregator:

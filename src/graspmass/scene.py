@@ -93,14 +93,14 @@ class Scene:
         ``chain``."""
         entry = self._evaluations.get(dt)
         if entry is None:
+            traj = self.fit()
             try:
-                with np.errstate(over="raise", invalid="raise",
-                                 divide="raise"):
-                    sweep = arm.sweep(self.chain, self.fit(), dt,
-                                      self.ik_seed)
+                sweep = arm.sweep(self.chain, traj, dt, self.ik_seed)
             except (np.linalg.LinAlgError, NotPositiveDefinite,
                     FloatingPointError) as exc:
-                # the arm's inertia reads nothing but the chain
+                # only the sweep's inertia step raises these (the IK solves
+                # a damped, positive definite system), and it reads nothing
+                # but the chain
                 raise ValidationError("chain", "the arm's task-space "
                                       f"inertia cannot be computed: {exc}"
                                       ) from exc
