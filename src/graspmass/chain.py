@@ -14,8 +14,10 @@ end-effector pose and geometric Jacobian of one configuration, shape
 (n,); FK, the Jacobian and each IK iteration read them, each 3 x 3
 product a BLAS call on 2-D operands and the Jacobian's cross products on
 plain floats (``np.cross``'s order), without numpy's per-call cost of a
-batch axis. A pass loops over the joints once, for the rotations; the
-joint origins are one batched product of the parent offsets by the
+batch axis. A pass loops over the joints once, for the rotations,
+skipping the product by each parent rotation that is exactly the
+identity (all of them on the bundled arms), which returns its operand;
+the joint origins are one batched product of the parent offsets by the
 preceding frames and one running sum in joint order, the additions of
 pose composition in its order. A stack, shape (S, n), is the rows of its
 kernel passes, Jacobians (S, 6, n) included (``_stack``); on it the CRBA
@@ -33,14 +35,17 @@ result must be orthonormal (``_checked``: the public calls and
 iterates, which are thrown away, and the joint frames are not checked.
 
 ``inverse_kinematics`` wraps ``_ik``, which works on arrays and returns
-the converged configuration with its frame pass. Each iteration does
-its arithmetic on plain floats and small arrays (the residual in one
-6-vector, its norms as ``sqrt(e . e)``, the bits of ``np.linalg.norm``).
+the converged configuration with its frame pass and rotation residual.
+Each iteration does its arithmetic on plain floats and small arrays (the
+seed's limit check, the residual in one 6-vector, its norms as
+``sqrt(e . e)``, the bits of ``np.linalg.norm``) and solves its damped
+system with the gufunc under ``np.linalg.solve``, without the wrapper.
 
 One ``sweep`` per trajectory computes the arm's part of an evaluation on
 its sampling grid, read as arrays: warm-started IK sample by sample
 (the start pose is sample 0), each solve handed the previous one's
-converged pass, so it skips the pass at its seed; then the task-space
+converged pass and rotation residual, so it skips the pass and the
+rotation log at its seed (the rotation is held); then the task-space
 inertias and near-singular flags of all samples, one batch on the stack
 of those passes (``_stacked_inertias``), so no pass runs outside IK;
 and the motion direction, the path's chord, the same at every sample.
@@ -54,6 +59,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+# the gufunc np.linalg.solve calls for one right-hand side
+from numpy.linalg._umath_linalg import solve1 as _solve
 
 from .augmented import _EYE6, KineticEnergyMatrix, checked_energy_matrices
 from .bodies import check_inertia_tensor, check_mass
@@ -111,25 +118,30 @@ class _ChainArrays(NamedTuple):
     """Per-joint constants stacked along a leading joint axis (n, ...)."""
 
     parent_positions: np.ndarray
-    parent_rotations: np.ndarray
     axes: np.ndarray
     axis_skews: np.ndarray      # Rodrigues terms K and K @ K of each axis
     axis_skews2: np.ndarray
     lower: np.ndarray           # joint limits
     upper: np.ndarray
+    # each joint's parent rotation, None where it is exactly the identity:
+    # a product by it returns its operand (up to the sign of a zero entry),
+    # so the frame pass skips it
+    turns: tuple
+    bounds: tuple               # the limits as (lower, upper) float pairs
 
     @classmethod
     def of(cls, joints) -> "_ChainArrays":
         skews = skew([j.axis for j, _ in joints])
         limits = np.array([j.limits for j, _ in joints])
-        arrays = cls(
+        arrays = (
             np.array([j.parent_transform.position for j, _ in joints]),
-            np.array([j.parent_transform.rotation for j, _ in joints]),
             np.array([j.axis for j, _ in joints]),
             skews, skews @ skews, limits[:, 0].copy(), limits[:, 1].copy())
         for a in arrays:
             a.setflags(write=False)
-        return arrays
+        turns = tuple(None if (r == _EYE3).all() else r
+                      for r in (j.parent_transform.rotation for j, _ in joints))
+        return cls(*arrays, turns, tuple(j.limits for j, _ in joints))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +203,10 @@ def _one_pass(model: ChainModel, q: np.ndarray) -> _Frames:
     base = model.base_pose
     frames = np.empty((model.dof + 1, 3, 3))  # frames[i] precedes joint i
     frames[0] = rot = base.rotation
-    for i, spin in enumerate(spins, 1):
-        frames[i] = rot = rot.dot(arrays.parent_rotations[i - 1]).dot(spin)
+    for i, (turn, spin) in enumerate(zip(arrays.turns, spins), 1):
+        if turn is not None:
+            rot = rot.dot(turn)
+        frames[i] = rot = rot.dot(spin)
     origins = (frames[:-1] @ arrays.parent_positions[:, :, None])[:, :, 0]
     origins[0] += base.position
     origins = origins.cumsum(axis=0)
@@ -321,33 +335,49 @@ def inverse_kinematics(model: ChainModel, target: Pose, seed) -> np.ndarray:
 
     Returns the (n,) joint values, read-only, once position and
     orientation residuals are inside tolerance; if the target equals
-    FK(seed) the seed's values come back. After the iteration budget,
-    raises with the best configuration seen (``best_q``, the same kind
-    of vector). The end-effector rotation at the solution must be
+    FK(seed) the seed's values come back, in a new array (the caller's
+    is neither returned nor frozen). After the iteration budget, raises
+    with the best configuration seen (``best_q``, the same kind of
+    vector). The end-effector rotation at the solution must be
     orthonormal.
     """
-    q, frames = _ik(model, target.position, target.rotation,
-                    _qvec(model, seed))
+    q, frames, _ = _ik(model, target.position, target.rotation,
+                       _qvec(model, seed))
     _checked(frames)
     q.setflags(write=False)
     return q
 
 
+def _singular(err, flag):
+    """``np.errstate`` handler of the damped solve: its gufunc flags a
+    singular system as invalid, which ``np.linalg.solve`` raises as this."""
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
         q: np.ndarray, frames: _Frames | None = None,
-        sample: int | None = None):
-    """``inverse_kinematics`` on arrays: the converged q and its frame
-    pass (of the one configuration), whose end-effector rotation the
-    caller checks.
+        sample: int | None = None, rot_residual: np.ndarray | None = None):
+    """``inverse_kinematics`` on arrays: the converged q (a new array),
+    its frame pass (of the one configuration), whose end-effector
+    rotation the caller checks, and the rotation residual there, the
+    axis-angle vector (3,) from that rotation to ``target_rot``.
 
     ``frames``, the pass at the seed (the previous solve's result in a
-    warm-started sweep), saves the first pass; it is used only if the
-    joint limits leave the seed as it is. ``sample``, the target's index
-    in a sweep, prefixes a failure's message and is its ``sample_index``.
+    warm-started sweep), saves the first pass, and ``rot_residual``, its
+    rotation residual against this ``target_rot``, the first rotation
+    log; both are used only if the seed lies inside the joint limits,
+    which are checked on plain floats (a seed outside them is clipped).
+    ``sample``, the target's index in a sweep, prefixes a failure's
+    message and is its ``sample_index``. Each damped system J Jᵀ + λ²I
+    goes to the gufunc ``np.linalg.solve`` wraps, the same LAPACK call
+    and bits without the wrapper's per-call cost; a singular one raises
+    ``LinAlgError`` as the wrapper does.
     """
-    lower, upper = model._arrays.lower, model._arrays.upper
-    seed, q = q, np.minimum(np.maximum(q, lower), upper)
-    if frames is not None and not (q == seed).all():
+    arrays = model._arrays
+    if all(lo <= x <= hi for x, (lo, hi) in zip(q.tolist(), arrays.bounds)):
+        q = q.copy()
+    else:
+        q = np.minimum(np.maximum(q, arrays.lower), arrays.upper)
         frames = None
     best_q, best_err = q, np.inf
     best_pos, best_rot = np.inf, np.inf
@@ -355,25 +385,32 @@ def _ik(model: ChainModel, target_pos: np.ndarray, target_rot: np.ndarray,
     e_pos, e_rot = err[:3], err[3:]
     for it in range(IK_MAX_ITERS + 1):
         if frames is None:
-            frames = _one_pass(model, q)
+            frames, rot_residual = _one_pass(model, q), None
+        if rot_residual is None:
+            rot_residual = rotation_log(target_rot.dot(frames.ee_rotation.T))
         np.subtract(target_pos, frames.ee_position, out=e_pos)
-        e_rot[:] = rotation_log(target_rot.dot(frames.ee_rotation.T))
+        e_rot[:] = rot_residual
         # the bits of np.linalg.norm on a 1-D float vector
         pos_err = math.sqrt(e_pos.dot(e_pos))
         rot_err = math.sqrt(e_rot.dot(e_rot))
         if pos_err < IK_POS_TOL and rot_err < IK_ROT_TOL:
-            return q, frames
+            return q, frames, rot_residual
         if pos_err + rot_err < best_err:
             best_q, best_err = q, pos_err + rot_err
             best_pos, best_rot = pos_err, rot_err
         if it == IK_MAX_ITERS:
             break
         jac = frames.jacobian
-        dq = jac.T.dot(np.linalg.solve(jac @ jac.T + _IK_DAMPING_EYE6, err))
+        system = jac.dot(jac.T) + _IK_DAMPING_EYE6
+        # np.linalg.solve's own float-error state around its gufunc
+        with np.errstate(call=_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            x = _solve(system, err)
+        dq = jac.T.dot(x)
         step = max(map(abs, dq.tolist()))
         if step > IK_STEP_CLAMP:
             dq *= IK_STEP_CLAMP / step
-        q = np.minimum(np.maximum(q + dq, lower), upper)
+        q = np.minimum(np.maximum(q + dq, arrays.lower), arrays.upper)
         frames = None
     best_q.setflags(write=False)
     where = "" if sample is None else f"sample {sample}: "
@@ -402,11 +439,14 @@ def sweep(chain, traj, dt, q_seed) -> Sweep:
     solve raises ``IkDidNotConverge`` with its sample index (0 = start)."""
     times, positions = grid(traj, dt)
     rotation = traj.start_rotation
-    q, frames = _ik(chain, traj.position(0.0), rotation,
-                    _qvec(chain, q_seed), None, 0)
     passes = []
+    q, frames, residual = _ik(chain, traj.position(0.0), rotation,
+                              _qvec(chain, q_seed), None, 0)
+    # the rotation is held, so each converged pass's rotation residual is
+    # the next solve's first one
     for index, position in enumerate(positions, 1):
-        q, frames = _ik(chain, position, rotation, q, frames, index)
+        q, frames, residual = _ik(chain, position, rotation, q, frames,
+                                  index, residual)
         passes.append(frames)
     frames = _checked(_stack(passes))
     # float errors raise, so an inertia past the float range fails loudly

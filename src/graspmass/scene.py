@@ -120,10 +120,12 @@ class Scene:
         k = self.collision_sample_at(dt)
         n = _grid_size(self.t_f, dt)
         t = self.t_f * k / n
-        velocity = self.fit().velocity(t)
-        if not np.isfinite(velocity).all():
+        # a path past the float range overflows here, and its speed comes
+        # out inf or NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            speed = float(np.linalg.norm(self.fit().velocity(t)))
+        if not math.isfinite(speed):
             raise ValueError("trajectory samples must be finite")
-        speed = float(np.linalg.norm(velocity))
         if speed <= MIN_APPROACH_SPEED:
             raise ValidationError("collision", (
                 f"approach speed is zero at t = {t:g} s "
@@ -296,6 +298,14 @@ def _parse_chain(value, path="chain") -> ChainModel:
                      _point(link_d, "com_m", lp),
                      _vector(link_d, "inertia_kgm2", lp, (3, 3)))
         joints.append((spec, link))
+    # the end effector lies within the arm's reach of the base frame's
+    # origin, and IK squares its distance to a target
+    reach = sum(math.hypot(*pose.position.tolist()) for pose in (
+        base, tool, *(spec.parent_transform for spec, _ in joints)))
+    if not math.isfinite(reach * reach):
+        raise ValidationError(path, "its reach, the summed lengths of its "
+                              "base, joint and tool offsets, is too long "
+                              "to square")
     return _wrap(path, ChainModel, tuple(joints), base, tool)
 
 

@@ -86,10 +86,14 @@ def rotation_log(r) -> np.ndarray:
         return np.zeros(3)
     if angle > math.pi - 1e-6:
         # R + R^T - 2c I = 2 (1 - c) u u^T: its largest-diagonal row is u
-        # up to a sign, which 2 sin(angle) u, the antisymmetric part, fixes
+        # up to a sign, which w = 2 sin(angle) u, the antisymmetric part,
+        # fixes; the angle is atan2(|w| / 2, c), as acos loses half the
+        # digits of c near -1
+        w = np.array([r21 - r12, r02 - r20, r10 - r01])
+        angle = math.atan2(math.sqrt(w.dot(w)) / 2.0, c)
         b = r + r.T - 2.0 * c * _EYE3
         row = b[b.diagonal().argmax()]
-        if row.dot([r21 - r12, r02 - r20, r10 - r01]) < 0.0:
+        if row.dot(w) < 0.0:
             angle = -angle
         return angle / np.linalg.norm(row) * row
     k = angle / (2.0 * math.sin(angle))

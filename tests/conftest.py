@@ -425,7 +425,9 @@ def reference_rotation_log(r):
         return np.zeros(3)
     w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     if angle > math.pi - 1e-6:
-        # the largest-diagonal row of R + R^T - 2c I, signed along w
+        # the largest-diagonal row of R + R^T - 2c I, signed along w; the
+        # angle from |w| = 2 sin(angle), as acos loses digits near -1
+        angle = math.atan2(np.linalg.norm(w) / 2.0, c)
         b = r + r.T - 2.0 * c * np.eye(3)
         row = b[np.argmax(np.diag(b))]
         sign = 1.0 if np.dot(row, w) >= 0.0 else -1.0

@@ -87,6 +87,27 @@ def test_frame_pass_equals_the_reference_on_rotated_frames():
                 assert np.array_equal(got.jacobian[k], reference.jacobian[0])
 
 
+def test_frame_pass_skips_identity_parent_rotations_bit_for_bit():
+    # the pass skips the product by a parent rotation that is exactly the
+    # identity; mixed with turned joints under a rotated base, each field
+    # keeps the reference's bytes, signed zeros included
+    from graspmass.chain import _one_pass
+    rng = np.random.default_rng(33)
+    chain = random_chain(rng, 7)
+    joints = tuple((JointSpec(Pose(j.parent_transform.position,
+                                   random_rotation(rng) if k % 2 else
+                                   np.eye(3)), j.axis), link)
+                   for k, (j, link) in enumerate(chain.joints))
+    model = ChainModel(joints, Pose(rng.normal(size=3), random_rotation(rng)),
+                       chain.tool_transform)
+    assert [turn is None for turn in model._arrays.turns] == [
+        True, False, True, False, True, False, True]
+    for q in rng.uniform(-np.pi, np.pi, size=(1000, 7)):
+        got, want = _one_pass(model, q), reference_frame_pass(model, q[None])
+        for field, a, b in zip(got._fields, got, want):
+            assert a.tobytes() == b[0].tobytes(), field
+
+
 def wrist_chain(rng):
     """Three random joints, then a spherical wrist (z, y, z about one
     point): at q[4] = 0 the axes of joints 4 and 6 coincide, so the
@@ -315,6 +336,36 @@ def test_ik_returns_a_read_only_joint_vector():
     assert q.shape == (scene.chain.dof,)
     assert not q.flags.writeable
     assert seed.flags.writeable  # the caller's seed is left as it was
+
+
+def test_ik_neither_returns_nor_freezes_an_in_limits_seed():
+    # a seed inside the limits is used as it is: at its own pose it comes
+    # back, and a failed solve's best iterate may be it, each in a copy
+    scene = book_scene()
+    seed = np.array(scene.ik_seed)
+    q = inverse_kinematics(scene.chain,
+                           forward_kinematics(scene.chain, seed), seed)
+    assert np.array_equal(q, seed) and not np.shares_memory(q, seed)
+    far = Pose(np.array([4.0, 0.0, 0.03]), scene.start.rotation)
+    with pytest.raises(IkDidNotConverge) as exc:
+        inverse_kinematics(scene.chain, far, seed)
+    assert not np.shares_memory(exc.value.best_q, seed)
+    assert seed.flags.writeable
+
+
+def test_a_singular_damped_system_raises_as_numpy_solve_does():
+    # two joints 4.6e11 m apart: J Jᵀ has rank 2 and λ² vanishes next to
+    # its entries, so the solve's LU meets a zero pivot
+    scene = book_scene()
+    (first, link), (second, far_link) = scene.chain.joints[:2]
+    far = JointSpec(Pose([-2.9e11, 3.6e11, 0.0], np.eye(3)), second.axis,
+                    second.limits)
+    chain = ChainModel(((first, link), (far, far_link)),
+                       scene.chain.base_pose, scene.chain.tool_transform)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            inverse_kinematics(chain, scene.start, scene.ik_seed[:2])
 
 
 def test_ik_recovers_perturbed_pose():

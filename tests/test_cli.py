@@ -773,6 +773,31 @@ def test_values_float_arithmetic_cannot_hold_are_clean_json_errors(
                           tmp_path / "out", "ValidationError", field)
 
 
+@pytest.mark.parametrize("offset, code", [
+    (1e153, 2), (2.2e153, 2), (3e153, 1), (5e153, 1), (1e154, 1),
+    (1.3e154, 1)])
+def test_an_arm_whose_reach_cannot_be_squared_is_refused_at_parse(
+        offset, code, tmp_path, capsys):
+    # each offset squares on its own; from 3e153 up, the reach of six of
+    # them does not, and IK used to overflow squaring its residual
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    for joint in doc["chain"]["joints"][1:]:
+        joint["origin"]["position_m"] = [offset, 0.0, 0.0]
+    path = write_doc(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if code == 1:
+            assert_json_error(capsys, ["rank", path], tmp_path / "out",
+                              "ValidationError", "chain")
+            return
+        got, out, err = run(capsys, "rank", path, "--json", "--out-dir",
+                            str(tmp_path / "out"))
+    assert got == 2, err
+    error = json.loads(out)["error"]
+    assert error["type"] == "ik_did_not_converge"
+    assert error["message"].startswith("sample 0: ")
+
+
 def test_a_damping_the_contact_model_cannot_square_names_its_field(
         tmp_path, capsys):
     doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))

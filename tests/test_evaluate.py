@@ -447,9 +447,9 @@ def recorded_sweep(monkeypatch, chain, traj, dt, seed):
     solve, solved = chain_module._ik, []
 
     def recording_ik(*args):
-        q, frames = solve(*args)
-        solved.append(q)
-        return q, frames
+        result = solve(*args)
+        solved.append(result[0])
+        return result
 
     with monkeypatch.context() as patch:
         patch.setattr(chain_module, "_ik", recording_ik)
@@ -543,7 +543,7 @@ def test_stale_frames_are_not_reused_for_a_clipped_seed():
     seed = out_of_limits_seed(scene)
     target = sample(scene.fit(), scene.dt)[5].pose
     stale = _one_pass(chain, seed)   # the pass at the unclipped seed
-    q, frames = _ik(chain, target.position, target.rotation, seed, stale)
+    q, frames, _ = _ik(chain, target.position, target.rotation, seed, stale)
     assert np.array_equal(q, inverse_kinematics(chain, target, seed))
     fresh = _one_pass(chain, q)
     assert all(np.array_equal(a, b) for a, b in zip(frames, fresh))
@@ -589,3 +589,29 @@ def test_book_at_fine_grid_makes_every_frame_pass_inside_ik(monkeypatch):
           scene.bodies, scene.grasps)
     assert all(spins)
     assert len(spins) == len(passes) == 189
+
+
+def test_book_at_fine_grid_makes_one_pass_log_and_solve_per_step(
+        monkeypatch):
+    # the start solve's pass at its seed, then one pass and one rotation
+    # log after each of the 188 damped solves: each solve starts from the
+    # pass and rotation residual its predecessor converged with (a log at
+    # each seed made 389)
+    import graspmass.chain as chain_module
+    logs, solves = [], []
+    log, solve = chain_module.rotation_log, chain_module._solve
+
+    def counting_log(r):
+        logs.append(r)
+        return log(r)
+
+    def counting_solve(a, b):
+        solves.append(b)
+        return solve(a, b)
+
+    monkeypatch.setattr(chain_module, "rotation_log", counting_log)
+    monkeypatch.setattr(chain_module, "_solve", counting_solve)
+    passes = count_frame_passes(monkeypatch)
+    scene = book_scene()
+    sweep(scene.chain, scene.fit(), 0.01, scene.ik_seed)
+    assert (len(passes), len(logs), len(solves)) == (189, 189, 188)

@@ -400,6 +400,20 @@ def test_a_collision_on_a_path_that_overflows_is_refused():
             far.collision(far.dt)
 
 
+@pytest.mark.parametrize("x", [1e305, 1e306, 1e307, 1e308])
+def test_a_collision_on_a_path_that_overflows_warns_nothing(x):
+    # its velocity or the velocity's norm overflows: the finiteness
+    # check refuses it, with no numpy warning first
+    scene = book_scene()
+    far = dataclasses.replace(scene, end=Pose([x, 0.0, 0.3],
+                                              scene.start.rotation))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^trajectory samples must be finite$"):
+            far.collision(far.dt)
+
+
 def test_collision_takes_sample_or_time_not_both():
     doc = book_dict()
     doc["collision"]["time_s"] = 1.5

@@ -75,6 +75,19 @@ def test_rotation_log_round_trips_near_pi(eps):
             assert np.abs(back - rot).max() <= 1e-7, (axis, eps)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-7, 5e-7, 9e-7])
+def test_rotation_log_round_trips_near_pi_to_rounding(eps):
+    # the near-pi angle from atan2(|w| / 2, c) keeps the digits acos(c)
+    # loses as c nears -1
+    for axis in _near_pi_axes():
+        r = rotation_axis_angle(axis, np.pi - eps)
+        for rot in (r, r @ (r.T @ r)):
+            v = rotation_log(rot)
+            angle = np.linalg.norm(v)
+            back = rotation_axis_angle(v / angle, angle)
+            assert np.abs(back - rot).max() <= 1e-12, (axis, eps)
+
+
 def test_rotation_log_keeps_the_bits_of_the_reference():
     # general, near-zero and near-pi angles, and products of a rotation
     # with the transpose of a nearby one, as IK residuals form them
