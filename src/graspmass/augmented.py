@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import PD_MIN_EIG, SYMMETRY_TOL
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .spatial import _check_rotation
 
 _EYE6 = np.eye(6)
@@ -77,7 +77,7 @@ class KineticEnergyMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         if m.shape != (6, 6):
-            raise DimensionMismatch(f"expected 6x6, got {m.shape}")
+            raise ValueError(f"expected 6x6, got {m.shape}")
         m = checked_energy_matrices(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -129,7 +129,7 @@ def effective_mass(lam_tot: KineticEnergyMatrix, v) -> float:
     other direction, zero included, is refused before the solve."""
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
-        raise DimensionMismatch("direction must be a 3-vector")
+        raise ValueError("direction must be a 3-vector")
     if not abs(np.linalg.norm(v) - 1.0) <= 1e-9:   # NaN is refused too
         raise ValueError("direction must be a unit vector")
     return float(effective_masses(lam_tot.matrix[None], v)[0])

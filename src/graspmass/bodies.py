@@ -23,7 +23,7 @@ import numpy as np
 
 from .augmented import KineticEnergyMatrix, checked_energy_matrices
 from .constants import SYMMETRY_TOL
-from .errors import NotPositiveDefinite, RingOutOfRange
+from .errors import NotPositiveDefinite
 from .spatial import Pose, skew
 from .spatial import _frozen  # shared array normalization
 
@@ -111,12 +111,12 @@ class TensorObjectConfig:
         pos = _frozen(self.ring_positions, (5,), "ring_positions")
         object.__setattr__(self, "ring_positions", pos)
         if abs(pos[0]) > self.handle_length / 2.0 + 1e-12:
-            raise RingOutOfRange(f"handle ring at {pos[0]} exceeds half-length "
-                                 f"{self.handle_length / 2.0}")
+            raise ValueError(f"handle ring at {pos[0]} exceeds half-length "
+                             f"{self.handle_length / 2.0}")
         for k in range(1, 5):
             if not -1e-12 <= pos[k] <= self.cylinder_length + 1e-12:
-                raise RingOutOfRange(f"arm ring {k} at {pos[k]} outside "
-                                     f"[0, {self.cylinder_length}]")
+                raise ValueError(f"arm ring {k} at {pos[k]} outside "
+                                 f"[0, {self.cylinder_length}]")
 
 
 def _at_grasps(masses: np.ndarray, inertias: np.ndarray,

@@ -67,7 +67,7 @@ from .bodies import check_inertia_tensor, check_mass
 from .constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL, IK_ROT_TOL,
                         IK_STEP_CLAMP, JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
                         UNIT_NORM_TOL)
-from .errors import DimensionMismatch, IkDidNotConverge
+from .errors import IkDidNotConverge
 from .spatial import Pose, _check_rotation, _frozen, rotation_log, skew
 from .trajectory import grid, motion_direction
 
@@ -166,7 +166,7 @@ def _qvec(model: ChainModel, q) -> np.ndarray:
     """One configuration as a validated (n,) vector."""
     v = np.asarray(q, dtype=float)
     if v.shape != (model.dof,):
-        raise DimensionMismatch(f"expected {model.dof} joint values, got {v.shape}")
+        raise ValueError(f"expected {model.dof} joint values, got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError("joint values must be finite")
     return v
@@ -440,17 +440,18 @@ def sweep(chain, traj, dt, q_seed) -> Sweep:
     times, positions = grid(traj, dt)
     rotation = traj.start_rotation
     passes = []
-    q, frames, residual = _ik(chain, traj.position(0.0), rotation,
-                              _qvec(chain, q_seed), None, 0)
-    # the rotation is held, so each converged pass's rotation residual is
-    # the next solve's first one
-    for index, position in enumerate(positions, 1):
-        q, frames, residual = _ik(chain, position, rotation, q, frames,
-                                  index, residual)
-        passes.append(frames)
-    frames = _checked(_stack(passes))
-    # float errors raise, so an inertia past the float range fails loudly
+    # float errors raise, so IK or inertia arithmetic past the float range
+    # fails loudly
     with np.errstate(over="raise", invalid="raise", divide="raise"):
+        q, frames, residual = _ik(chain, traj.position(0.0), rotation,
+                                  _qvec(chain, q_seed), None, 0)
+        # the rotation is held, so each converged pass's rotation residual
+        # is the next solve's first one
+        for index, position in enumerate(positions, 1):
+            q, frames, residual = _ik(chain, position, rotation, q, frames,
+                                      index, residual)
+            passes.append(frames)
+        frames = _checked(_stack(passes))
         lam_rob, near_singular = _stacked_inertias(chain, frames)
     direction = motion_direction(traj)
     for a in (times, direction):

@@ -1,13 +1,11 @@
-"""Exception taxonomy for the grasp effective-mass workbench; a
-near-singular arm posture is no error or warning, only a flag."""
+"""Exception taxonomy for the grasp effective-mass workbench: a bad
+argument is a ``ValueError``. A near-singular arm posture is no error or
+warning, only a flag."""
 
 
 class GraspmassError(Exception):
-    """Base class for all library errors."""
-
-
-class DimensionMismatch(GraspmassError):
-    """An array argument has the wrong shape or length."""
+    """Base class of the errors a caller acts on by type; a bad argument
+    is a plain ``ValueError`` instead."""
 
 
 class NotPositiveDefinite(GraspmassError):
@@ -31,21 +29,8 @@ class IkDidNotConverge(GraspmassError):
         self.sample_index = sample_index
 
 
-class NonPositiveDuration(GraspmassError):
-    """Trajectory duration must be > 0."""
-
-
 class InvalidStep(GraspmassError):
     """Sampling step outside (0, t_f], or one giving over MAX_SAMPLES."""
-
-
-class DegenerateTrajectory(GraspmassError):
-    """The trajectory does not move (its start and end positions
-    coincide), so no motion direction exists."""
-
-
-class RingOutOfRange(GraspmassError):
-    """A tensor-object ring sits outside its cylinder."""
 
 
 class DampingOutOfRange(GraspmassError):
@@ -57,14 +42,6 @@ class StiffnessOutOfRange(GraspmassError):
     """A contact stiffness too large or too small for the effective
     mass: the contact model triples their ratio k/M and takes the
     square root of its inverse M/k, either of which would overflow."""
-
-
-class EmptyInput(GraspmassError):
-    """An operation requiring at least one element got none."""
-
-
-class LengthMismatch(GraspmassError):
-    """Arrays (or series) whose lengths must agree do not."""
 
 
 class ParseError(GraspmassError):

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DampingOutOfRange, EmptyInput, LengthMismatch,
-                     StiffnessOutOfRange)
+from .errors import DampingOutOfRange, StiffnessOutOfRange
 
 TRACE_POINTS = 2000
 
@@ -152,9 +151,9 @@ def predict_ordering(grasp_ids, masses, speed: float, stiffness: float,
     """
     grasp_ids = tuple(grasp_ids)
     if not grasp_ids:
-        raise EmptyInput("no grasps")
+        raise ValueError("no grasps")
     if np.shape(masses) != (len(grasp_ids),):
-        raise LengthMismatch("one effective mass per grasp required")
+        raise ValueError("one effective mass per grasp required")
     scored = []
     for gid, mass in zip(grasp_ids, masses):
         trace = simulate_impact(ImpactScenario(

@@ -22,7 +22,7 @@ import numpy as np
 from .augmented import effective_masses
 from .bodies import grasp_energy_matrices
 from .chain import Sweep
-from .errors import EmptyInput, LengthMismatch, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def score(sweep: Sweep, bodies, grasps) -> np.ndarray:
     aligns with ``grasps``, one body per grasp; only one grasp's (N, 6, 6)
     total is held at a time."""
     if len(bodies) != len(grasps):
-        raise LengthMismatch("one body per grasp required")
+        raise ValueError("one body per grasp required")
     terms = grasp_energy_matrices(bodies, grasps, sweep.rotation)
     masses = np.empty((len(grasps), len(sweep.times)))
     for row, grasp, term in zip(masses, grasps, terms):
@@ -132,10 +132,10 @@ def rank_grasps(grasp_ids, masses, near_singular,
     masses = np.asarray(masses, dtype=float)
     near_singular = np.asarray(near_singular, dtype=bool)
     if not grasp_ids or not len(near_singular):
-        raise EmptyInput(f"no {'samples' if grasp_ids else 'grasps'} to rank")
+        raise ValueError(f"no {'samples' if grasp_ids else 'grasps'} to rank")
     if masses.shape != (len(grasp_ids), len(near_singular)):
-        raise LengthMismatch(f"mass table {masses.shape} for {len(grasp_ids)} "
-                             f"grasp(s) and {len(near_singular)} sample(s)")
+        raise ValueError(f"mass table {masses.shape} for {len(grasp_ids)} "
+                         f"grasp(s) and {len(near_singular)} sample(s)")
     bad = ~(np.isfinite(masses) & (masses > 0.0)).all(axis=1)
     if bad.any():
         raise ValueError(f"grasp {grasp_ids[bad.argmax()]}: effective masses "

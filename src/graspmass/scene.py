@@ -88,9 +88,9 @@ class Scene:
         (G, N) effective masses of the grasps on it, row g for
         ``grasps[g]``: computed on the first call per ``dt`` and shared by
         every later one. Nothing is kept unless both the sweep and the
-        scoring succeed. A sweep whose inertia overflows, is singular or
-        is not positive definite fails as a ``ValidationError`` at
-        ``chain``."""
+        scoring succeed. A sweep whose IK or inertia arithmetic leaves
+        the float range, or whose solve is singular or not positive
+        definite, fails as a ``ValidationError`` at ``chain``."""
         entry = self._evaluations.get(dt)
         if entry is None:
             traj = self.fit()
@@ -98,11 +98,12 @@ class Scene:
                 sweep = arm.sweep(self.chain, traj, dt, self.ik_seed)
             except (np.linalg.LinAlgError, NotPositiveDefinite,
                     FloatingPointError) as exc:
-                # only the sweep's inertia step raises these (the IK solves
-                # a damped, positive definite system), and it reads nothing
-                # but the chain
-                raise ValidationError("chain", "the arm's task-space "
-                                      f"inertia cannot be computed: {exc}"
+                # the sweep's IK solves and inertia step raise these: a
+                # float error under its np.errstate, a singular system or
+                # an inertia not positive definite (grid and motion
+                # direction, the path's own steps, run outside them)
+                raise ValidationError("chain", "the arm's sweep cannot be "
+                                      f"computed in floating point: {exc}"
                                       ) from exc
             masses = ranking.score(sweep, self.bodies, self.grasps)
             entry = self._evaluations[dt] = (sweep, masses)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ORTHONORMAL_TOL
-from .errors import DimensionMismatch
 
 _EYE3 = np.eye(3)
 
@@ -23,7 +22,7 @@ _EYE3 = np.eye(3)
 def _frozen(a, shape, name) -> np.ndarray:
     arr = np.array(a, dtype=float)
     if arr.shape != shape:
-        raise DimensionMismatch(f"{name} must have shape {shape}, got {arr.shape}")
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
@@ -46,7 +45,7 @@ def skew(r) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     if r.shape[-1:] != (3,):
-        raise DimensionMismatch(f"expected (..., 3) vectors, got {r.shape}")
+        raise ValueError(f"expected (..., 3) vectors, got {r.shape}")
     out = np.zeros(r.shape + (3,))
     out[..., 0, 1], out[..., 0, 2] = -r[..., 2], r[..., 1]
     out[..., 1, 0], out[..., 1, 2] = r[..., 2], -r[..., 0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MAX_SAMPLES, ZERO_SPEED_TOL
-from .errors import DegenerateTrajectory, InvalidStep, NonPositiveDuration
+from .errors import InvalidStep
 from .spatial import Pose, Twist
 
 _POWERS = np.arange(6)
@@ -57,7 +57,7 @@ class TrajectorySample:
 def fit_quintic(start: Pose, end: Pose, t_f: float) -> QuinticTrajectory:
     """Solve the six boundary conditions per axis for the unique quintic."""
     if not t_f > 0.0:
-        raise NonPositiveDuration(f"t_f must be positive, got {t_f}")
+        raise ValueError(f"t_f must be positive, got {t_f}")
     # a fifth power beyond the normal floats overflows, or underflows and
     # leaves the boundary rows singular
     try:
@@ -90,7 +90,7 @@ def motion_direction(traj: QuinticTrajectory) -> np.ndarray:
     chord = traj.position(traj.t_f) - traj.position(0.0)
     norm = np.linalg.norm(chord)
     if norm <= ZERO_SPEED_TOL:
-        raise DegenerateTrajectory("start and end positions coincide")
+        raise ValueError("start and end positions coincide")
     return chord / norm
 
 

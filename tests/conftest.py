@@ -28,8 +28,7 @@ from graspmass.constants import (IK_DAMPING, IK_MAX_ITERS, IK_POS_TOL,
                                  IK_ROT_TOL, IK_STEP_CLAMP,
                                  JACOBIAN_SINGULARITY_GUARD, OSI_DAMPING,
                                  PD_MIN_EIG, ZERO_SPEED_TOL)
-from graspmass.errors import (DegenerateTrajectory, IkDidNotConverge,
-                              NotPositiveDefinite)
+from graspmass.errors import IkDidNotConverge, NotPositiveDefinite
 from graspmass.trajectory import grid
 
 
@@ -307,7 +306,7 @@ def direction_at(samp, samples):
         if best is None or dist < best_dist:
             best, best_dist = other, dist
     if best is None:
-        raise DegenerateTrajectory("all samples are at rest")
+        raise ValueError("all samples are at rest")
     v = best.velocity.linear
     return v / np.linalg.norm(v)
 

@@ -1,15 +1,20 @@
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import graspmass
-from graspmass import (augment, com_energy_matrix, effective_mass,
+from graspmass import (KineticEnergyMatrix, TensorObjectConfig, augment,
+                       com_energy_matrix, effective_mass, fit_quintic,
                        forward_kinematics, geometric_jacobian,
-                       inverse_kinematics, mass_matrix,
-                       operational_space_inertia, pose_compose, sample,
+                       inverse_kinematics, mass_matrix, motion_direction,
+                       operational_space_inertia, pose_compose,
+                       predict_ordering, rank_grasps, sample, score, skew,
                        transform_to_grasp)
+from graspmass.errors import GraspmassError
 from graspmass.spatial import Pose
 
 from conftest import book_scene
@@ -72,3 +77,60 @@ def test_the_bench_micro_timings_call_chain_gives_the_pipeline_mass():
     _, masses = scene.evaluated(scene.dt)
     assert np.isclose(mass, masses[0, scene.collision_sample - 1],
                       rtol=1e-9, atol=0.0)
+
+
+def _tensor_config(rings):
+    return TensorObjectConfig(handle_length=0.5, cylinder_length=0.25,
+                              cylinder_mass=0.05, ring_mass=0.036,
+                              ring_positions=np.array(rings))
+
+
+def _score_with_a_body_short():
+    scene = book_scene()
+    arm, _ = scene.evaluated(scene.dt)
+    score(arm, scene.bodies[:1], scene.grasps)
+
+
+_AT_REST = Pose(np.zeros(3), np.eye(3))
+_NO_FLAGS = np.zeros(2, dtype=bool)
+_CONTACT = dict(speed=0.5, stiffness=1e4)
+
+BAD_ARGUMENTS = [
+    (lambda: Pose(np.zeros(2), np.eye(3)),
+     "position must have shape (3,), got (2,)"),
+    (lambda: skew([1.0, 2.0]), "expected (..., 3) vectors, got (2,)"),
+    (lambda: forward_kinematics(book_scene().chain, np.zeros(3)),
+     "expected 7 joint values, got (3,)"),
+    (lambda: KineticEnergyMatrix(np.eye(5)), "expected 6x6, got (5, 5)"),
+    (lambda: effective_mass(KineticEnergyMatrix(np.eye(6)), [1.0, 0.0]),
+     "direction must be a 3-vector"),
+    (lambda: _tensor_config([0.3, 0.1, 0.1, 0.1, 0.1]),
+     "handle ring at 0.3 exceeds half-length 0.25"),
+    (lambda: _tensor_config([0.0, 0.3, 0.1, 0.1, 0.1]),
+     "arm ring 1 at 0.3 outside [0, 0.25]"),
+    (lambda: fit_quintic(_AT_REST, _AT_REST, 0.0),
+     "t_f must be positive, got 0.0"),
+    (lambda: motion_direction(fit_quintic(_AT_REST, _AT_REST, 1.0)),
+     "start and end positions coincide"),
+    (_score_with_a_body_short, "one body per grasp required"),
+    (lambda: rank_grasps([], np.empty((0, 2)), _NO_FLAGS),
+     "no grasps to rank"),
+    (lambda: rank_grasps(["a", "b"], np.ones((3, 2)), _NO_FLAGS),
+     "mass table (3, 2) for 2 grasp(s) and 2 sample(s)"),
+    (lambda: predict_ordering([], np.empty(0), **_CONTACT), "no grasps"),
+    (lambda: predict_ordering(["a", "b"], np.ones(3), **_CONTACT),
+     "one effective mass per grasp required"),
+]
+
+
+@pytest.mark.parametrize("call, message", BAD_ARGUMENTS, ids=[
+    "pose-shape", "skew-shape", "joint-count", "energy-matrix-shape",
+    "direction-shape", "handle-ring", "arm-ring", "zero-duration",
+    "null-move", "body-count", "no-grasps-to-rank", "mass-table-shape",
+    "no-grasps-to-simulate", "mass-column-length"])
+def test_a_bad_argument_is_a_plain_value_error(call, message):
+    # a GraspmassError subclass is kept for the failures a caller acts on
+    # by type; a bad argument is none of them
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        call()
+    assert not isinstance(exc.value, GraspmassError)

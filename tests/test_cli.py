@@ -798,6 +798,21 @@ def test_an_arm_whose_reach_cannot_be_squared_is_refused_at_parse(
     assert error["message"].startswith("sample 0: ")
 
 
+def test_an_ik_residual_past_the_float_range_names_the_chain(tmp_path,
+                                                            capsys):
+    # the reach squares, but the residual to a path as far out on the
+    # other side does not; it used to escape as a numpy overflow warning
+    doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))
+    for joint in doc["chain"]["joints"][1:]:
+        joint["origin"]["position_m"] = [2.2e153, 0.0, 0.0]
+    doc["trajectory"]["start"]["position_m"] = [-1.3e154, 0.0, 0.3]
+    doc["trajectory"]["end"]["position_m"] = [-1.17e154, 0.0, 0.3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_json_error(capsys, ["rank", write_doc(tmp_path, doc)],
+                          tmp_path / "out", "ValidationError", "chain")
+
+
 def test_a_damping_the_contact_model_cannot_square_names_its_field(
         tmp_path, capsys):
     doc = json.loads(demo_scene_path("book").read_text(encoding="utf-8"))

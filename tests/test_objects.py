@@ -18,7 +18,7 @@ from graspmass import (
 )
 from graspmass.bodies import check_inertia_tensor
 from graspmass.chain import LinkInertia
-from graspmass.errors import NotPositiveDefinite, RingOutOfRange
+from graspmass.errors import NotPositiveDefinite
 
 from conftest import (NON_FINITE_CASES, poisoned, random_body, random_grasp,
                       random_rotation)
@@ -267,9 +267,12 @@ def test_tensor_inertia_against_point_discretization():
 
 
 def test_ring_out_of_range():
-    with pytest.raises(RingOutOfRange):
+    with pytest.raises(ValueError,
+                       match=r"^handle ring at 0\.3 exceeds half-length 0\.25$"):
         mid_config(ring_positions=np.array([0.3, 0.1, 0.1, 0.1, 0.1]))
-    with pytest.raises(RingOutOfRange):
+    with pytest.raises(ValueError,
+                       match=r"^arm ring 1 at 0\.3 outside \[0, 0\.25\]$"):
         mid_config(ring_positions=np.array([0.0, 0.3, 0.1, 0.1, 0.1]))
-    with pytest.raises(RingOutOfRange):
+    with pytest.raises(ValueError,
+                       match=r"^arm ring 1 at -0\.01 outside \[0, 0\.25\]$"):
         mid_config(ring_positions=np.array([0.0, -0.01, 0.1, 0.1, 0.1]))

@@ -231,6 +231,24 @@ def test_a_link_too_heavy_for_the_arms_inertia_names_the_chain(scene, link,
     assert exc.value.field == "chain"
 
 
+def test_a_singular_damped_ik_solve_names_the_chain():
+    # the damped solve's system is singular in floating point at sample 0;
+    # that used to be reported as the inertia step failing
+    doc = book_dict()
+    doc["chain"]["joints"] = doc["chain"]["joints"][:2]
+    doc["chain"]["joints"][1]["origin"]["position_m"] = [-2.86e11, 3.60e11,
+                                                         0.0]
+    doc["ik_seed_rad"] = doc["ik_seed_rad"][:2]
+    parsed = strict_parse(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as exc:
+            parsed.evaluated(parsed.dt)
+    assert exc.value.field == "chain"
+    assert "Singular matrix" in str(exc.value)
+    assert "task-space inertia" not in str(exc.value)
+
+
 NUMBER_FIELDS = [
     ("book", ("trajectory", "t_f_s")),
     ("book", ("trajectory", "dt_s")),

@@ -9,7 +9,6 @@ from graspmass import (
     rotation_ypr,
     skew,
 )
-from graspmass.errors import DimensionMismatch
 from graspmass.spatial import rotation_x, rotation_y, rotation_z
 
 from conftest import (euler_rate_map, random_rotation, reference_rotation_log,
@@ -164,9 +163,9 @@ def test_pose_from_ypr_matches_rotation():
 
 
 @pytest.mark.parametrize("position, rotation, error, message", [
-    (np.zeros(2), np.eye(3), DimensionMismatch,
+    (np.zeros(2), np.eye(3), ValueError,
      r"^position must have shape \(3,\), got \(2,\)$"),
-    (np.zeros(3), np.eye(4), DimensionMismatch,
+    (np.zeros(3), np.eye(4), ValueError,
      r"^rotation must have shape \(3, 3\), got \(4, 4\)$"),
     (np.array([0.0, np.nan, 0.0]), np.eye(3), ValueError,
      "^position must be finite$"),
@@ -180,7 +179,7 @@ def test_pose_refuses_a_wrong_shape_or_a_nan(position, rotation, error,
 
 
 def test_skew_refuses_a_2_vector():
-    with pytest.raises(DimensionMismatch,
+    with pytest.raises(ValueError,
                        match=r"^expected \(\.\.\., 3\) vectors, got \(2,\)$"):
         skew([1.0, 2.0])
 
